@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .counts import CountVector, JointCountTable, as_count_vector
-from .distributions import JointDistribution, ProbVector, as_prob_vector, check_alpha
+from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
 from .errors import (
     DegenerateStatisticError,
     DomainError,
@@ -26,60 +27,24 @@ from .errors import (
     UndefinedStatisticError,
     UsageError,
 )
-from .measures import cross_power_sum, renyi_divergence, renyi_entropy
-from .projections import (
-    LDReport,
-    ld_diagnostic,
-    projection_w_moments,
-    v_moments_independent,
-)
+from .measures import _cross_power_sum, _pearson_chi_square, _power_sum, _two_sample_chi_square
+from .projections import (LDReport, _degenerate, _ld_report, _moments, _v_moments_independent,
+                          _v_ratio_sum, _w_moments)
 
 MARGINAL_EQUALITY_TOL = 1e-9
-_DEGENERATE_REL_TOL = 1e-12
+# draws of a thinned sample before an all-empty result raises
+_THINNING_DRAWS = 100
 
 
 def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _normal_quantile_lower(u: float) -> float:
-    """Acklam rational approximation for u <= 1/2, one Halley refinement."""
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    if u < 0.02425:
-        qv = math.sqrt(-2.0 * math.log(u))
-        x = (((((c[0] * qv + c[1]) * qv + c[2]) * qv + c[3]) * qv + c[4]) * qv + c[5]) / (
-            (((d[0] * qv + d[1]) * qv + d[2]) * qv + d[3]) * qv + 1.0)
-    else:
-        qv = u - 0.5
-        r = qv * qv
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * qv / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    # Halley refinement; in the lower tail the erfc-based CDF is cancellation-free
-    e = normal_cdf(x) - u
-    w = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - w / (1.0 + x * w / 2.0)
-
-
 def normal_quantile(u: float) -> float:
-    """Inverse standard normal CDF, accurate to well below 1e-9 over (0, 1).
-
-    Rational approximation plus one Halley step; the upper half reflects to
-    the lower half (1 - u is exact there), keeping the far tails accurate.
-    """
+    """Inverse standard normal CDF (scipy.special.ndtri) on (0, 1)."""
     if not (0.0 < u < 1.0):
         raise DomainError("quantile level must lie strictly between 0 and 1")
-    if u == 0.5:
-        return 0.0
-    if u > 0.5:
-        return -_normal_quantile_lower(1.0 - u)
-    return _normal_quantile_lower(u)
+    return float(ndtri(u))
 
 
 @dataclass(frozen=True)
@@ -123,9 +88,7 @@ def pearson_chi_square(c, p) -> float:
         raise ShapeError(f"count/probability sizes differ: {cv.m} vs {pv.m}")
     if np.any(pv.probs <= 0):
         raise DomainError("Pearson statistic requires strictly positive p_i")
-    phat = cv.counts / cv.n
-    terms = (phat - pv.probs) ** 2 / pv.probs
-    return cv.n * math.fsum(terms.tolist())
+    return _pearson_chi_square(cv.counts, cv.n, pv.probs)
 
 
 def two_sample_chi_square(joint: JointCountTable, p) -> float:
@@ -140,22 +103,18 @@ def two_sample_chi_square(joint: JointCountTable, p) -> float:
         raise ShapeError(f"joint/probability sizes differ: {joint.m} vs {pv.m}")
     if np.any(pv.probs <= 0):
         raise DomainError("two-sample statistic requires strictly positive p_i")
-    n = joint.n
-    phat = joint.row_counts() / n
-    qhat = joint.col_counts() / n
-    terms = (phat - qhat) ** 2 / (2.0 * pv.probs)
-    return n * math.fsum(terms.tolist())
+    return _two_sample_chi_square(joint.row_counts(), joint.col_counts(), joint.n, pv.probs)
 
 
 def _null_params_from_arrays(pij: np.ndarray, marg: np.ndarray) -> tuple[float, float]:
     """mu_n and gamma_n^2 for an equal-marginal joint, marginal given explicitly."""
     diag = np.diag(pij)
-    mu = math.fsum((1.0 - diag / marg).tolist())
-    t1 = math.fsum((((marg - diag) / marg) ** 2).tolist())
+    mu = _sum(1.0 - diag / marg)
+    t1 = _sum(((marg - diag) / marg) ** 2)
     sym = pij + pij.T
     denom = 4.0 * np.outer(marg, marg)
     ratio = sym * sym / denom
-    off = math.fsum(ratio.ravel().tolist()) - math.fsum(np.diag(ratio).tolist())
+    off = _sum(ratio) - _sum(np.diag(ratio))
     return mu, t1 + off
 
 
@@ -179,10 +138,6 @@ def chi_square_null_params(joint: JointDistribution) -> tuple[float, float]:
     return _null_params_from_arrays(joint.pij, p)
 
 
-def _observed_phat(c: CountVector) -> ProbVector:
-    return c.phat_observed()
-
-
 def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
     """Plug-in Renyi entropy with the non-degenerate CLT interval.
 
@@ -201,20 +156,21 @@ def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
             "all mass in one category: entropy estimate is 0 and its CLT variance "
             "is undefined; nothing to test in the non-degenerate regime"
         )
-    phat = _observed_phat(cv)
-    w = projection_w_moments(phat, alpha)
-    if w.variance <= _DEGENERATE_REL_TOL * w.mean * w.mean:
+    phat = cv.counts[cv.observed] / cv.n
+    s_a = _power_sum(phat, alpha)
+    w = _w_moments(s_a, _power_sum(phat, 2.0 * alpha - 1.0), alpha)
+    if _degenerate(w):
         raise DegenerateStatisticError(
             "empirically uniform counts: CV(W) = 0, the entropy CLT is degenerate; "
             "use uniformity_test instead"
         )
-    est = renyi_entropy(phat, alpha)
+    est = math.log(s_a) / (1.0 - alpha)
     se = w.cv * alpha / ((1.0 - alpha) * math.sqrt(cv.n))
     z = normal_quantile(0.5 + level / 2.0)
-    ld = ld_diagnostic(phat, None, cv.n, alpha)
+    ld = _ld_report(phat.size, cv.n, float(phat.min()), w, _power_sum(phat, alpha - 1.0))
     return EstimateWithCI(
         estimate=est, level=level, lower=est - z * se, upper=est + z * se,
-        std_error=se, n=cv.n, m=phat.m, method="thm1", ld=ld,
+        std_error=se, n=cv.n, m=phat.size, method="thm1", ld=ld,
     )
 
 
@@ -256,37 +212,43 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
         if cvx.m != cvy.m:
             raise ShapeError(f"category counts differ: {cvx.m} vs {cvy.m}")
         n_eff = _effective_n(cvx.n, cvy.n)
-    phat = ProbVector(cvx.counts / cvx.n)
-    qhat = ProbVector(cvy.counts / cvy.n)
-    shared = (phat.probs > 0) & (qhat.probs > 0)
+    phat = cvx.counts / cvx.n
+    qhat = cvy.counts / cvy.n
+    shared = (phat > 0) & (qhat > 0)
     if not shared.any():
         raise DomainError("no shared support between the two samples")
-    est = renyi_divergence(phat, qhat, alpha)
+    est = math.log(_cross_power_sum(phat, qhat, alpha)) / (alpha - 1.0)
     if joint is None:
-        v = v_moments_independent(phat, qhat, alpha)
+        v = _v_moments_independent(phat, qhat, alpha)
     else:
         v = _v_moments_from_joint_counts(joint, alpha)
-    if v.variance <= _DEGENERATE_REL_TOL * v.mean * v.mean:
+    if _degenerate(v):
         raise DegenerateStatisticError(
             "empirically identical marginals: CV(V) = 0, the divergence CLT is "
             "degenerate; use equality_test instead"
         )
     se = v.cv / ((1.0 - alpha) * math.sqrt(n_eff))
     z = normal_quantile(0.5 + level / 2.0)
-    union = (phat.probs > 0) | (qhat.probs > 0)
-    # the LD conditions need strictly positive masses on the whole universe
-    ld = ld_diagnostic(phat, qhat, int(round(n_eff)), alpha) if shared.all() else None
+    union = (phat > 0) | (qhat > 0)
+    ld = None
+    # the LD conditions need strictly positive masses on the whole universe;
+    # they use the independent V moments even when a joint table sets v
+    if shared.all():
+        v_independent = v if joint is None else _v_moments_independent(phat, qhat, alpha)
+        w = _w_moments(_power_sum(phat, alpha), _power_sum(phat, 2.0 * alpha - 1.0), alpha)
+        ld = _ld_report(
+            phat.size, int(round(n_eff)), min(float(phat.min()), float(qhat.min())), w,
+            _power_sum(phat, alpha - 1.0), v_independent, _v_ratio_sum(phat, qhat, alpha),
+        )
     return EstimateWithCI(
-        estimate=float(est), level=level, lower=float(est) - z * se,
-        upper=float(est) + z * se, std_error=se,
+        estimate=est, level=level, lower=est - z * se,
+        upper=est + z * se, std_error=se,
         n=int(round(n_eff)), m=int(union.sum()), method="thm2", ld=ld,
     )
 
 
 def _v_moments_from_joint_counts(joint: JointCountTable, alpha: float):
     """V moments at the plug-in joint, over the observed cells."""
-    from .projections import _moments
-
     n = joint.n
     p = joint.row_counts() / n
     q = joint.col_counts() / n
@@ -298,7 +260,7 @@ def _v_moments_from_joint_counts(joint: JointCountTable, alpha: float):
         v = a + b
         mean_terms.append(w * v)
         second_terms.append(w * v * v)
-    return _moments(math.fsum(mean_terms), math.fsum(second_terms))
+    return _moments(_sum(mean_terms), _sum(second_terms))
 
 
 def generalized_binomial(a: float, k: int) -> float:
@@ -336,7 +298,7 @@ def uniformity_test(c, alpha: float, method: str = "thm3") -> TestReport:
     if n < 2 or m < 2:
         raise DomainError("need n >= 2 and m >= 2")
     if method == "lemma2i":
-        x2 = pearson_chi_square(cv, ProbVector.uniform(m))
+        x2 = _pearson_chi_square(cv.counts, n, np.full(m, 1.0 / m))
         z = lemma2i_standardize(x2, m)
         return TestReport(
             statistic=z, null_mean=float(m), null_sd=math.sqrt(2.0 * m),
@@ -349,7 +311,7 @@ def uniformity_test(c, alpha: float, method: str = "thm3") -> TestReport:
                 f"normalized entropy statistic undefined for n <= m (n={n}, m={m})"
             )
         center, sd = thm3_normalizers(m, n, alpha)
-        h_hat = renyi_entropy(cv.phat(), alpha)
+        h_hat = math.log(_power_sum(cv.counts[cv.observed] / n, alpha)) / (1.0 - alpha)
         z = n * (h_hat - center) / sd
         return TestReport(
             statistic=z, null_mean=n * center, null_sd=sd,
@@ -422,11 +384,9 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
         raise UsageError(f"unknown mode {mode!r}")
     if m_union < 2:
         raise DomainError("need at least 2 observed categories")
-    s = cross_power_sum(
-        ProbVector(cvx.counts / cvx.n), ProbVector(cvy.counts / cvy.n), alpha
-    )
+    s = _cross_power_sum(cvx.counts / cvx.n, cvy.counts / cvy.n, alpha)
     gamma = math.sqrt(gamma_sq)
-    z = (n_eff / (alpha * (alpha - 1.0)) * (float(s) - 1.0) - mu) / (math.sqrt(2.0) * gamma)
+    z = (n_eff / (alpha * (alpha - 1.0)) * (s - 1.0) - mu) / (math.sqrt(2.0) * gamma)
     return TestReport(
         statistic=z, null_mean=mu, null_sd=math.sqrt(2.0) * gamma,
         p_value=_p_value(z, "upper"), sidedness="upper",
@@ -434,23 +394,33 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
     )
 
 
+def _thinned(rng: np.random.Generator, counts, tau: float):
+    """The one thinning rule: Binomial(counts, tau) for per-category counts or a
+    total, redrawn while empty (conditioning on a non-empty sample), but raise
+    after _THINNING_DRAWS empty draws."""
+    for _ in range(_THINNING_DRAWS):
+        kept = rng.binomial(counts, tau)
+        if np.sum(kept) >= 1:
+            return kept
+    raise DomainError(
+        f"thinning n = {int(np.sum(counts))} observations with tau = {tau} kept none "
+        f"in {_THINNING_DRAWS} draws"
+    )
+
+
 def binomial_thinning(c, tau: float, seed) -> CountVector:
     """Retain each of the n observations independently with probability tau.
 
-    The returned total is Binomial(n, tau)-distributed; per-category totals
-    are Binomial(c_i, tau), which realizes exactly the same thinning. The
-    stream is consumed from `seed` (an int or a numpy Generator), so results
-    are reproducible; do not share one Generator across threads.
+    The returned total is Binomial(n, tau)-distributed, conditioned on at
+    least one kept observation; per-category totals are Binomial(c_i, tau),
+    which realizes exactly the same thinning. An empty draw is redrawn;
+    after 100 empty draws DomainError names n and tau. The stream is
+    consumed from `seed` (an int or a numpy Generator), so results are
+    reproducible; do not share one Generator across threads.
     """
     tau = float(tau)
     if not (0.0 < tau < 1.0):
         raise DomainError("tau must lie strictly between 0 and 1")
     cv = as_count_vector(c)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    thinned = rng.binomial(cv.counts, tau)
-    if thinned.sum() < 1:
-        # keep the CountVector invariant n >= 1: resample until non-empty,
-        # which conditions on the (overwhelmingly likely) non-degenerate event
-        while thinned.sum() < 1:
-            thinned = rng.binomial(cv.counts, tau)
-    return CountVector(thinned)
+    return CountVector(_thinned(rng, cv.counts, tau))

@@ -11,6 +11,14 @@ from .errors import DomainError, ShapeError, ValidationError
 PROB_SUM_TOL = 1e-12
 
 
+def _sum(values) -> float:
+    """The package's one summation, exactly rounded (math.fsum), so the same
+    terms in any order give the same bits. Takes an array or an iterable."""
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
+    return math.fsum(values)
+
+
 def check_alpha(alpha: float) -> float:
     """Validate the entropy/divergence exponent, restricted to 0 < alpha < 1."""
     alpha = float(alpha)
@@ -37,7 +45,7 @@ class ProbVector:
             raise ValidationError("probability vector has non-finite entries")
         if np.any(arr < 0):
             raise ValidationError("probability vector has negative entries")
-        total = math.fsum(arr.tolist())
+        total = _sum(arr)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValidationError(
                 f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}"
@@ -60,7 +68,7 @@ class ProbVector:
     def from_weights(cls, weights) -> "ProbVector":
         """Normalize a vector of non-negative weights into a ProbVector."""
         w = np.asarray(weights, dtype=float)
-        total = math.fsum(w.tolist())
+        total = _sum(w)
         if total <= 0:
             raise ValidationError("weights must have positive total")
         return cls(w / total)
@@ -89,7 +97,7 @@ class JointDistribution:
             raise ValidationError("joint distribution has non-finite entries")
         if np.any(mat < 0):
             raise ValidationError("joint distribution has negative entries")
-        total = math.fsum(mat.ravel().tolist())
+        total = _sum(mat)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValidationError(
                 f"joint probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}"

@@ -1,7 +1,9 @@
 """Power sums, Renyi entropy and divergence, Tsallis entropy, Hill numbers.
 
-All sums use exactly-rounded compensated accumulation (math.fsum), so results
+All sums go through distributions._sum (exactly rounded math.fsum), so results
 are stable for category counts up to 10^6 with heavy-tailed magnitudes.
+The underscore kernels take plain arrays and validate nothing; the public
+functions validate and then call them, and so does the Monte Carlo harness.
 Zero-probability categories contribute nothing (0^a = 0 for a > 0); natural
 logarithms throughout, entropies in nats.
 """
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from .distributions import as_prob_vector, check_alpha
+from .distributions import _sum, as_prob_vector, check_alpha
 from .errors import ShapeError
 
 
@@ -31,6 +33,27 @@ class CrossPowerSum(float):
         return obj
 
 
+def _power_sum(x: np.ndarray, e: float) -> float:
+    """sum_i x_i^e; x must be positive wherever e <= 0."""
+    return _sum(np.power(x, e))
+
+
+def _cross_power_sum(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
+    """sum_i p_i^a q_i^(1-a) over the categories where both are positive."""
+    shared = (p > 0) & (q > 0)
+    return _sum(np.power(p[shared], alpha) * np.power(q[shared], 1.0 - alpha))
+
+
+def _pearson_chi_square(counts: np.ndarray, n: int, p: np.ndarray) -> float:
+    """X^2 = n * sum (c_i/n - p_i)^2 / p_i."""
+    return n * _sum((counts / n - p) ** 2 / p)
+
+
+def _two_sample_chi_square(cx: np.ndarray, cy: np.ndarray, n: int, p: np.ndarray) -> float:
+    """X^2_{2p} = n * sum (cx_i/n - cy_i/n)^2 / (2 p_i)."""
+    return n * _sum((cx / n - cy / n) ** 2 / (2.0 * p))
+
+
 def power_sum(p, alpha: float) -> float:
     """S_a(p) = sum_i p_i^a with the convention 0^a = 0.
 
@@ -39,8 +62,7 @@ def power_sum(p, alpha: float) -> float:
     """
     alpha = check_alpha(alpha)
     probs = as_prob_vector(p).probs
-    pos = probs[probs > 0]
-    return math.fsum(np.power(pos, alpha).tolist())
+    return _power_sum(probs[probs > 0], alpha)
 
 
 def cross_power_sum(p, q, alpha: float) -> CrossPowerSum:
@@ -56,11 +78,8 @@ def cross_power_sum(p, q, alpha: float) -> CrossPowerSum:
     if pv.m != qv.m:
         raise ShapeError(f"category counts differ: {pv.m} vs {qv.m}")
     pp, qq = pv.probs, qv.probs
-    shared = (pp > 0) & (qq > 0)
-    terms = np.power(pp[shared], alpha) * np.power(qq[shared], 1.0 - alpha)
-    value = math.fsum(terms.tolist())
-    lost = math.fsum(pp[(pp > 0) & (qq == 0)].tolist())
-    return CrossPowerSum(value, p_mass_on_null_support=lost)
+    lost = _sum(pp[(pp > 0) & (qq == 0)])
+    return CrossPowerSum(_cross_power_sum(pp, qq, alpha), p_mass_on_null_support=lost)
 
 
 def renyi_entropy(p, alpha: float) -> float:

@@ -14,14 +14,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
-from .asymptotics import lemma2i_standardize, normal_cdf, normal_quantile, thm3_normalizers
+from .asymptotics import (MARGINAL_EQUALITY_TOL, _thinned, chi_square_null_params, divergence_ci,
+                          entropy_ci, lemma2i_standardize, thm3_normalizers)
 from .counts import CountVector, JointCountTable
-from .distributions import JointDistribution, ProbVector, check_alpha
+from .distributions import JointDistribution, ProbVector, _sum, check_alpha
 from .errors import DomainError, UndefinedStatisticError, UsageError
-from .measures import cross_power_sum, power_sum, renyi_divergence, renyi_entropy
+from .measures import (_cross_power_sum, _pearson_chi_square, _power_sum, _two_sample_chi_square,
+                       cross_power_sum, power_sum, renyi_divergence, renyi_entropy)
 from .powerlaw import powerlaw_pmf
-from .projections import projection_v_moments, projection_w_moments, v_moments_independent
+from .projections import (_degenerate, projection_v_moments, projection_w_moments,
+                          v_moments_independent)
 
 UNIVARIATE_STATISTICS = {"thm1_entropy", "thm3_uniform_entropy", "lemma2_pearson"}
 BIVARIATE_STATISTICS = {"thm2_divergence", "thm4_degenerate_divergence", "lemma2_two_sample"}
@@ -138,7 +142,7 @@ def ks_distance_normal(samples) -> float:
     b = x.size
     if b < 2:
         raise DomainError("need at least 2 samples")
-    cdf = np.array([normal_cdf(v) for v in x])
+    cdf = ndtr(x)
     lo = np.abs(cdf - np.arange(0, b) / b).max()
     hi = np.abs(cdf - np.arange(1, b + 1) / b).max()
     return float(max(lo, hi))
@@ -188,7 +192,7 @@ def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: flo
     fracs = tuple(float(f) for f in noise_block_fractions)
     if len(sizes) != len(fracs) or not sizes:
         raise UsageError("need matching, non-empty noise block sizes and fractions")
-    total = math.fsum(fracs) + signal_fraction
+    total = _sum(fracs) + signal_fraction
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"mixture masses sum to {total}, expected 1")
     parts = [np.full(s, f / s) for s, f in zip(sizes, fracs)]
@@ -221,7 +225,7 @@ class _Normalizers:
             self.p = _family_univariate(cfg)
             if cfg.statistic == "thm1_entropy":
                 w = projection_w_moments(self.p, cfg.alpha)
-                if w.variance <= 1e-12 * w.mean * w.mean:
+                if _degenerate(w):
                     raise UsageError(
                         "thm1_entropy is degenerate for a uniform population; "
                         "use thm3_uniform_entropy"
@@ -233,7 +237,7 @@ class _Normalizers:
             if cfg.statistic == "thm2_divergence":
                 v = (projection_v_moments(self.joint, cfg.alpha) if self.joint is not None
                      else v_moments_independent(self.p, self.q, cfg.alpha))
-                if v.variance <= 1e-12 * v.mean * v.mean:
+                if _degenerate(v):
                     raise UsageError(
                         "thm2_divergence is degenerate for equal marginals; "
                         "use thm4_degenerate_divergence"
@@ -242,15 +246,14 @@ class _Normalizers:
                 self.cv_v = v.cv
             else:
                 # thm4 and the two-sample chi-square need equal marginals
-                if not np.allclose(self.p.probs, self.q.probs, rtol=0, atol=1e-12):
+                if not np.allclose(self.p.probs, self.q.probs, rtol=0,
+                                   atol=MARGINAL_EQUALITY_TOL):
                     raise UsageError(f"{cfg.statistic} requires equal marginals (p = q)")
                 if self.joint is None:
                     m = cfg.m
                     self.mu_n = float(m - 1)
                     self.gamma_n = math.sqrt(m - 1.0)
                 else:
-                    from .asymptotics import chi_square_null_params
-
                     mu, gamma_sq = chi_square_null_params(self.joint)
                     self.mu_n = mu
                     self.gamma_n = math.sqrt(gamma_sq)
@@ -259,22 +262,16 @@ class _Normalizers:
 def _univariate_statistic(counts: np.ndarray, n: int, norm: _Normalizers,
                           m: int, alpha: float) -> float:
     if norm.statistic == "thm1_entropy":
-        pos = counts[counts > 0] / n
-        s_hat = math.fsum(np.power(pos, alpha).tolist())
-        h_hat = math.log(s_hat) / (1.0 - alpha)
+        h_hat = math.log(_power_sum(counts[counts > 0] / n, alpha)) / (1.0 - alpha)
         return math.sqrt(n) * (1.0 / alpha - 1.0) * (h_hat - norm.h_true) / norm.cv_w
     if norm.statistic == "lemma2_pearson":
-        phat = counts / n
-        x2 = n * math.fsum((((phat - norm.p.probs) ** 2) / norm.p.probs).tolist())
-        return lemma2i_standardize(x2, m)
+        return lemma2i_standardize(_pearson_chi_square(counts, n, norm.p.probs), m)
     if norm.statistic == "thm3_uniform_entropy":
         if n <= m:
             raise UndefinedStatisticError(
                 f"normalized entropy statistic undefined for n <= m (n={n}, m={m})"
             )
-        pos = counts[counts > 0] / n
-        s_hat = math.fsum(np.power(pos, alpha).tolist())
-        h_hat = math.log(s_hat) / (1.0 - alpha)
+        h_hat = math.log(_power_sum(counts[counts > 0] / n, alpha)) / (1.0 - alpha)
         center, sd = thm3_normalizers(m, n, alpha)
         return n * (h_hat - center) / sd
     raise AssertionError(norm.statistic)
@@ -282,24 +279,15 @@ def _univariate_statistic(counts: np.ndarray, n: int, norm: _Normalizers,
 
 def _bivariate_statistic(cx: np.ndarray, cy: np.ndarray, n: int, norm: _Normalizers,
                          m: int, alpha: float) -> float:
-    phat = cx / n
-    qhat = cy / n
     if norm.statistic == "thm2_divergence":
-        mask = (phat > 0) & (qhat > 0)
-        s_hat = math.fsum(
-            (np.power(phat[mask], alpha) * np.power(qhat[mask], 1.0 - alpha)).tolist()
-        )
-        d_hat = math.log(s_hat) / (alpha - 1.0)
+        d_hat = math.log(_cross_power_sum(cx / n, cy / n, alpha)) / (alpha - 1.0)
         return math.sqrt(n) * (alpha - 1.0) * (d_hat - norm.d_true) / norm.cv_v
     if norm.statistic == "thm4_degenerate_divergence":
-        mask = (phat > 0) & (qhat > 0)
-        s_hat = math.fsum(
-            (np.power(phat[mask], alpha) * np.power(qhat[mask], 1.0 - alpha)).tolist()
-        )
+        s_hat = _cross_power_sum(cx / n, cy / n, alpha)
         num = n / (alpha * (alpha - 1.0)) * (s_hat - 1.0) - norm.mu_n
         return num / (math.sqrt(2.0) * norm.gamma_n)
     if norm.statistic == "lemma2_two_sample":
-        x2 = n * math.fsum((((phat - qhat) ** 2) / (2.0 * norm.p.probs)).tolist())
+        x2 = _two_sample_chi_square(cx, cy, n, norm.p.probs)
         return (x2 - norm.mu_n) / (math.sqrt(2.0) * norm.gamma_n)
     raise AssertionError(norm.statistic)
 
@@ -308,9 +296,9 @@ def _one_replicate(cfg: SimConfig, norm: _Normalizers, n: int, r: int) -> float:
     rng = replicate_stream(cfg.master_seed, r)
     n_rep = n
     if cfg.thinning_tau is not None:
-        # Theorem-5 regime: the sample size itself is Binomial(n, tau)
-        n_rep = int(rng.binomial(n, cfg.thinning_tau))
-        n_rep = max(n_rep, 1)
+        # Theorem-5 regime: the sample size itself is Binomial(n, tau), under
+        # the thinning rule binomial_thinning applies to an empty draw
+        n_rep = int(_thinned(rng, n, cfg.thinning_tau))
     if cfg.statistic in UNIVARIATE_STATISTICS:
         counts = rng.multinomial(n_rep, norm.p.probs)
         return _univariate_statistic(counts, n_rep, norm, cfg.m, cfg.alpha)
@@ -364,15 +352,12 @@ def simulate_statistic(cfg: SimConfig) -> SimRun:
     ks = ks_distance_normal(samples)
     sorted_samples = np.sort(samples)
     grid = (np.arange(1, cfg.B + 1) - 0.5) / cfg.B
-    normal_q = np.array([normal_quantile(g) for g in grid])
-    qq = np.column_stack([normal_q, sorted_samples])
+    qq = np.column_stack([ndtri(grid), sorted_samples])
     return SimRun(samples=samples, ks_distance=ks, qq_pairs=qq, config_echo=cfg)
 
 
 def coverage_experiment(cfg: SimConfig, level: float) -> float:
     """Fraction of replicates whose plug-in CI covers the true H_a or D_a."""
-    from .asymptotics import divergence_ci, entropy_ci
-
     cfg.validate()
     if cfg.statistic not in {"thm1_entropy", "thm2_divergence"}:
         raise UsageError("coverage is defined for thm1_entropy and thm2_divergence")
@@ -417,8 +402,7 @@ def bias_experiment(cfg: SimConfig) -> float:
         for r in range(cfg.B):
             rng = replicate_stream(cfg.master_seed, r)
             counts = rng.multinomial(n, p.probs)
-            pos = counts[counts > 0] / n
-            ratios[r] = math.fsum(np.power(pos, cfg.alpha).tolist()) / s_true
+            ratios[r] = _power_sum(counts[counts > 0] / n, cfg.alpha) / s_true
     else:
         p, q, joint = _family_bivariate(cfg)
         if joint is not None:
@@ -428,11 +412,7 @@ def bias_experiment(cfg: SimConfig) -> float:
             rng = replicate_stream(cfg.master_seed, r)
             phat = rng.multinomial(n, p.probs) / n
             qhat = rng.multinomial(n, q.probs) / n
-            mask = (phat > 0) & (qhat > 0)
-            s_hat = math.fsum(
-                (np.power(phat[mask], cfg.alpha) * np.power(qhat[mask], 1.0 - cfg.alpha)).tolist()
-            )
-            ratios[r] = s_hat / s_true
+            ratios[r] = _cross_power_sum(phat, qhat, cfg.alpha) / s_true
     return float(ratios.mean() - 1.0)
 
 

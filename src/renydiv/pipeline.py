@@ -25,7 +25,7 @@ from .asymptotics import (
     normal_quantile,
 )
 from .counts import CountVector, as_count_vector
-from .distributions import check_alpha
+from .distributions import _sum, check_alpha
 from .errors import DomainError, NoSignalError, UsageError
 
 
@@ -242,7 +242,7 @@ def homogeneity_test(pairs, alpha: float = 0.5) -> TestReport:
         rep = equality_test(cx, cy, alpha=alpha, mode="independent")
         zs.append(rep.statistic)
         n_total += rep.n
-    q = math.fsum(z * z for z in zs)
+    q = _sum(z * z for z in zs)
     p = float(chi2.sf(q, df=k))
     return TestReport(
         statistic=q, null_mean=float(k), null_sd=math.sqrt(2.0 * k),

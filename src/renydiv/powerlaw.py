@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import CountVector
-from .distributions import ProbVector
+from .distributions import ProbVector, _sum
 from .errors import DomainError
 
 
@@ -36,13 +36,7 @@ def powerlaw_pmf(beta: float, m: int) -> ProbVector:
 
     For 0 < beta < 1 the normalizing constant grows like m^(1-beta)/(1-beta).
     """
-    if beta <= 0:
-        raise DomainError("beta must be > 0")
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    i = np.arange(1, m + 1, dtype=float)
-    w = i ** (-float(beta))
-    return ProbVector(w / math.fsum(w.tolist()))
+    return powerlaw_model(beta, m).pmf()
 
 
 def powerlaw_model(beta: float, m: int) -> PowerLawModel:
@@ -51,7 +45,7 @@ def powerlaw_model(beta: float, m: int) -> PowerLawModel:
     if m < 1:
         raise DomainError("m must be >= 1")
     i = np.arange(1, m + 1, dtype=float)
-    h = math.fsum((i ** (-float(beta))).tolist())
+    h = _sum(i ** (-float(beta)))
     return PowerLawModel(beta=float(beta), m=int(m), h_norm=h)
 
 

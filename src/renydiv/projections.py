@@ -13,14 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import JointDistribution, as_prob_vector, check_alpha
+from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
 from .errors import DomainError, ShapeError
-from .measures import cross_power_sum, power_sum
+from .measures import _power_sum, cross_power_sum
 
 # Desk-scale advisory thresholds for the asymptotic o(.) conditions: a finite-n
 # quotient below 0.1 reads "pass", below 0.5 "marginal", otherwise "fail".
 ADVISORY_PASS = 0.1
 ADVISORY_MARGINAL = 0.5
+# Relative size below which a projection variance counts as zero (the
+# degenerate direction), and the rounding slack allowed on a negative one.
+_DEGENERATE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,12 +41,47 @@ def _moments(mean: float, second: float) -> ProjectionMoments:
     variance = second - mean * mean
     if variance < 0:
         # exact-zero variance cases land epsilon-negative after rounding
-        if variance > -1e-12 * max(second, 1.0):
+        if variance > -_DEGENERATE_REL_TOL * max(second, 1.0):
             variance = 0.0
         else:
             raise AssertionError("negative variance from moment computation")
     cv = math.sqrt(variance) / abs(mean)
     return ProjectionMoments(mean=mean, variance=variance, cv=cv)
+
+
+def _degenerate(mom: ProjectionMoments) -> bool:
+    """True on a degenerate direction: the variance vanishes relative to mean^2."""
+    return mom.variance <= _DEGENERATE_REL_TOL * mom.mean * mom.mean
+
+
+def _w_moments(s_a: float, s_2a_minus_1: float, alpha: float) -> ProjectionMoments:
+    """W moments from the power sums: E W = a S_a, E W^2 = a^2 S_{2a-1}."""
+    return _moments(alpha * s_a, alpha * alpha * s_2a_minus_1)
+
+
+def _v_part(w: np.ndarray, ratio: np.ndarray, coef: float) -> tuple[float, float]:
+    """E X and E X^2 for X = coef * ratio taking its values with weights w."""
+    vals = coef * ratio
+    return _sum(w * vals), _sum(w * vals**2)
+
+
+def _v_moments_independent(p: np.ndarray, q: np.ndarray, alpha: float) -> ProjectionMoments:
+    """V = A_i + B_j moments for independent marginals, from the A and B sums.
+
+    A_i = a (q_i/p_i)^(1-a) and B_j = (1-a) (p_j/q_j)^a; off the shared
+    support the weight or the value is 0 and the term contributes nothing.
+    """
+    shared = (p > 0) & (q > 0)
+    ps, qs = p[shared], q[shared]
+    ea, ea2 = _v_part(ps, (qs / ps) ** (1.0 - alpha), alpha)
+    eb, eb2 = _v_part(qs, (ps / qs) ** alpha, 1.0 - alpha)
+    # E V^2 = E A^2 + 2 E A E B + E B^2 since A and B are independent
+    return _moments(ea + eb, ea2 + 2.0 * ea * eb + eb2)
+
+
+def _v_ratio_sum(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
+    """sum (q_i/p_i)^(1-a) + sum (p_i/q_i)^a, for strictly positive p and q."""
+    return _sum((q / p) ** (1.0 - alpha)) + _sum((p / q) ** alpha)
 
 
 def projection_w_moments(p, alpha: float) -> ProjectionMoments:
@@ -56,9 +94,7 @@ def projection_w_moments(p, alpha: float) -> ProjectionMoments:
     probs = as_prob_vector(p).probs
     if np.any(probs <= 0):
         raise DomainError("W is undefined on null support: all p_i must be > 0")
-    s = math.fsum(np.power(probs, alpha).tolist())
-    second = alpha * alpha * math.fsum(np.power(probs, 2.0 * alpha - 1.0).tolist())
-    return _moments(alpha * s, second)
+    return _w_moments(_power_sum(probs, alpha), _power_sum(probs, 2.0 * alpha - 1.0), alpha)
 
 
 def noise_and_signal_w_variance(p0: float, m: int, alpha: float) -> float:
@@ -101,9 +137,7 @@ def projection_v_moments(joint: JointDistribution, alpha: float) -> ProjectionMo
         p[jj] / q[jj]
     ) ** alpha
     w = joint.pij[mask]
-    mean = math.fsum((w * vals).tolist())
-    second = math.fsum((w * vals * vals).tolist())
-    return _moments(mean, second)
+    return _moments(_sum(w * vals), _sum(w * vals * vals))
 
 
 def v_moments_independent(p, q, alpha: float) -> ProjectionMoments:
@@ -119,26 +153,7 @@ def v_moments_independent(p, q, alpha: float) -> ProjectionMoments:
     qv = as_prob_vector(q)
     if pv.m != qv.m:
         raise ShapeError(f"category counts differ: {pv.m} vs {qv.m}")
-    pp, qq = pv.probs, qv.probs
-
-    psup = pp > 0
-    a_vals = np.zeros(pv.m)
-    a_vals[psup] = alpha * np.where(
-        qq[psup] > 0, (qq[psup] / pp[psup]) ** (1.0 - alpha), 0.0
-    )
-    ea = math.fsum((pp[psup] * a_vals[psup]).tolist())
-    ea2 = math.fsum((pp[psup] * a_vals[psup] ** 2).tolist())
-
-    qsup = qq > 0
-    b_vals = np.zeros(qv.m)
-    b_vals[qsup] = (1.0 - alpha) * np.where(
-        pp[qsup] > 0, (pp[qsup] / qq[qsup]) ** alpha, 0.0
-    )
-    eb = math.fsum((qq[qsup] * b_vals[qsup]).tolist())
-    eb2 = math.fsum((qq[qsup] * b_vals[qsup] ** 2).tolist())
-
-    # E V^2 = E A^2 + 2 E A E B + E B^2 since A and B are independent
-    return _moments(ea + eb, ea2 + 2.0 * ea * eb + eb2)
+    return _v_moments_independent(pv.probs, qv.probs, alpha)
 
 
 def bhattacharyya_v_variance(p, q) -> float:
@@ -198,45 +213,46 @@ def ld_diagnostic(p, q, n: int, alpha: float) -> LDReport:
         if np.any(qv.probs <= 0):
             raise DomainError("ld_diagnostic requires strictly positive masses")
 
-    m = pv.m
-    p_star = float(pv.probs.min())
-    if qv is not None:
-        p_star = min(p_star, float(qv.probs.min()))
-    ld_ratio = 1.0 / (n * p_star)
-    m_over_n = m / n
+    probs = pv.probs
+    w = _w_moments(_power_sum(probs, alpha), _power_sum(probs, 2.0 * alpha - 1.0), alpha)
+    sum_p_am1 = _power_sum(probs, alpha - 1.0)
+    if qv is None:
+        return _ld_report(pv.m, n, float(probs.min()), w, sum_p_am1)
+    p_star = min(float(probs.min()), float(qv.probs.min()))
+    v = _v_moments_independent(probs, qv.probs, alpha)
+    return _ld_report(pv.m, n, p_star, w, sum_p_am1, v, _v_ratio_sum(probs, qv.probs, alpha))
 
-    degenerate_rel_tol = 1e-12
 
-    w = projection_w_moments(pv, alpha)
-    sum_p_am1 = math.fsum(np.power(pv.probs, alpha - 1.0).tolist())
-    if w.variance > degenerate_rel_tol * w.mean * w.mean:
+def _ld_report(m: int, n: int, p_star: float, w: ProjectionMoments, sum_p_am1: float,
+               v: ProjectionMoments | None = None, ratio_sum: float | None = None) -> LDReport:
+    """The LD quotients from sums already computed; v and ratio_sum only with a q.
+
+    w holds the W moments of p and sum_p_am1 = S_{a-1}(p); v holds the
+    independent-marginal V moments and ratio_sum = sum (q/p)^(1-a) + (p/q)^a.
+    p_star is the smallest mass over p (and q).
+    """
+    if not _degenerate(w):
         entropy_condition = sum_p_am1 / math.sqrt(n * w.variance)
     else:
         entropy_condition = math.inf
     degenerate_entropy_condition = m * m / n
-
-    divergence_condition = None
-    degenerate_divergence_condition = None
-    if qv is not None:
-        v = v_moments_independent(pv, qv, alpha)
-        ratio_sum = math.fsum(
-            ((qv.probs / pv.probs) ** (1.0 - alpha)).tolist()
-        ) + math.fsum(((pv.probs / qv.probs) ** alpha).tolist())
-        if v.variance > degenerate_rel_tol * v.mean * v.mean:
-            divergence_condition = ratio_sum / math.sqrt(n * v.variance)
-        else:
-            divergence_condition = math.inf
-        degenerate_divergence_condition = max(
-            1.0 / (n * m * p_star * p_star), m / (n * p_star)
-        )
-
     advisories = {
         "entropy_clt": _advisory(
             entropy_condition if math.isfinite(entropy_condition)
             else degenerate_entropy_condition
         )
     }
-    if qv is not None:
+
+    divergence_condition = None
+    degenerate_divergence_condition = None
+    if v is not None:
+        if not _degenerate(v):
+            divergence_condition = ratio_sum / math.sqrt(n * v.variance)
+        else:
+            divergence_condition = math.inf
+        degenerate_divergence_condition = max(
+            1.0 / (n * m * p_star * p_star), m / (n * p_star)
+        )
         advisories["divergence_clt"] = _advisory(
             divergence_condition if math.isfinite(divergence_condition)
             else degenerate_divergence_condition
@@ -244,8 +260,8 @@ def ld_diagnostic(p, q, n: int, alpha: float) -> LDReport:
 
     return LDReport(
         p_star=p_star,
-        ld_ratio=ld_ratio,
-        m_over_n=m_over_n,
+        ld_ratio=1.0 / (n * p_star),
+        m_over_n=m / n,
         entropy_condition=entropy_condition,
         divergence_condition=divergence_condition,
         degenerate_entropy_condition=degenerate_entropy_condition,

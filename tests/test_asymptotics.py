@@ -396,3 +396,8 @@ class TestBinomialThinning:
     def test_tau_domain(self, tau):
         with pytest.raises(DomainError):
             binomial_thinning([5, 5], tau, seed=0)
+
+    def test_empty_thinning_raises_instead_of_looping(self):
+        # every redraw of Binomial(1, 1e-9) is empty: raise, naming n and tau
+        with pytest.raises(DomainError, match=r"n = 1 .*tau = 1e-09"):
+            binomial_thinning([1], 1e-9, seed=0)

@@ -1,11 +1,13 @@
 """Simulation harness: determinism, sampling, KS distances, experiments."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from renydiv import (
     DomainError,
+    JointCountTable,
     JointDistribution,
     ProbVector,
     SimConfig,
@@ -13,12 +15,17 @@ from renydiv import (
     UsageError,
     bias_experiment,
     coverage_experiment,
+    equality_test,
     ks_distance_normal,
     mixture_distribution,
     normal_quantile,
+    powerlaw_pmf,
+    projection_w_moments,
+    renyi_entropy,
     sample_joint,
     sample_multinomial,
     simulate_statistic,
+    two_sample_chi_square,
     uniformity_test,
 )
 from renydiv.montecarlo import replicate_stream
@@ -164,17 +171,58 @@ class TestSimulateStatistic:
         plain = simulate_statistic(SimConfig(statistic="thm1_entropy", **BASE))
         assert not np.array_equal(r1.samples, plain.samples)
 
-    @pytest.mark.parametrize("statistic,method", [("lemma2_pearson", "lemma2i"),
-                                                  ("thm3_uniform_entropy", "thm3")])
+    @pytest.mark.parametrize("statistic,method", [
+        ("lemma2_pearson", "lemma2i"),
+        ("thm3_uniform_entropy", "thm3"),
+        ("thm1_entropy", "renyi_entropy"),
+        ("thm4_degenerate_divergence", "equality_test"),
+        ("lemma2_two_sample", "two_sample_chi_square"),
+    ])
     def test_uniform_null_statistics_match_uniformity_test(self, statistic, method):
-        # the harness and the library standardize with one formula
-        cfg = SimConfig(family="uniform", m=20, n_override=2000, alpha=0.5,
-                        B=3, statistic=statistic, master_seed=7)
+        # the harness computes each statistic with the library's own code, so a
+        # replicate equals the public function on the same draw, bit for bit
+        m, n, alpha = 20, 2000, 0.5
+        if method in ("lemma2i", "thm3"):
+            family, p = {"family": "uniform"}, ProbVector.uniform(m)
+        elif method == "renyi_entropy":
+            family, p = {"family": "power_law", "beta": 1.0}, powerlaw_pmf(1.0, m)
+        else:
+            family, p = {"family": "bivariate_product", "beta": 0.8}, powerlaw_pmf(0.8, m)
+        cfg = SimConfig(m=m, n_override=n, alpha=alpha, B=3, statistic=statistic,
+                        master_seed=7, **family)
         samples = simulate_statistic(cfg).samples
         for r, z in enumerate(samples):
-            counts = replicate_stream(7, r).multinomial(2000, ProbVector.uniform(20).probs)
-            assert z == pytest.approx(uniformity_test(counts, 0.5, method=method).statistic,
-                                      abs=1e-9)
+            rng = replicate_stream(7, r)
+            counts = rng.multinomial(n, p.probs)
+            if method in ("lemma2i", "thm3"):
+                expected = uniformity_test(counts, alpha, method=method).statistic
+            elif method == "renyi_entropy":
+                h_hat = renyi_entropy(counts / n, alpha)
+                expected = (math.sqrt(n) * (1.0 / alpha - 1.0)
+                            * (h_hat - renyi_entropy(p, alpha))
+                            / projection_w_moments(p, alpha).cv)
+            else:
+                cy = rng.multinomial(n, p.probs)
+                assert np.all(counts > 0) and np.all(cy > 0)
+                if method == "equality_test":
+                    expected = equality_test(counts, cy, alpha).statistic
+                else:
+                    # pair the i-th x observation with the i-th y observation,
+                    # a table whose marginals are exactly counts and cy
+                    pairs = zip(np.repeat(np.arange(m), counts).tolist(),
+                                np.repeat(np.arange(m), cy).tolist())
+                    joint = JointCountTable(cells=Counter(pairs), m=m)
+                    x2 = two_sample_chi_square(joint, p)
+                    expected = (x2 - (m - 1)) / (math.sqrt(2.0) * math.sqrt(m - 1.0))
+            assert z == expected
+
+    def test_empty_thinned_sample_raises(self):
+        # Binomial(1, 1e-9) is empty on every redraw; the harness no longer
+        # clamps the sample size up to 1
+        cfg = SimConfig(family="uniform", m=2, statistic="lemma2_pearson", n_override=1,
+                        thinning_tau=1e-9, B=1)
+        with pytest.raises(DomainError, match="tau"):
+            simulate_statistic(cfg)
 
     def test_noise_and_signal_family(self):
         cfg = SimConfig(family="noise_and_signal", p0=0.3, statistic="thm1_entropy",
