@@ -28,8 +28,8 @@ from .errors import (
     UsageError,
 )
 from .measures import _cross_power_sum, _pearson_chi_square, _power_sum, _two_sample_chi_square
-from .projections import (LDReport, _degenerate, _ld_report, _moments, _v_moments_independent,
-                          _v_ratio_sum, _w_moments)
+from .projections import (LDReport, _degenerate, _ld_report, _v_moments_cells,
+                          _v_moments_independent, _v_ratio_sum, _w_moments)
 
 MARGINAL_EQUALITY_TOL = 1e-9
 # draws of a thinned sample before an all-empty result raises
@@ -221,7 +221,7 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
     if joint is None:
         v = _v_moments_independent(phat, qhat, alpha)
     else:
-        v = _v_moments_from_joint_counts(joint, alpha)
+        v = _v_moments_cells(joint.rows, joint.cols, joint.counts / joint.n, phat, qhat, alpha)
     if _degenerate(v):
         raise DegenerateStatisticError(
             "empirically identical marginals: CV(V) = 0, the divergence CLT is "
@@ -231,36 +231,18 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
     z = normal_quantile(0.5 + level / 2.0)
     union = (phat > 0) | (qhat > 0)
     ld = None
-    # the LD conditions need strictly positive masses on the whole universe;
-    # they use the independent V moments even when a joint table sets v
+    # the LD conditions need strictly positive masses on the whole universe
     if shared.all():
-        v_independent = v if joint is None else _v_moments_independent(phat, qhat, alpha)
         w = _w_moments(_power_sum(phat, alpha), _power_sum(phat, 2.0 * alpha - 1.0), alpha)
         ld = _ld_report(
             phat.size, int(round(n_eff)), min(float(phat.min()), float(qhat.min())), w,
-            _power_sum(phat, alpha - 1.0), v_independent, _v_ratio_sum(phat, qhat, alpha),
+            _power_sum(phat, alpha - 1.0), v, _v_ratio_sum(phat, qhat, alpha),
         )
     return EstimateWithCI(
         estimate=est, level=level, lower=est - z * se,
         upper=est + z * se, std_error=se,
         n=int(round(n_eff)), m=int(union.sum()), method="thm2", ld=ld,
     )
-
-
-def _v_moments_from_joint_counts(joint: JointCountTable, alpha: float):
-    """V moments at the plug-in joint, over the observed cells."""
-    n = joint.n
-    p = joint.row_counts() / n
-    q = joint.col_counts() / n
-    mean_terms, second_terms = [], []
-    for (i, j), cnt in joint.cells.items():
-        w = cnt / n
-        a = alpha * (q[i] / p[i]) ** (1.0 - alpha) if q[i] > 0 else 0.0
-        b = (1.0 - alpha) * (p[j] / q[j]) ** alpha if p[j] > 0 else 0.0
-        v = a + b
-        mean_terms.append(w * v)
-        second_terms.append(w * v * v)
-    return _moments(_sum(mean_terms), _sum(second_terms))
 
 
 def generalized_binomial(a: float, k: int) -> float:
@@ -334,15 +316,13 @@ def _shrunken_joint_null_params(joint: JointCountTable, alpha: float) -> tuple[f
     qhat = joint.col_counts() / n
     r = 0.5 * (phat + qhat)
     keep = r > 0
-    idx = np.nonzero(keep)[0]
-    pos = {int(v): k for k, v in enumerate(idx)}
+    pos = np.cumsum(keep) - 1  # category -> index among the kept ones
     rm = r[keep]
     prod = np.outer(rm, rm)
     shrunk = prod.copy()
-    for (i, j), cnt in joint.cells.items():
-        w = 1.0 / (1.0 + cnt)
-        ii, jj = pos[i], pos[j]
-        shrunk[ii, jj] = (1.0 - w) * (cnt / n) + w * prod[ii, jj]
+    ii, jj = pos[joint.rows], pos[joint.cols]
+    w = 1.0 / (1.0 + joint.counts)
+    shrunk[ii, jj] = (1.0 - w) * (joint.counts / n) + w * prod[ii, jj]
     shrunk /= shrunk.sum()
     marg = 0.5 * (shrunk.sum(axis=1) + shrunk.sum(axis=0))
     return _null_params_from_arrays(shrunk, marg)

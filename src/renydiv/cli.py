@@ -8,7 +8,7 @@ import sys
 from . import __version__
 from .asymptotics import divergence_ci, entropy_ci, equality_test
 from .errors import RenydivError
-from .io import dumps_report, dumps_report_tsv, jsonable, parse_count_table
+from .io import dumps_report, dumps_report_tsv, parse_count_table
 from .montecarlo import SimConfig, simulate_statistic
 from .pipeline import PipelineConfig, diversity_pipeline, filter_noise, homogeneity_test
 from .powerlaw import fit_powerlaw_ls
@@ -105,11 +105,6 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _ci_payload(ci) -> dict:
-    # every EstimateWithCI field survives into the emitted report
-    return jsonable(ci)
-
-
 def _decomposition_payload(dec, categories) -> dict:
     # full MixtureDecomposition plus the k_m alias used in tabular summaries
     return {
@@ -200,14 +195,14 @@ def _dispatch(args) -> None:
     if args.command == "entropy":
         table = parse_count_table(args.table)
         payload = {
-            name: _ci_payload(entropy_ci(table.count_vector(name), args.alpha, args.level))
+            name: entropy_ci(table.count_vector(name), args.alpha, args.level)
             for name in table.sample_names
         }
         _emit({"alpha": args.alpha, "H_alpha": payload}, args)
     elif args.command == "divergence":
         nx, cx, ny, cy, _cats = _pair_from_tables(args.table, args.table2)
         ci = divergence_ci(cx, cy, args.alpha, args.level)
-        _emit({"alpha": args.alpha, "x": nx, "y": ny, "D_alpha": _ci_payload(ci)}, args)
+        _emit({"alpha": args.alpha, "x": nx, "y": ny, "D_alpha": ci}, args)
     elif args.command == "filter-noise":
         table = parse_count_table(args.table)
         payload = {
@@ -257,16 +252,16 @@ def _dispatch(args) -> None:
             "samples": {
                 nx: {**_decomposition_payload(dx, cats),
                      "n_signal": report.signal_totals[0],
-                     "H_alpha": _ci_payload(hx), "ENC_alpha": _ci_payload(ex)},
+                     "H_alpha": hx, "ENC_alpha": ex},
                 ny: {**_decomposition_payload(dy, cats),
                      "n_signal": report.signal_totals[1],
-                     "H_alpha": _ci_payload(hy), "ENC_alpha": _ci_payload(ey)},
+                     "H_alpha": hy, "ENC_alpha": ey},
             },
             "shared_cutoff": report.shared_cutoff,
             "m_signal_shared": report.m_signal_shared,
             "equality": report.equality,
             "equality_rejected": report.equality_rejected,
-            "D_alpha": _ci_payload(report.divergence) if report.divergence else None,
+            "D_alpha": report.divergence,
         }
         _emit(payload, args)
     elif args.command == "simulate":

@@ -9,6 +9,24 @@ from .distributions import ProbVector
 from .errors import ValidationError
 
 
+def _nonnegative_int64(values, what: str) -> np.ndarray:
+    """values as a new int64 array, rejecting non-integer or negative entries."""
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer):
+        try:
+            as_int = np.asarray(arr, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{what} must be integers") from None
+        if not np.array_equal(as_int, arr):
+            raise ValidationError(f"{what} must be integers")
+        arr = as_int
+    else:
+        arr = arr.astype(np.int64)
+    if np.any(arr < 0):
+        raise ValidationError(f"{what} must be non-negative")
+    return arr
+
+
 @dataclass(frozen=True)
 class CountVector:
     """Non-negative integer counts per category for a single sample."""
@@ -19,18 +37,9 @@ class CountVector:
         arr = np.asarray(self.counts)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("count vector must be 1-D and non-empty")
-        if not np.issubdtype(arr.dtype, np.integer):
-            as_int = np.asarray(arr, dtype=np.int64)
-            if not np.array_equal(as_int, arr):
-                raise ValidationError("counts must be integers")
-            arr = as_int
-        else:
-            arr = arr.astype(np.int64)
-        if np.any(arr < 0):
-            raise ValidationError("counts must be non-negative")
+        arr = _nonnegative_int64(arr, "counts")
         if arr.sum() < 1:
             raise ValidationError("total count n must be >= 1")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
@@ -69,42 +78,51 @@ def as_count_vector(c) -> CountVector:
 
 @dataclass(frozen=True)
 class JointCountTable:
-    """Sparse bivariate counts: a map (i, j) -> count over m x m categories."""
+    """Sparse bivariate counts over m x m categories, as COO arrays.
 
-    cells: dict
+    Cell (rows[k], cols[k]) holds counts[k]; each occupied cell appears once
+    and zero cells are dropped. The three arrays are read-only int64.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
     m: int
     n: int = field(init=False)
 
     def __post_init__(self):
-        if self.m < 1:
+        m = self.m
+        if m < 1:
             raise ValidationError("m must be >= 1")
-        total = 0
-        clean = {}
-        for key, value in self.cells.items():
-            i, j = key
-            if not (0 <= int(i) < self.m and 0 <= int(j) < self.m):
-                raise ValidationError(f"cell index {key!r} outside 0..{self.m - 1}")
-            v = int(value)
-            if v != value or v < 0:
-                raise ValidationError(f"cell count {value!r} must be a non-negative integer")
-            if v > 0:
-                clean[(int(i), int(j))] = v
-                total += v
+        rows = _nonnegative_int64(self.rows, "cell indices")
+        cols = _nonnegative_int64(self.cols, "cell indices")
+        counts = _nonnegative_int64(self.counts, "cell counts")
+        if not (rows.ndim == cols.ndim == counts.ndim == 1
+                and rows.size == cols.size == counts.size):
+            raise ValidationError("rows, cols and counts must be 1-D and of one length")
+        if rows.size and max(rows.max(), cols.max()) >= m:
+            raise ValidationError(f"cell index outside 0..{m - 1}")
+        keep = counts > 0
+        rows, cols, counts = rows[keep], cols[keep], counts[keep]
+        flat = np.sort(rows * m + cols)
+        if np.any(flat[1:] == flat[:-1]):
+            raise ValidationError("duplicate cells in the joint table")
+        total = int(counts.sum())
         if total < 1:
             raise ValidationError("total count n must be >= 1")
-        object.__setattr__(self, "cells", clean)
+        for name, arr in (("rows", rows), ("cols", cols), ("counts", counts)):
+            arr.setflags(write=False)  # boolean indexing above made them copies
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "n", total)
 
     def row_counts(self) -> np.ndarray:
         out = np.zeros(self.m, dtype=np.int64)
-        for (i, _j), v in self.cells.items():
-            out[i] += v
+        np.add.at(out, self.rows, self.counts)
         return out
 
     def col_counts(self) -> np.ndarray:
         out = np.zeros(self.m, dtype=np.int64)
-        for (_i, j), v in self.cells.items():
-            out[j] += v
+        np.add.at(out, self.cols, self.counts)
         return out
 
     def marginal_count_vectors(self):
@@ -115,9 +133,5 @@ class JointCountTable:
         mat = np.asarray(matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError("joint count matrix must be square")
-        cells = {}
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                if mat[i, j]:
-                    cells[(i, j)] = int(mat[i, j])
-        return cls(cells=cells, m=int(mat.shape[0]))
+        rows, cols = np.nonzero(mat)
+        return cls(rows, cols, mat[rows, cols], m=mat.shape[0])

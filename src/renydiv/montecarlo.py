@@ -129,11 +129,8 @@ def sample_joint(joint: JointDistribution, n: int, stream: np.random.Generator) 
     if n < 1:
         raise DomainError("n must be >= 1")
     flat = stream.multinomial(n, joint.pij.ravel())
-    m = joint.m
-    cells = {}
-    for k in np.nonzero(flat)[0]:
-        cells[(int(k) // m, int(k) % m)] = int(flat[k])
-    return JointCountTable(cells=cells, m=m)
+    k = np.flatnonzero(flat)
+    return JointCountTable(k // joint.m, k % joint.m, flat[k], joint.m)
 
 
 def ks_distance_normal(samples) -> float:

@@ -79,6 +79,17 @@ def _v_moments_independent(p: np.ndarray, q: np.ndarray, alpha: float) -> Projec
     return _moments(ea + eb, ea2 + 2.0 * ea * eb + eb2)
 
 
+def _v_moments_cells(ii: np.ndarray, jj: np.ndarray, w: np.ndarray, p: np.ndarray,
+                     q: np.ndarray, alpha: float) -> ProjectionMoments:
+    """V moments over the cells (ii[k], jj[k]) with masses w[k], marginals p and q.
+
+    A cell with mass forces p[ii] > 0 and q[jj] > 0, so no ratio divides by
+    zero; q[ii] = 0 or p[jj] = 0 gives a zero term since 0^e = 0 for e > 0.
+    """
+    vals = alpha * (q[ii] / p[ii]) ** (1.0 - alpha) + (1.0 - alpha) * (p[jj] / q[jj]) ** alpha
+    return _moments(_sum(w * vals), _sum(w * vals * vals))
+
+
 def _v_ratio_sum(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
     """sum (q_i/p_i)^(1-a) + sum (p_i/q_i)^a, for strictly positive p and q."""
     return _sum((q / p) ** (1.0 - alpha)) + _sum((p / q) ** alpha)
@@ -131,13 +142,7 @@ def projection_v_moments(joint: JointDistribution, alpha: float) -> ProjectionMo
     if not mask.any():
         raise DomainError("joint distribution has empty support")
     ii, jj = np.nonzero(mask)
-    # any cell with mass forces its row and column marginals positive, so the
-    # ratios below never divide by zero once supports are known to coincide
-    vals = alpha * (q[ii] / p[ii]) ** (1.0 - alpha) + (1.0 - alpha) * (
-        p[jj] / q[jj]
-    ) ** alpha
-    w = joint.pij[mask]
-    return _moments(_sum(w * vals), _sum(w * vals * vals))
+    return _v_moments_cells(ii, jj, joint.pij[mask], p, q, alpha)
 
 
 def v_moments_independent(p, q, alpha: float) -> ProjectionMoments:

@@ -24,12 +24,14 @@ from renydiv import (
     normal_quantile,
     pearson_chi_square,
     powerlaw_pmf,
+    projection_v_moments,
     renyi_divergence,
     renyi_entropy,
     two_sample_chi_square,
     uniformity_test,
 )
 from renydiv.asymptotics import generalized_binomial
+from renydiv.projections import _v_ratio_sum
 
 
 class TestNormalQuantile:
@@ -73,12 +75,12 @@ class TestChiSquare:
             pearson_chi_square([1, 1, 1], [0.5, 0.5])
 
     def test_two_sample_hand_example(self):
-        joint = JointCountTable({(0, 0): 5, (0, 1): 3, (1, 1): 2}, m=2)
+        joint = JointCountTable.from_dense([[5, 3], [0, 2]])
         got = two_sample_chi_square(joint, [0.5, 0.5])
         assert got == pytest.approx(1.8, abs=1e-12)
 
     def test_two_sample_equal_marginals_zero(self):
-        joint = JointCountTable({(0, 0): 4, (1, 1): 4, (0, 1): 2, (1, 0): 2}, m=2)
+        joint = JointCountTable.from_dense([[4, 2], [2, 4]])
         assert two_sample_chi_square(joint, [0.5, 0.5]) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_sample_mc_mean(self):
@@ -231,12 +233,23 @@ class TestDivergenceCI:
         assert widths[80000] / widths[20000] == pytest.approx(0.5, rel=0.10)
 
     def test_joint_mode(self):
-        cells = {(0, 0): 30, (0, 1): 10, (1, 0): 5, (1, 1): 20, (2, 2): 35, (2, 0): 10}
-        joint = JointCountTable(cells, m=3)
+        joint = JointCountTable(rows=[0, 0, 1, 1, 2, 2], cols=[0, 1, 0, 1, 2, 0],
+                                counts=[30, 10, 5, 20, 35, 10], m=3)
         ci = divergence_ci(None, None, 0.5, joint=joint)
         cx, cy = joint.marginal_count_vectors()
         est = float(renyi_divergence(cx.counts / cx.n, cy.counts / cy.n, 0.5))
         assert ci.estimate == pytest.approx(est, abs=1e-12)
+
+    def test_joint_mode_ld_uses_joint_v(self):
+        # the LD divergence quotient is built from the joint V variance that
+        # sets the interval, not from the independent-marginal one
+        mat = np.array([[30, 10, 0], [5, 20, 0], [10, 0, 35]])
+        n = int(mat.sum())
+        ci = divergence_ci(None, None, 0.5, joint=JointCountTable.from_dense(mat))
+        var = projection_v_moments(JointDistribution(mat / n), 0.5).variance
+        ratio = _v_ratio_sum(mat.sum(axis=1) / n, mat.sum(axis=0) / n, 0.5)
+        assert ci.ld.divergence_condition == pytest.approx(
+            ratio / math.sqrt(n * var), rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -1,0 +1,58 @@
+"""Count vectors and sparse joint count tables: validation and marginals."""
+import numpy as np
+import pytest
+
+from renydiv import CountVector, JointCountTable, ValidationError
+
+
+class TestJointCountTable:
+    def test_dense_round_trip(self):
+        mat = np.array([[3, 0, 1], [0, 0, 2], [4, 5, 0]])
+        t = JointCountTable.from_dense(mat)
+        assert np.array_equal(t.row_counts(), mat.sum(axis=1))
+        assert np.array_equal(t.col_counts(), mat.sum(axis=0))
+        assert t.n == mat.sum() and t.m == 3
+        for arr in (t.rows, t.cols, t.counts):
+            assert arr.dtype == np.int64
+            assert not arr.flags.writeable
+
+    def test_zero_cells_dropped(self):
+        t = JointCountTable(rows=[0, 1], cols=[1, 0], counts=[0, 4], m=2)
+        assert (t.rows.tolist(), t.cols.tolist(), t.counts.tolist()) == ([1], [0], [4])
+
+    def test_fractional_dense_count_rejected(self):
+        with pytest.raises(ValidationError, match="integers"):
+            JointCountTable.from_dense([[1.5, 0], [0, 1]])
+
+    def test_fractional_index_rejected(self):
+        with pytest.raises(ValidationError, match="integers"):
+            JointCountTable(rows=[0.5], cols=[1], counts=[3], m=2)
+
+    def test_duplicate_cells_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate"):
+            JointCountTable(rows=[0, 1, 0], cols=[1, 1, 1], counts=[2, 3, 4], m=2)
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="one length"):
+            JointCountTable(rows=[0, 1], cols=[1], counts=[2, 3], m=2)
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(ValidationError, match="outside"):
+            JointCountTable(rows=[0, 2], cols=[1, 0], counts=[2, 3], m=2)
+        with pytest.raises(ValidationError, match="non-negative"):
+            JointCountTable(rows=[0, -1], cols=[1, 0], counts=[2, 3], m=2)
+
+    def test_negative_count_and_empty_table_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            JointCountTable(rows=[0], cols=[1], counts=[-2], m=2)
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            JointCountTable(rows=[0], cols=[1], counts=[0], m=2)
+
+
+class TestCountVector:
+    def test_shared_validation_messages(self):
+        with pytest.raises(ValidationError, match="integers"):
+            CountVector([1.5, 2])
+        with pytest.raises(ValidationError, match="negative"):
+            CountVector([3, -1])
+        assert CountVector([2.0, 0.0]).counts.dtype == np.int64
