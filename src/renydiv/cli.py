@@ -118,11 +118,11 @@ def _decomposition_payload(dec, categories) -> dict:
                 "size": comp.size,
                 "level": comp.level,
                 "mean_count": comp.mean_count,
-                "categories": [categories[i] for i in comp.categories],
+                "categories": [categories[i] for i in comp.categories.tolist()],
             }
             for comp in dec.noise_components
         ],
-        "signal_categories": [categories[i] for i in dec.signal_categories],
+        "signal_categories": [categories[i] for i in dec.signal_categories.tolist()],
     }
 
 

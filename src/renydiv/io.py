@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -29,33 +30,79 @@ class CountTableFile:
         return list(self.samples)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_FAST_DIGITS = 18  # any count of at most 18 ASCII digits fits in int64
+
+
 def parse_count_table(path) -> CountTableFile:
     """Parse `category<TAB>sample1[<TAB>sample2...]` with one row per category.
 
-    UTF-8, trailing-newline tolerant. Rejects duplicate category ids,
-    negative or non-integer counts, and rows of the wrong width, naming the
-    offending line.
+    UTF-8 with LF or CRLF line ends, trailing-newline tolerant. Counts are
+    ASCII digits only, at most 2**63 - 1. Rejects duplicate category ids,
+    negative, non-integer or oversized counts, and rows of the wrong width,
+    naming the offending line.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    with open(path, encoding="utf-8") as fh:  # universal newlines: CRLF and CR read as LF
+        text = fh.read()
+    if not text:
         raise ValidationError(f"{path}: empty file")
-    header = lines[0].split("\t")
+    if text.endswith("\n"):
+        text = text[:-1]
+    head, newline, body = text.partition("\n")
+    del text
+    header = head.split("\t")
     if len(header) < 2:
         raise ValidationError(f"{path}: line 1: header needs category + at least one sample")
     names = header[1:]
     if len(set(names)) != len(names):
         raise ValidationError(f"{path}: line 1: duplicate sample names")
+    if not newline:
+        raise ValidationError(f"{path}: no category rows")
+    parsed = _parse_rows_fast(body, len(header))
+    if parsed is None:
+        parsed = _parse_rows_slow(path, body.split("\n"), len(header))
+    categories, columns = parsed
+    return CountTableFile(categories=categories, samples=dict(zip(names, columns)))
+
+
+def _parse_rows_fast(body: str, width: int):
+    """(categories, int64 columns) of a valid table, or None if any check fails.
+
+    One tab split covers every row: with each line end written as a field of
+    its own, a table whose every row has `width` fields has a line end at
+    every (width + 1)-th field and nowhere else.
+    """
+    n = body.count("\n") + 1
+    stride = width + 1
+    fields = body.replace("\n", "\t\n\t").split("\t")
+    if len(fields) != n * stride - 1 or fields[width::stride].count("\n") != n - 1:
+        return None
+    categories = fields[::stride]
+    if len(set(categories)) != n:
+        return None
+    columns = []
+    for k in range(1, width):
+        cells = fields[k::stride]
+        digits = "".join(cells)
+        lengths = set(map(len, cells))
+        if not (digits.isascii() and digits.isdigit()
+                and min(lengths) >= 1 and max(lengths) <= _FAST_DIGITS):
+            return None
+        # text mode stops or fails at malformed input, so it runs only after the checks
+        columns.append(np.fromstring("\n".join(cells), dtype=np.int64, sep="\n"))
+    return categories, columns
+
+
+def _parse_rows_slow(path, lines: list, width: int):
+    """Row-by-row parse that raises on the first bad line, naming it."""
     categories: list[str] = []
     seen: dict[str, int] = {}
-    columns = [[] for _ in names]
-    for lineno, line in enumerate(lines[1:], start=2):
+    columns = [[] for _ in range(width - 1)]
+    for lineno, line in enumerate(lines, start=2):
         parts = line.split("\t")
-        if len(parts) != len(header):
+        if len(parts) != width:
             raise ValidationError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(parts)}"
+                f"{path}: line {lineno}: expected {width} fields, got {len(parts)}"
             )
         cat = parts[0]
         if cat in seen:
@@ -66,19 +113,23 @@ def parse_count_table(path) -> CountTableFile:
         seen[cat] = lineno
         categories.append(cat)
         for k, raw in enumerate(parts[1:]):
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: count {raw!r} is not an integer"
-                ) from None
-            if value < 0:
-                raise ValidationError(f"{path}: line {lineno}: negative count {raw!r}")
-            columns[k].append(value)
-    if not categories:
-        raise ValidationError(f"{path}: no category rows")
-    samples = {name: np.asarray(col, dtype=np.int64) for name, col in zip(names, columns)}
-    return CountTableFile(categories=categories, samples=samples)
+            columns[k].append(_parse_count(path, lineno, raw))
+    return categories, [np.asarray(col, dtype=np.int64) for col in columns]
+
+
+def _parse_count(path, lineno: int, raw: str) -> int:
+    if raw.isascii() and raw.isdigit():
+        value = int(raw)
+        if value > _INT64_MAX:
+            raise ValidationError(
+                f"{path}: line {lineno}: count {raw!r} exceeds the int64 maximum {_INT64_MAX}"
+            )
+        return value
+    if raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit():
+        raise ValidationError(f"{path}: line {lineno}: negative count {raw!r}")
+    raise ValidationError(
+        f"{path}: line {lineno}: count {raw!r} is not an integer of ASCII digits 0-9"
+    )
 
 
 def write_count_table(table: CountTableFile, path) -> None:
@@ -110,8 +161,12 @@ def jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu":
+            return obj.tolist()
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
+        if _all_str(obj):
+            return list(obj)
         return [jsonable(v) for v in obj]
     if isinstance(obj, (np.floating,)):
         return _round_sig(float(obj))
@@ -124,8 +179,53 @@ def jsonable(obj):
     return str(obj)
 
 
+def _all_str(items) -> bool:
+    return set(map(type, items)) <= {str}
+
+
 def dumps_report(obj) -> str:
-    return json.dumps(jsonable(obj), indent=2)
+    """`json.dumps(jsonable(obj), indent=2)`, byte for byte.
+
+    The layout is written here so that a list of strings (category names,
+    up to ~1e6 of them) is escaped and joined in one call each, instead of
+    element by element in json's pure-Python indenting encoder.
+    """
+    out: list[str] = []
+    _dump(jsonable(obj), "\n", out)
+    return "".join(out)
+
+
+def _join_json_strings(items: list, sep: str) -> str:
+    """`sep.join(map(encode_basestring_ascii, items))` for a list of str."""
+    plain = "".join(items)
+    if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
+        return '"' + ('"' + sep + '"').join(items) + '"'  # nothing to escape
+    return sep.join(map(encode_basestring_ascii, items))
+
+
+def _dump(value, newline: str, out: list) -> None:
+    """Append the indent=2 JSON of a jsonable value; `newline` carries its indent."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        out.append("{")
+        sep = inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _dump(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list) and value and _all_str(value):
+        out.append("[" + inner + _join_json_strings(value, "," + inner) + newline + "]")
+    elif isinstance(value, list) and value:
+        out.append("[")
+        sep = inner
+        for item in value:
+            out.append(sep)
+            _dump(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def dumps_report_tsv(obj) -> str:

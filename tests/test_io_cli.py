@@ -1,5 +1,7 @@
 """Count-table parsing, report serialization, and the CLI contract."""
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -7,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renydiv import ValidationError, powerlaw_pmf
+from renydiv import ValidationError, io, powerlaw_pmf
 from renydiv.cli import run_cli
 from renydiv.io import (
     CountTableFile,
     dumps_report,
+    dumps_report_tsv,
     jsonable,
     parse_count_table,
     write_count_table,
@@ -63,7 +66,7 @@ class TestParse:
     def test_duplicate_category(self, tmp_path):
         path = tmp_path / "dup.tsv"
         write_table(path, ["category", "s"], [["a", 1], ["b", 2], ["a", 3]])
-        with pytest.raises(ValidationError, match=r"line 4.*'a'"):
+        with pytest.raises(ValidationError, match=r"line 4.*'a' \(first seen on line 2\)"):
             parse_count_table(path)
 
     def test_non_integer_count(self, tmp_path):
@@ -121,6 +124,109 @@ class TestParse:
             assert np.array_equal(back.samples[name], table.samples[name])
 
 
+def write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+HEADER = "category\ts1\ts2\n"
+
+
+class TestParseErrors:
+    """Each bad input names the first bad line, as the row-by-row parser always did."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ("a\t1\t2\nb\t1\n", r"line 3: expected 3 fields, got 2"),
+        # an extra field then a missing one: the total field count still matches
+        ("a\t1\t2\nb\t1\t2\t3\nc\t1\nd\t4\t5\n", r"line 3: expected 3 fields, got 4"),
+        ("a\t1\t2\nb\t1\nc\t1\t2\t3\nd\t4\t5\n", r"line 3: expected 3 fields, got 2"),
+        # the same with digit category names: every cell of the shifted columns is digits
+        ("1\t5\t5\n2\t6\t6\t9\n3\t7\n4\t8\t8\n", r"line 3: expected 3 fields, got 4"),
+        ("a\t1\t2\n\n", r"line 3: expected 3 fields, got 1"),
+        ("a\t1\t2\nb\t1\t2\na\t3\t4\n",
+         r"line 4: duplicate category 'a' \(first seen on line 2\)"),
+        ("a\t1\t2\nb\t1\t1.5\n", r"line 3: count '1.5' is not an integer"),
+        ("a\t1\t2\nb\t-3\t2\n", r"line 3: negative count '-3'"),
+        ("a\t1\t2\nb\t\t2\n", r"line 3: count '' is not an integer"),
+        ("a\t1\t2\nb\tx\t2\na\t1\t1\n", r"line 3: count 'x'"),
+        ("a\t1\t2\nb\t1\tzz\nc\tyy\t1\n", r"line 3: count 'zz'"),
+        ("a\t1\t2\nb\t1\t2\nc\t7\t1\t\n", r"line 4: expected 3 fields, got 4"),
+    ])
+    def test_first_bad_line_named(self, tmp_path, rows, message):
+        path = write_text(tmp_path / "bad.tsv", HEADER + rows)
+        with pytest.raises(ValidationError, match=message):
+            parse_count_table(path)
+
+    @pytest.mark.parametrize("raw", ["1_000", " +7 ", "+7", " 7", "7 ", "٣", "0x1f",
+                                     "1e3", "７", "-0"])
+    def test_only_ascii_digits_accepted(self, tmp_path, raw):
+        path = write_text(tmp_path / "bad.tsv", HEADER + f"a\t1\t2\nb\t4\t{raw}\nc\t1\t1\n")
+        with pytest.raises(ValidationError, match=r"line 3: (count|negative count) "):
+            parse_count_table(path)
+
+    def test_int64_bounds(self, tmp_path):
+        top = 2**63 - 1
+        table = parse_count_table(write_text(tmp_path / "top.tsv", f"category\ts\na\t{top}\n"))
+        assert table.samples["s"].tolist() == [top]
+        path = write_text(tmp_path / "over.tsv", f"category\ts\na\t1\nb\t{top + 1}\n")
+        with pytest.raises(ValidationError, match=rf"line 3: count '{top + 1}' exceeds"):
+            parse_count_table(path)
+
+    def test_overflow_is_a_validation_error_in_the_cli(self, tmp_path, capsys):
+        path = write_text(tmp_path / "over.tsv", "category\ts\na\t5\nb\t99999999999999999999\n")
+        assert run_cli(["entropy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "99999999999999999999" in err
+
+    def test_long_counts_in_range_accepted(self, tmp_path):
+        # 19 digits, and leading zeros past 18 digits, still fit in int64
+        path = write_text(tmp_path / "long.tsv",
+                          "category\ts\na\t1000000000000000000\nb\t0000000000000000000042\n")
+        assert parse_count_table(path).samples["s"].tolist() == [10**18, 42]
+
+    def test_crlf_line_ends(self, tmp_path):
+        lf = write_text(tmp_path / "lf.tsv", HEADER + "a\t1\t2\nb\t30\t4\n")
+        crlf = write_text(tmp_path / "crlf.tsv", (HEADER + "a\t1\t2\nb\t30\t4\n")
+                          .replace("\n", "\r\n"))
+        a, b = parse_count_table(lf), parse_count_table(crlf)
+        assert b.categories == a.categories == ["a", "b"]
+        assert b.sample_names == a.sample_names == ["s1", "s2"]
+        for name in a.sample_names:
+            assert b.samples[name].tolist() == a.samples[name].tolist()
+
+
+category_names = st.lists(
+    st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+            max_size=6),
+    min_size=1, max_size=15, unique=True)
+
+
+class TestParsePaths:
+    @settings(max_examples=60, deadline=None)
+    @given(names=category_names, n_cols=st.integers(1, 3), data=st.data())
+    def test_fast_and_row_parsers_agree(self, names, n_cols, data):
+        counts = data.draw(st.lists(
+            st.lists(st.integers(0, 10**18 - 1), min_size=n_cols, max_size=n_cols),
+            min_size=len(names), max_size=len(names)))
+        pad = data.draw(st.integers(0, 18))  # leading zeros, up to 18 digits in all
+        body = "\n".join(name + "".join(f"\t{c:0{pad}d}" for c in row)
+                         for name, row in zip(names, counts))
+        fast = io._parse_rows_fast(body, n_cols + 1)
+        slow = io._parse_rows_slow("t.tsv", body.split("\n"), n_cols + 1)
+        assert fast is not None
+        assert fast[0] == slow[0] == names
+        for f, s, k in zip(fast[1], slow[1], range(n_cols)):
+            assert f.dtype == s.dtype == np.int64
+            assert f.tolist() == s.tolist() == [row[k] for row in counts]
+
+    def test_valid_table_never_runs_the_row_parser(self, pair_table, monkeypatch):
+        def fail(*args):
+            raise AssertionError("row-by-row parser ran on a valid table")
+        monkeypatch.setattr(io, "_parse_rows_slow", fail)
+        assert parse_count_table(pair_table).samples["x"].size == 165
+
+
 class TestJsonable:
     def test_nine_significant_digits(self):
         out = jsonable({"v": 0.123456789123456789})
@@ -133,6 +239,94 @@ class TestJsonable:
     def test_numpy_types(self):
         out = jsonable({"i": np.int64(3), "f": np.float64(0.25), "arr": np.arange(3)})
         assert out == {"i": 3, "f": 0.25, "arr": [0, 1, 2]}
+
+
+def reference_jsonable(obj):
+    """jsonable as it converted before its array and string-list fast paths."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: reference_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        if math.isnan(x) or math.isinf(x):
+            return None if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+        return float(f"{x:.9g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
+    return str(obj)
+
+
+def reference_tsv(obj) -> str:
+    flat = []
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(f"{prefix}.{k}" if prefix else str(k), v)
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                walk(f"{prefix}[{i}]", v)
+        else:
+            flat.append((prefix, "" if value is None else str(value)))
+
+    walk("", reference_jsonable(obj))
+    return "\n".join(f"{k}\t{v}" for k, v in flat) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class Node:
+    name: str
+    value: object
+
+
+odd_text = st.text(st.sampled_from(list('ab "\\\x00\x01\x1f\x7f/éΩ€🧬 \n\t')), max_size=8)
+plain_text = st.text(st.sampled_from(list("abc XYZ019-_.:")), max_size=8)
+any_text = st.one_of(odd_text, plain_text, st.text(max_size=8))
+int64s = st.integers(-2**63, 2**63 - 1)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats(width=32), any_text,
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    int64s.map(np.int64), st.booleans().map(np.bool_),
+)
+arrays = st.one_of(
+    st.lists(int64s, max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(0, 255), max_size=6).map(lambda v: np.array(v, dtype=np.uint8)),
+    st.lists(st.booleans(), max_size=6).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(st.floats(), max_size=6).map(lambda v: np.array(v, dtype=float)),
+    st.lists(int64s, min_size=6, max_size=6).map(lambda v: np.array(v).reshape(2, 3)),
+)
+reports = st.recursive(
+    st.one_of(scalars, arrays, st.lists(odd_text, max_size=5),
+              st.lists(plain_text, max_size=5)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(st.one_of(any_text, st.integers()), children, max_size=4),
+        st.builds(Node, any_text, children),
+    ),
+    max_leaves=25,
+)
+
+
+class TestEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=reports)
+    def test_matches_reference_encoding(self, obj):
+        assert dumps_report(obj) == json.dumps(reference_jsonable(obj), indent=2)
+        assert dumps_report_tsv(obj) == reference_tsv(obj)
+
+    @pytest.mark.parametrize("names", [["g1", "g 2", "x:y"], ['q"', "b\\s", "é", "\x01", ""]])
+    def test_string_lists_escape_like_json(self, names):
+        obj = {"categories": names, "nested": [names, {"k": tuple(names)}]}
+        assert dumps_report(obj) == json.dumps(obj, indent=2)
 
 
 class TestCli:
