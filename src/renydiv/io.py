@@ -125,7 +125,8 @@ def _parse_count(path, lineno: int, raw: str) -> int:
                 f"{path}: line {lineno}: count {raw!r} exceeds the int64 maximum {_INT64_MAX}"
             )
         return value
-    if raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit():
+    magnitude = raw[1:]
+    if raw[:1] == "-" and magnitude.isascii() and magnitude.isdigit() and magnitude.strip("0"):
         raise ValidationError(f"{path}: line {lineno}: negative count {raw!r}")
     raise ValidationError(
         f"{path}: line {lineno}: count {raw!r} is not an integer of ASCII digits 0-9"
@@ -165,9 +166,7 @@ def jsonable(obj):
             return obj.tolist()
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
-        if _all_str(obj):
-            return list(obj)
-        return [jsonable(v) for v in obj]
+        return [v if type(v) is str else jsonable(v) for v in obj]
     if isinstance(obj, (np.floating,)):
         return _round_sig(float(obj))
     if isinstance(obj, float):
@@ -177,10 +176,6 @@ def jsonable(obj):
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     return str(obj)
-
-
-def _all_str(items) -> bool:
-    return set(map(type, items)) <= {str}
 
 
 def dumps_report(obj) -> str:
@@ -195,14 +190,6 @@ def dumps_report(obj) -> str:
     return "".join(out)
 
 
-def _join_json_strings(items: list, sep: str) -> str:
-    """`sep.join(map(encode_basestring_ascii, items))` for a list of str."""
-    plain = "".join(items)
-    if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
-        return '"' + ('"' + sep + '"').join(items) + '"'  # nothing to escape
-    return sep.join(map(encode_basestring_ascii, items))
-
-
 def _dump(value, newline: str, out: list) -> None:
     """Append the indent=2 JSON of a jsonable value; `newline` carries its indent."""
     inner = newline + "  "
@@ -214,8 +201,9 @@ def _dump(value, newline: str, out: list) -> None:
             _dump(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, list) and value and _all_str(value):
-        out.append("[" + inner + _join_json_strings(value, "," + inner) + newline + "]")
+    elif isinstance(value, list) and value and set(map(type, value)) <= {str}:
+        out.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value))
+                   + newline + "]")
     elif isinstance(value, list) and value:
         out.append("[")
         sep = inner
