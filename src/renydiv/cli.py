@@ -8,7 +8,7 @@ import sys
 from . import __version__
 from .asymptotics import divergence_ci, entropy_ci, equality_test
 from .errors import RenydivError
-from .io import dumps_report, dumps_report_tsv, parse_count_table
+from .io import dumps_report, dumps_report_tsv, parse_count_table, read_text
 from .montecarlo import SimConfig, simulate_statistic
 from .pipeline import PipelineConfig, diversity_pipeline, filter_noise, homogeneity_test
 from .powerlaw import fit_powerlaw_ls
@@ -146,19 +146,18 @@ def _parse_scalar(raw: str):
 def load_sim_config(path, seed_override=None, workers_override=None) -> SimConfig:
     """Read a flat key=value config file into a SimConfig."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise RenydivError(f"{path}: line {lineno}: expected key = value")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if "," in raw:
-                values[key] = tuple(_parse_scalar(part) for part in raw.split(","))
-            else:
-                values[key] = _parse_scalar(raw)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise RenydivError(f"{path}: line {lineno}: expected key = value")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        if "," in raw:
+            values[key] = tuple(_parse_scalar(part) for part in raw.split(","))
+        else:
+            values[key] = _parse_scalar(raw)
     allowed = set(SimConfig.__dataclass_fields__)
     unknown = set(values) - allowed
     if unknown:

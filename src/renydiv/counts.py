@@ -5,8 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ProbVector
 from .errors import ValidationError
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _nonnegative_int64(values, what: str) -> np.ndarray:
@@ -27,7 +28,21 @@ def _nonnegative_int64(values, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _checked_total(counts: np.ndarray) -> int:
+    """Exact sum of non-negative int64 counts, rejecting one past the int64 maximum.
+
+    The int64 sum cannot wrap while max * size <= INT64_MAX; only past that
+    bound is the sum taken in Python ints.
+    """
+    if counts.size and int(counts.max()) > INT64_MAX // counts.size:
+        total = sum(counts.tolist())
+        if total > INT64_MAX:
+            raise ValidationError(f"total count {total} exceeds the int64 maximum {INT64_MAX}")
+        return total
+    return int(counts.sum())
+
+
+@dataclass(frozen=True, eq=False)
 class CountVector:
     """Non-negative integer counts per category for a single sample."""
 
@@ -38,7 +53,7 @@ class CountVector:
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("count vector must be 1-D and non-empty")
         arr = _nonnegative_int64(arr, "counts")
-        if arr.sum() < 1:
+        if _checked_total(arr) < 1:
             raise ValidationError("total count n must be >= 1")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
@@ -60,15 +75,6 @@ class CountVector:
     def m_observed(self) -> int:
         return int(np.count_nonzero(self.counts))
 
-    def phat(self) -> ProbVector:
-        """Plug-in empirical distribution over all m categories."""
-        return ProbVector(self.counts / self.n)
-
-    def phat_observed(self) -> ProbVector:
-        """Plug-in distribution restricted to observed categories (all entries > 0)."""
-        pos = self.counts[self.counts > 0]
-        return ProbVector(pos / self.n)
-
 
 def as_count_vector(c) -> CountVector:
     if isinstance(c, CountVector):
@@ -76,7 +82,7 @@ def as_count_vector(c) -> CountVector:
     return CountVector(np.asarray(c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointCountTable:
     """Sparse bivariate counts over m x m categories, as COO arrays.
 
@@ -107,7 +113,7 @@ class JointCountTable:
         flat = np.sort(rows * m + cols)
         if np.any(flat[1:] == flat[:-1]):
             raise ValidationError("duplicate cells in the joint table")
-        total = int(counts.sum())
+        total = _checked_total(counts)
         if total < 1:
             raise ValidationError("total count n must be >= 1")
         for name, arr in (("rows", rows), ("cols", cols), ("counts", counts)):

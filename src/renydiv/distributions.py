@@ -64,15 +64,6 @@ class ProbVector:
             raise ValidationError("m must be >= 1")
         return cls(np.full(m, 1.0 / m))
 
-    @classmethod
-    def from_weights(cls, weights) -> "ProbVector":
-        """Normalize a vector of non-negative weights into a ProbVector."""
-        w = np.asarray(weights, dtype=float)
-        total = _sum(w)
-        if total <= 0:
-            raise ValidationError("weights must have positive total")
-        return cls(w / total)
-
 
 def as_prob_vector(p) -> ProbVector:
     """Coerce an array-like or ProbVector into a validated ProbVector."""

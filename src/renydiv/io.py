@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .counts import CountVector
+from .counts import INT64_MAX, CountVector
 from .errors import ValidationError
 
 
@@ -23,15 +23,33 @@ class CountTableFile:
     def count_vector(self, name: str) -> CountVector:
         if name not in self.samples:
             raise ValidationError(f"no sample named {name!r}; have {list(self.samples)}")
-        return CountVector(self.samples[name])
+        try:
+            return CountVector(self.samples[name])
+        except ValidationError as exc:
+            raise ValidationError(f"sample column {name!r}: {exc}") from None
 
     @property
     def sample_names(self) -> list:
         return list(self.samples)
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 _FAST_DIGITS = 18  # any count of at most 18 ASCII digits fits in int64
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text, with CRLF and CR line ends read as LF.
+
+    Bytes that are not UTF-8 raise a ValidationError naming the file and the
+    byte offset (read() decodes the whole file at once, so the decoder's
+    offset is the file's).
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})"
+            ) from None
 
 
 def parse_count_table(path) -> CountTableFile:
@@ -42,8 +60,7 @@ def parse_count_table(path) -> CountTableFile:
     negative, non-integer or oversized counts, and rows of the wrong width,
     naming the offending line.
     """
-    with open(path, encoding="utf-8") as fh:  # universal newlines: CRLF and CR read as LF
-        text = fh.read()
+    text = read_text(path)
     if not text:
         raise ValidationError(f"{path}: empty file")
     if text.endswith("\n"):
@@ -120,9 +137,9 @@ def _parse_rows_slow(path, lines: list, width: int):
 def _parse_count(path, lineno: int, raw: str) -> int:
     if raw.isascii() and raw.isdigit():
         value = int(raw)
-        if value > _INT64_MAX:
+        if value > INT64_MAX:
             raise ValidationError(
-                f"{path}: line {lineno}: count {raw!r} exceeds the int64 maximum {_INT64_MAX}"
+                f"{path}: line {lineno}: count {raw!r} exceeds the int64 maximum {INT64_MAX}"
             )
         return value
     magnitude = raw[1:]

@@ -411,8 +411,3 @@ def bias_experiment(cfg: SimConfig) -> float:
             qhat = rng.multinomial(n, q.probs) / n
             ratios[r] = _cross_power_sum(phat, qhat, cfg.alpha) / s_true
     return float(ratios.mean() - 1.0)
-
-
-def mc_standard_error(samples) -> float:
-    arr = np.asarray(samples, dtype=float)
-    return float(arr.std(ddof=1) / math.sqrt(arr.size))

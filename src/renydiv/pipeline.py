@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .asymptotics import (
     EstimateWithCI,
@@ -75,16 +75,6 @@ class PipelineReport:
     signal_totals: tuple
 
 
-def _block_z(counts: np.ndarray) -> float:
-    """Standardized Pearson statistic of a candidate uniform block."""
-    mb = counts.size
-    if mb < 2:
-        return -1.0 / math.sqrt(2.0)
-    mean = counts.sum() / mb
-    x2 = float(((counts - mean) ** 2).sum()) / mean
-    return (x2 - mb) / math.sqrt(2.0 * mb)
-
-
 def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition:
     """Sequential lowest-frequency-first noise filtering.
 
@@ -100,6 +90,10 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
     stops there, leaving it and everything above as signal. Filtering also
     stops once max_K components are closed. Zero-count categories carry no
     observations and belong to neither side.
+
+    One stable sort puts the positive counts in ascending order, ties by
+    category index, so every block is a slice of it and each candidate's
+    statistic comes in O(1) from exact integer sums of c and c^2.
     """
     if not (0.0 < level < 1.0):
         raise DomainError("significance level must lie in (0, 1)")
@@ -108,57 +102,41 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
     cv = as_count_vector(c)
     counts = cv.counts
     n = cv.n
-    order = np.nonzero(counts > 0)[0]
-    values = np.unique(counts[order])
+    order = np.argsort(counts, kind="stable")[cv.m - cv.m_observed:]  # zeros sort first
+    ranked = counts[order]
+    # size[j]: categories below the j-th distinct value; stratum j is order[size[j]:size[j + 1]]
+    size = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), int(order.size)]
+    values = ranked[size[:-1]].tolist()
     zcrit = normal_quantile(1.0 - level)
 
-    components: list[NoiseComponent] = []
-    cur_idx: list[np.ndarray] = []
-    cur_values: list[int] = []
-    stopped = False
+    blocks: list[tuple[int, int, int]] = []  # closed components: strata [a, b) and their sum of c
+    a = s = q = 0  # the open block starts at stratum a and has sums s of c, q of c^2
+    for j, v in enumerate(values):
+        k = size[j + 1] - size[j]
+        mb, s_j, q_j = size[j + 1] - size[a], s + k * v, q + k * v * v
+        x2 = (mb * q_j - s_j * s_j) / s_j  # sum (c - mean)^2 / mean, exactly
+        if (x2 - mb) / math.sqrt(2.0 * mb) <= zcrit:
+            s, q = s_j, q_j
+            continue
+        if j - a <= 1:
+            break  # cannot certify a one-value block as uniform: not noise; stop
+        blocks.append((a, j, s))
+        a, s, q = j, k * v, k * v * v
+        if len(blocks) >= max_K:
+            break
+    else:
+        blocks.append((a, len(values), s))
 
-    def close_current():
-        idx = np.concatenate(cur_idx)
-        block = counts[idx].astype(float)
-        mean_count = float(block.mean())
-        components.append(
-            NoiseComponent(categories=idx, level=mean_count / n, mean_count=mean_count)
-        )
-
-    for v in values:
-        stratum_idx = order[counts[order] == v]
-        cand_counts = counts[np.concatenate(cur_idx + [stratum_idx])].astype(float)
-        if _block_z(cand_counts) > zcrit:
-            if len(cur_values) <= 1:
-                # cannot certify a one-value block as uniform: not noise; stop
-                stopped = True
-                cur_idx, cur_values = [], []
-                break
-            close_current()
-            cur_idx, cur_values = [stratum_idx], [int(v)]
-            if len(components) >= max_K:
-                stopped = True
-                cur_idx, cur_values = [], []
-                break
-        else:
-            cur_idx.append(stratum_idx)
-            cur_values.append(int(v))
-
-    if not stopped and cur_values:
-        close_current()
-
-    noise_idx = (
-        np.concatenate([comp.categories for comp in components])
-        if components else np.array([], dtype=np.int64)
-    )
-    cutoff = int(counts[noise_idx].max()) if noise_idx.size else 0
-    noise_mask = np.zeros(cv.m, dtype=bool)
-    noise_mask[noise_idx] = True
-    signal_mask = (counts > 0) & ~noise_mask
-    signal_categories = np.nonzero(signal_mask)[0]
-    noise_total = int(counts[noise_mask].sum())
+    components = []
+    for lo, hi, total in blocks:
+        mean_count = total / (size[hi] - size[lo])
+        components.append(NoiseComponent(categories=order[size[lo]:size[hi]],
+                                          level=mean_count / n, mean_count=mean_count))
+    stop = blocks[-1][1] if blocks else 0  # strata below stop are noise
+    noise_total = sum(total for _, _, total in blocks)
+    signal_categories = np.sort(order[size[stop]:])
     return MixtureDecomposition(
-        cutoff_k_m=int(cutoff),
+        cutoff_k_m=values[stop - 1] if stop else 0,
         noise_components=components,
         signal_categories=signal_categories,
         noise_fraction=noise_total / n,
@@ -243,7 +221,7 @@ def homogeneity_test(pairs, alpha: float = 0.5) -> TestReport:
         zs.append(rep.statistic)
         n_total += rep.n
     q = _sum(z * z for z in zs)
-    p = float(chi2.sf(q, df=k))
+    p = float(chdtrc(k, q))
     return TestReport(
         statistic=q, null_mean=float(k), null_sd=math.sqrt(2.0 * k),
         p_value=p, sidedness="upper", m=k, n=n_total, method="chi2_homogeneity",

@@ -78,10 +78,7 @@ def fit_powerlaw_ls(c) -> FitResult:
     slope = float(((x - xbar) * (y - ybar)).sum()) / sxx
     resid = y - ybar - slope * (x - xbar)
     sse = float((resid**2).sum())
-    if k > 2:
-        se = math.sqrt(sse / (k - 2) / sxx)
-    else:
-        se = 0.0
+    se = math.sqrt(sse / (k - 2) / sxx)
     return FitResult(beta_hat=-slope, std_error=se, residual_sse=sse)
 
 

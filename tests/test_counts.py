@@ -56,3 +56,33 @@ class TestCountVector:
         with pytest.raises(ValidationError, match="negative"):
             CountVector([3, -1])
         assert CountVector([2.0, 0.0]).counts.dtype == np.int64
+
+
+TOP = 2**63 - 1
+
+
+class TestTotals:
+    """Column totals are exact: one past the int64 maximum is rejected, not wrapped."""
+
+    def test_count_vector_total_past_int64_rejected(self):
+        with pytest.raises(ValidationError, match="exceeds the int64 maximum"):
+            CountVector([TOP, TOP, 10])
+
+    def test_joint_table_total_past_int64_rejected(self):
+        with pytest.raises(ValidationError, match="exceeds the int64 maximum"):
+            JointCountTable(rows=[0, 1, 1], cols=[1, 0, 1], counts=[TOP, TOP, 10], m=2)
+
+    def test_total_at_int64_maximum_accepted(self):
+        assert CountVector([TOP - 1, 1]).n == TOP
+        assert JointCountTable(rows=[0, 1], cols=[1, 0], counts=[TOP - 1, 1], m=2).n == TOP
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CountVector([3, 0, 2]),
+    lambda: JointCountTable(rows=[0, 1], cols=[1, 0], counts=[2, 3], m=2),
+], ids=["CountVector", "JointCountTable"])
+def test_equality_and_hash_are_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2

@@ -3,14 +3,18 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import renydiv
 from renydiv import ValidationError, io, powerlaw_pmf
-from renydiv.cli import run_cli
+from renydiv.cli import load_sim_config, run_cli
 from renydiv.io import (
     CountTableFile,
     dumps_report,
@@ -178,6 +182,23 @@ class TestParseErrors:
         assert run_cli(["entropy", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "99999999999999999999" in err
+
+    def test_column_total_overflow_is_a_validation_error_in_the_cli(self, tmp_path, capsys):
+        top = 2**63 - 1
+        path = write_text(tmp_path / "sum.tsv", f"category\tbig\na\t{top}\nb\t{top}\nc\t10\n")
+        assert run_cli(["entropy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "sample column 'big'" in err and "exceeds the int64 maximum" in err
+
+    def test_undecodable_table(self, tmp_path, capsys):
+        path = tmp_path / "utf16.tsv"
+        path.write_bytes(b"\xff\xfec\x00a\x00t\x00")
+        assert run_cli(["entropy", str(path)]) == 2
+        assert f"{path}: byte 0: not UTF-8" in capsys.readouterr().err
+        head = b"category\ts\na\t1\n"
+        path.write_bytes(head + b"b\xe9\t2\n")
+        with pytest.raises(ValidationError, match=rf"byte {len(head) + 1}: not UTF-8"):
+            parse_count_table(path)
 
     def test_long_counts_in_range_accepted(self, tmp_path):
         # 19 digits, and leading zeros past 18 digits, still fit in int64
@@ -457,6 +478,16 @@ class TestCli:
                 os.environ["RENYDIV_SEED"] = env_before
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_undecodable_config(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        head = b"family = power_law\n"
+        cfg.write_bytes(head + b"beta = 1.0\xff\n")
+        with pytest.raises(ValidationError, match=rf"byte {len(head) + 10}: not UTF-8") as exc:
+            load_sim_config(cfg)
+        assert str(cfg) in str(exc.value)
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("family = power_law\nbogus = 1\n")
@@ -519,3 +550,14 @@ class TestCli:
         if dec["noise_components"]:
             comp = dec["noise_components"][0]
             assert {"size", "level", "mean_count", "categories"} <= set(comp)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone costs more than half a second of every CLI cold start
+    src = str(Path(renydiv.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, renydiv.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
