@@ -1,7 +1,9 @@
 """Power sums, Renyi entropy and divergence, Tsallis entropy, Hill numbers.
 
-All sums go through distributions._sum (exactly rounded math.fsum), so results
-are stable for category counts up to 10^6 with heavy-tailed magnitudes.
+All sums go through distributions._sum, exactly rounded (the bits of math.fsum;
+large arrays get there by Rump-Ogita-Oishi extraction passes and an fsum of the
+parts), so results are stable for category counts up to 10^6 with heavy-tailed
+magnitudes.
 The underscore kernels take plain arrays and validate nothing; the public
 functions validate and then call them, and so does the Monte Carlo harness.
 Zero-probability categories contribute nothing (0^a = 0 for a > 0); natural

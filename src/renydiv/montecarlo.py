@@ -10,6 +10,8 @@ plug-in intervals practice requires.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,7 +22,7 @@ from .asymptotics import (MARGINAL_EQUALITY_TOL, _thinned, chi_square_null_param
                           entropy_ci, lemma2i_standardize, thm3_normalizers)
 from .counts import CountVector, JointCountTable
 from .distributions import JointDistribution, ProbVector, _sum, check_alpha
-from .errors import DomainError, UndefinedStatisticError, UsageError
+from .errors import DomainError, UndefinedStatisticError, UsageError, ValidationError
 from .measures import (_cross_power_sum, _pearson_chi_square, _power_sum, _two_sample_chi_square,
                        cross_power_sum, power_sum, renyi_divergence, renyi_entropy)
 from .powerlaw import powerlaw_pmf
@@ -34,6 +36,11 @@ FAMILIES = {
     "power_law", "uniform", "noise_and_signal", "mixture",
     "bivariate_product", "bivariate_joint",
 }
+# SimConfig fields by kind; the noise_block_* ones may also hold a tuple of that kind
+_INTEGER_FIELDS = ("m", "n_override", "B", "master_seed", "workers", "signal_m",
+                   "noise_block_sizes")
+_REAL_FIELDS = ("alpha", "epsilon", "thinning_tau", "beta", "beta2", "p0", "diag_weight",
+                "signal_beta", "signal_fraction", "noise_block_fractions")
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,22 @@ class SimConfig:
             raise DomainError(f"derived n = {n} must be >= 1")
         return n
 
+    def _check_types(self) -> None:
+        """Integer fields hold ints, real fields finite reals; bools are neither."""
+        for names, kind, what in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
+                                  (_REAL_FIELDS, numbers.Real, "a finite real number")):
+            for name in names:
+                value = getattr(self, name)
+                if value is None and SimConfig.__dataclass_fields__[name].default is None:
+                    continue
+                items = value if isinstance(value, tuple) and name.startswith("noise_") else (value,)
+                if not all(isinstance(v, kind) and not isinstance(v, bool)
+                           and (isinstance(v, numbers.Integral) or math.isfinite(v))
+                           for v in items):
+                    raise ValidationError(f"config key {name} must be {what}, got {value!r}")
+
     def validate(self) -> None:
+        self._check_types()
         if self.family not in FAMILIES:
             raise UsageError(f"unknown family {self.family!r}")
         if self.statistic not in STATISTICS:
@@ -90,6 +112,10 @@ class SimConfig:
             raise DomainError("B must be >= 1")
         if self.m < 2:
             raise DomainError("m must be >= 2")
+        if self.workers < 1:
+            raise DomainError(f"workers must be >= 1, got {self.workers}")
+        if self.master_seed < 0:
+            raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
         check_alpha(self.alpha)
         if self.thinning_tau is not None and not (0.0 < self.thinning_tau < 1.0):
             raise DomainError("thinning_tau must lie strictly between 0 and 1")
@@ -312,7 +338,8 @@ def _one_replicate(cfg: SimConfig, norm: _Normalizers, n: int, r: int) -> float:
 
 def _run_replicates(cfg: SimConfig, norm: _Normalizers, n: int) -> np.ndarray:
     out = np.empty(cfg.B)
-    workers = max(1, int(cfg.workers))
+    # replicates are bit-identical across worker counts, so the cap changes no output
+    workers = min(cfg.workers, cfg.B, os.cpu_count() or 1)
     if workers == 1:
         for r in range(cfg.B):
             out[r] = _one_replicate(cfg, norm, n, r)

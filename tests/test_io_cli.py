@@ -493,6 +493,22 @@ class TestCli:
         cfg.write_text("family = power_law\nbogus = 1\n")
         assert run_cli(["simulate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("key, raw, shown", [
+        ("workers", "abc", "'abc'"), ("workers", "2.5", "2.5"), ("workers", "-3", "-3"),
+        ("B", "abc", "'abc'"), ("B", "2.5", "2.5"), ("B", "true", "True"),
+        ("m", "abc", "'abc'"), ("m", "1e3", "1000.0"), ("alpha", "abc", "'abc'"),
+        ("alpha", "nan", "nan"), ("epsilon", "abc", "'abc'"), ("epsilon", "inf", "inf"),
+        ("master_seed", "-1", "-1"), ("noise_block_sizes", "10, x", "(10, 'x')"),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, key, raw, shown):
+        values = {"family": "power_law", "beta": "1.0", "m": "40", "epsilon": "1.0",
+                  "alpha": "0.5", "B": "30", "statistic": "thm1_entropy", key: raw}
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and shown in err
+
     def test_simulate_mixture_family_config(self, tmp_path, capsys):
         cfg = tmp_path / "mix.cfg"
         cfg.write_text(

@@ -1,5 +1,6 @@
 """Simulation harness: determinism, sampling, KS distances, experiments."""
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from renydiv import (
     two_sample_chi_square,
     uniformity_test,
 )
+from renydiv import montecarlo
 from renydiv.montecarlo import replicate_stream
 
 
@@ -104,6 +106,39 @@ class TestSimulateStatistic:
         assert np.array_equal(r1.samples, r4.samples)
         assert r1.ks_distance == r4.ks_distance
         assert np.array_equal(r1.qq_pairs, r4.qq_pairs)
+
+    def test_pool_capped_at_cpus_and_replicates(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """Runs submitted work inline and records the requested pool size."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        serial = simulate_statistic(SimConfig(statistic="thm1_entropy", **BASE)).samples
+        assert pools == []
+        for workers, B, pool_size in ((10**5, 40, 3), (10**5, 2, 2), (2, 40, 2)):
+            cfg = SimConfig(statistic="thm1_entropy", **{**BASE, "B": B, "workers": workers})
+            assert np.array_equal(simulate_statistic(cfg).samples, serial[:B])
+            assert pools[-1] == pool_size
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        cfg = SimConfig(statistic="thm1_entropy", **{**BASE, "workers": 10**5})
+        assert np.array_equal(simulate_statistic(cfg).samples, serial)
+        assert len(pools) == 3
 
     def test_seed_changes_samples(self):
         cfg = SimConfig(statistic="thm1_entropy", **BASE)
