@@ -106,16 +106,38 @@ def two_sample_chi_square(joint: JointCountTable, p) -> float:
     return _two_sample_chi_square(joint.row_counts(), joint.col_counts(), joint.n, pv.probs)
 
 
-def _null_params_from_arrays(pij: np.ndarray, marg: np.ndarray) -> tuple[float, float]:
-    """mu_n and gamma_n^2 for an equal-marginal joint, marginal given explicitly."""
-    diag = np.diag(pij)
-    mu = _sum(1.0 - diag / marg)
-    t1 = _sum(((marg - diag) / marg) ** 2)
-    sym = pij + pij.T
-    denom = 4.0 * np.outer(marg, marg)
-    ratio = sym * sym / denom
-    off = _sum(ratio) - _sum(np.diag(ratio))
-    return mu, t1 + off
+def _null_params(b: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 marg: np.ndarray) -> tuple[float, float]:
+    """mu_n and gamma_n^2 of an equal-marginal joint s_ij = b_i b_j + v_ij, in O(m + cells).
+
+    v is listed on its cells (rows, cols, vals), each cell at most once and
+    diagonal cells allowed; the marginal `marg` is given explicitly. With
+    x_i = b_i^2 / marg_i the off-diagonal part of gamma_n^2 expands to
+    (sum x)^2 - sum x^2 + sum over the off-diagonal cells of
+    [2 b_i b_j v_ij + (v_ij^2 + v_ij v_ji) / 2] / (marg_i marg_j),
+    where v_ji is the cell's transpose partner (0 when unlisted). Diagonal
+    cells enter only through s_ii, so no sum of diagonal terms is added and
+    then subtracted again.
+    """
+    m = marg.size
+    on_diag = rows == cols
+    s_ii = b * b + np.bincount(rows[on_diag], vals[on_diag], minlength=m)
+    mu = _sum(1.0 - s_ii / marg)
+    t1 = _sum(((marg - s_ii) / marg) ** 2)
+    x = b * b / marg
+    off = ~on_diag
+    rows, cols, vals = rows[off], cols[off], vals[off]
+    # each cell's transpose partner, looked up among the cells sorted by key
+    keys = rows * m + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    partner_keys = cols * m + rows
+    at = np.minimum(np.searchsorted(keys, partner_keys), max(keys.size - 1, 0))
+    partner = np.where(keys[at] == partner_keys, vals[order][at], 0.0)
+    mm = marg[rows] * marg[cols]
+    cells = _sum(b[rows] * b[cols] * vals / mm)
+    pairs = _sum((vals * vals + vals * partner) / mm)
+    return mu, t1 + (_sum(x) ** 2 - _sum(x * x)) + 2.0 * cells + 0.5 * pairs
 
 
 def chi_square_null_params(joint: JointDistribution) -> tuple[float, float]:
@@ -135,7 +157,8 @@ def chi_square_null_params(joint: JointDistribution) -> tuple[float, float]:
         )
     if np.any(p <= 0):
         raise DomainError("null parameters require strictly positive marginals")
-    return _null_params_from_arrays(joint.pij, p)
+    rows, cols = np.nonzero(joint.pij)
+    return _null_params(np.zeros(joint.m), rows, cols, joint.pij[rows, cols], p)
 
 
 def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
@@ -318,14 +341,16 @@ def _shrunken_joint_null_params(joint: JointCountTable, alpha: float) -> tuple[f
     keep = r > 0
     pos = np.cumsum(keep) - 1  # category -> index among the kept ones
     rm = r[keep]
-    prod = np.outer(rm, rm)
-    shrunk = prod.copy()
     ii, jj = pos[joint.rows], pos[joint.cols]
-    w = 1.0 / (1.0 + joint.counts)
-    shrunk[ii, jj] = (1.0 - w) * (joint.counts / n) + w * prod[ii, jj]
-    shrunk /= shrunk.sum()
-    marg = 0.5 * (shrunk.sum(axis=1) + shrunk.sum(axis=0))
-    return _null_params_from_arrays(shrunk, marg)
+    c = joint.counts
+    # cell minus product: (1 - w)(n_ij/n - r_i r_j) with w = 1/(1 + n_ij)
+    delta = c / (1.0 + c) * (c / n - rm[ii] * rm[jj])
+    total = _sum(rm) ** 2 + _sum(delta)
+    b = rm / math.sqrt(total)
+    v = delta / total
+    marg = b * _sum(b) + 0.5 * (np.bincount(ii, v, minlength=rm.size)
+                                + np.bincount(jj, v, minlength=rm.size))
+    return _null_params(b, ii, jj, v, marg)
 
 
 def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent",

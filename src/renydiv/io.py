@@ -234,8 +234,11 @@ def _dump(value, newline: str, out: list) -> None:
 
 
 def dumps_report_tsv(obj) -> str:
-    """Flatten a report into `dotted.key<TAB>value` lines for spreadsheets."""
-    flat: list[tuple[str, str]] = []
+    """Flatten a report into `dotted.key<TAB>value` lines for spreadsheets.
+
+    A list's scalars (up to ~1e6 category names) are written in its own loop.
+    """
+    lines: list[str] = []
 
     def walk(prefix, value):
         if isinstance(value, dict):
@@ -243,9 +246,12 @@ def dumps_report_tsv(obj) -> str:
                 walk(f"{prefix}.{k}" if prefix else str(k), v)
         elif isinstance(value, list):
             for i, v in enumerate(value):
-                walk(f"{prefix}[{i}]", v)
+                if isinstance(v, (dict, list)):
+                    walk(f"{prefix}[{i}]", v)
+                else:
+                    lines.append(f"{prefix}[{i}]\t{'' if v is None else v}")
         else:
-            flat.append((prefix, "" if value is None else str(value)))
+            lines.append(f"{prefix}\t{'' if value is None else value}")
 
     walk("", jsonable(obj))
-    return "\n".join(f"{k}\t{v}" for k, v in flat) + "\n"
+    return "\n".join(lines) + "\n"

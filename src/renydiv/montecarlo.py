@@ -12,22 +12,22 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .asymptotics import (MARGINAL_EQUALITY_TOL, _thinned, chi_square_null_params, divergence_ci,
+from .asymptotics import (MARGINAL_EQUALITY_TOL, _null_params, _thinned, divergence_ci,
                           entropy_ci, lemma2i_standardize, thm3_normalizers)
-from .counts import CountVector, JointCountTable
+from .counts import INT64_MAX, CountVector, JointCountTable
 from .distributions import JointDistribution, ProbVector, _sum, check_alpha
 from .errors import DomainError, UndefinedStatisticError, UsageError, ValidationError
 from .measures import (_cross_power_sum, _pearson_chi_square, _power_sum, _two_sample_chi_square,
                        cross_power_sum, power_sum, renyi_divergence, renyi_entropy)
 from .powerlaw import powerlaw_pmf
-from .projections import (_degenerate, projection_v_moments, projection_w_moments,
-                          v_moments_independent)
+from .projections import _degenerate, projection_w_moments, v_moments_independent
 
 UNIVARIATE_STATISTICS = {"thm1_entropy", "thm3_uniform_entropy", "lemma2_pearson"}
 BIVARIATE_STATISTICS = {"thm2_divergence", "thm4_degenerate_divergence", "lemma2_two_sample"}
@@ -77,19 +77,30 @@ class SimConfig:
     noise_block_fractions: tuple = ()
 
     def n(self) -> int:
+        """The sample size, from 1 to 2**63 - 1 (the most a multinomial draw takes)."""
         if self.n_override is not None:
             if self.n_override < 1:
                 raise DomainError("n_override must be >= 1")
+            if self.n_override > INT64_MAX:
+                raise DomainError(f"config key n_override = {self.n_override!r} exceeds "
+                                  f"2**63 - 1")
             return int(self.n_override)
         if self.epsilon is None:
             raise UsageError("either epsilon or n_override must be set")
-        n = int(round(self.m ** (1.0 + self.epsilon)))
+        try:
+            n = int(round(self.m ** (1.0 + self.epsilon)))
+        except OverflowError:  # the power itself leaves the float range
+            n = INT64_MAX + 1
+        if n > INT64_MAX:
+            raise DomainError(f"config key epsilon = {self.epsilon!r} makes n = m^(1 + epsilon) "
+                              f"exceed 2**63 - 1 at m = {self.m}")
         if n < 1:
             raise DomainError(f"derived n = {n} must be >= 1")
         return n
 
     def _check_types(self) -> None:
-        """Integer fields hold ints, real fields finite reals; bools are neither."""
+        """Integer fields hold ints, real fields reals that are finite as floats
+        (an int past the float range is not); bools are neither."""
         for names, kind, what in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
                                   (_REAL_FIELDS, numbers.Real, "a finite real number")):
             for name in names:
@@ -98,7 +109,7 @@ class SimConfig:
                     continue
                 items = value if isinstance(value, tuple) and name.startswith("noise_") else (value,)
                 if not all(isinstance(v, kind) and not isinstance(v, bool)
-                           and (isinstance(v, numbers.Integral) or math.isfinite(v))
+                           and (kind is numbers.Integral or abs(v) <= sys.float_info.max)
                            for v in items):
                     raise ValidationError(f"config key {name} must be {what}, got {value!r}")
 
@@ -224,7 +235,11 @@ def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: flo
 
 
 def _family_bivariate(cfg: SimConfig):
-    """Returns (p, q, joint_or_None); joint is dense only when cells correlate."""
+    """Returns (p, q, diag_weight); the weight is None for independent samples.
+
+    bivariate_joint is JointDistribution.diagonal_mix(p, diag_weight), which
+    the harness never builds: its normalizers and draws are O(m).
+    """
     if cfg.beta is None:
         raise UsageError("bivariate families require beta for the first marginal")
     p = powerlaw_pmf(cfg.beta, cfg.m)
@@ -233,8 +248,9 @@ def _family_bivariate(cfg: SimConfig):
         return p, q, None
     if cfg.family == "bivariate_joint":
         w = cfg.diag_weight if cfg.diag_weight is not None else 0.0
-        joint = JointDistribution.diagonal_mix(p, w)
-        return p, p, joint
+        if not (0.0 <= w <= 1.0):
+            raise DomainError("diag_weight must lie in [0, 1]")
+        return p, p, w
     raise UsageError(f"{cfg.family} is not a bivariate family")
 
 
@@ -256,10 +272,9 @@ class _Normalizers:
                 self.h_true = renyi_entropy(self.p, cfg.alpha)
                 self.cv_w = w.cv
         else:
-            self.p, self.q, self.joint = _family_bivariate(cfg)
+            self.p, self.q, self.diag_weight = _family_bivariate(cfg)
             if cfg.statistic == "thm2_divergence":
-                v = (projection_v_moments(self.joint, cfg.alpha) if self.joint is not None
-                     else v_moments_independent(self.p, self.q, cfg.alpha))
+                v = v_moments_independent(self.p, self.q, cfg.alpha)
                 if _degenerate(v):
                     raise UsageError(
                         "thm2_divergence is degenerate for equal marginals; "
@@ -272,12 +287,15 @@ class _Normalizers:
                 if not np.allclose(self.p.probs, self.q.probs, rtol=0,
                                    atol=MARGINAL_EQUALITY_TOL):
                     raise UsageError(f"{cfg.statistic} requires equal marginals (p = q)")
-                if self.joint is None:
+                if self.diag_weight is None:
                     m = cfg.m
                     self.mu_n = float(m - 1)
                     self.gamma_n = math.sqrt(m - 1.0)
                 else:
-                    mu, gamma_sq = chi_square_null_params(self.joint)
+                    # diagonal_mix: p_ij = (1 - w) p_i p_j + w p_i 1{i = j}
+                    p, w = self.p.probs, self.diag_weight
+                    diag = np.arange(cfg.m)
+                    mu, gamma_sq = _null_params(math.sqrt(1.0 - w) * p, diag, diag, w * p, p)
                     self.mu_n = mu
                     self.gamma_n = math.sqrt(gamma_sq)
 
@@ -325,14 +343,16 @@ def _one_replicate(cfg: SimConfig, norm: _Normalizers, n: int, r: int) -> float:
     if cfg.statistic in UNIVARIATE_STATISTICS:
         counts = rng.multinomial(n_rep, norm.p.probs)
         return _univariate_statistic(counts, n_rep, norm, cfg.m, cfg.alpha)
-    if norm.joint is None:
+    if norm.diag_weight is None:
         cx = rng.multinomial(n_rep, norm.p.probs)
         cy = rng.multinomial(n_rep, norm.q.probs)
     else:
-        flat = rng.multinomial(n_rep, norm.joint.pij.ravel())
-        mat = flat.reshape(cfg.m, cfg.m)
-        cx = mat.sum(axis=1)
-        cy = mat.sum(axis=0)
+        # each diagonal_mix draw is a shared (i, i) with probability w, else an
+        # independent (i, j): the marginals of the m x m multinomial, in O(m)
+        n_diag = int(rng.binomial(n_rep, norm.diag_weight))
+        shared = rng.multinomial(n_diag, norm.p.probs)
+        cx = shared + rng.multinomial(n_rep - n_diag, norm.p.probs)
+        cy = shared + rng.multinomial(n_rep - n_diag, norm.p.probs)
     return _bivariate_statistic(cx, cy, n_rep, norm, cfg.m, cfg.alpha)
 
 
@@ -396,8 +416,8 @@ def coverage_experiment(cfg: SimConfig, level: float) -> float:
             ci = entropy_ci(c, cfg.alpha, level)
             covered += ci.lower <= true_val <= ci.upper
     else:
-        p, q, joint = _family_bivariate(cfg)
-        if joint is not None:
+        p, q, diag_weight = _family_bivariate(cfg)
+        if diag_weight is not None:
             raise UsageError("coverage for thm2_divergence uses independent samples")
         true_val = float(renyi_divergence(p, q, cfg.alpha))
         for r in range(cfg.B):
@@ -428,8 +448,8 @@ def bias_experiment(cfg: SimConfig) -> float:
             counts = rng.multinomial(n, p.probs)
             ratios[r] = _power_sum(counts[counts > 0] / n, cfg.alpha) / s_true
     else:
-        p, q, joint = _family_bivariate(cfg)
-        if joint is not None:
+        p, q, diag_weight = _family_bivariate(cfg)
+        if diag_weight is not None:
             raise UsageError("bias for thm2_divergence uses independent samples")
         s_true = float(cross_power_sum(p, q, cfg.alpha))
         for r in range(cfg.B):

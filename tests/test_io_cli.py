@@ -499,6 +499,9 @@ class TestCli:
         ("m", "abc", "'abc'"), ("m", "1e3", "1000.0"), ("alpha", "abc", "'abc'"),
         ("alpha", "nan", "nan"), ("epsilon", "abc", "'abc'"), ("epsilon", "inf", "inf"),
         ("master_seed", "-1", "-1"), ("noise_block_sizes", "10, x", "(10, 'x')"),
+        # n past 2**63 - 1, derived (m = 40) or given
+        ("epsilon", "100", "100"), ("epsilon", "1000000", "1000000"),
+        ("n_override", "10000000000000000000000", "10000000000000000000000"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, key, raw, shown):
         values = {"family": "power_law", "beta": "1.0", "m": "40", "epsilon": "1.0",

@@ -1,9 +1,15 @@
 """Simulation harness: determinism, sampling, KS distances, experiments."""
+import dataclasses
+import itertools
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 from renydiv import (
     DomainError,
@@ -12,8 +18,10 @@ from renydiv import (
     ProbVector,
     SimConfig,
     UndefinedStatisticError,
+    RenydivError,
     UsageError,
     bias_experiment,
+    chi_square_null_params,
     coverage_experiment,
     equality_test,
     ks_distance_normal,
@@ -273,6 +281,90 @@ class TestSimulateStatistic:
         assert np.all(np.isfinite(run.samples))
 
 
+
+class TestBivariateJointSampler:
+    """bivariate_joint replicates draw the marginals of diagonal_mix(p, w) in O(m)."""
+
+    CFG = dict(family="bivariate_joint", beta=1.0, alpha=0.5,
+               statistic="thm4_degenerate_divergence")
+
+    def draws(self, monkeypatch, **fields):
+        """(cx, cy) of every replicate of a run, stacked by replicate."""
+        draws = []
+
+        def record(cx, cy, *args):
+            draws.append((cx, cy))
+            return 0.0
+
+        monkeypatch.setattr(montecarlo, "_bivariate_statistic", record)
+        simulate_statistic(SimConfig(**self.CFG, **fields))
+        xy = np.array(draws, dtype=float)
+        return xy[:, 0], xy[:, 1]
+
+    @pytest.mark.parametrize("w", [0.3, 1.0])
+    def test_cross_moments_match_the_joint(self, monkeypatch, w):
+        # E cx_i cy_j = n p_ij + n (n - 1) p_i p_j for n cells drawn from p_ij
+        m, n, B = 6, 40, 12_000
+        cx, cy = self.draws(monkeypatch, m=m, n_override=n, diag_weight=w, B=B, master_seed=41)
+        p = powerlaw_pmf(1.0, m).probs
+        pij = JointDistribution.diagonal_mix(p, w).pij
+        products = (cx[:, :, None] * cy[:, None, :]).reshape(B, m * m)
+        for values, expected in ((cx, n * p), (cy, n * p),
+                                 (products, (n * pij + n * (n - 1) * np.outer(p, p)).ravel())):
+            se = values.std(axis=0, ddof=1) / math.sqrt(B)
+            assert np.all(np.abs(values.mean(axis=0) - expected) <= 4 * se + 1e-12)
+
+    def test_law_matches_the_joint_multinomial(self, monkeypatch):
+        # at m = 2, n = 3 the pair (cx_0, cy_0) takes 16 values whose exact
+        # probabilities follow from the 20 ways to put 3 draws in the 4 cells
+        n, B, w = 3, 20_000, 0.3
+        pij = JointDistribution.diagonal_mix(powerlaw_pmf(1.0, 2), w).pij.ravel()
+        exact = np.zeros((n + 1, n + 1))
+        for cells in itertools.product(range(n + 1), repeat=4):
+            if sum(cells) == n:
+                coef = math.factorial(n) / math.prod(math.factorial(k) for k in cells)
+                exact[cells[0] + cells[1], cells[0] + cells[2]] += coef * math.prod(pij ** cells)
+        cx, cy = self.draws(monkeypatch, m=2, n_override=n, diag_weight=w, B=B, master_seed=42)
+        seen = np.zeros((n + 1, n + 1))
+        np.add.at(seen, (cx[:, 0].astype(int), cy[:, 0].astype(int)), 1)
+        x2 = float((((seen - B * exact) ** 2) / (B * exact)).sum())
+        assert chdtrc(exact.size - 1, x2) > 1e-3, x2
+
+    def test_normalizers_match_chi_square_null_params(self):
+        cfg = SimConfig(m=50, n_override=1000, diag_weight=0.3, B=1, **self.CFG)
+        norm = montecarlo._Normalizers(cfg)
+        mu, gsq = chi_square_null_params(JointDistribution.diagonal_mix(powerlaw_pmf(1.0, 50), 0.3))
+        assert norm.mu_n == pytest.approx(mu, rel=1e-12)
+        assert norm.gamma_n == pytest.approx(math.sqrt(gsq), rel=1e-12)
+
+    def test_workers_give_identical_samples(self):
+        cfg = SimConfig(m=40, epsilon=1.0, diag_weight=0.3, B=30, master_seed=3, **self.CFG)
+        one = simulate_statistic(cfg).samples
+        two = simulate_statistic(dataclasses.replace(cfg, workers=2)).samples
+        assert np.array_equal(one, two)
+
+    def test_large_m_memory(self):
+        cfg = SimConfig(m=20_000, n_override=10**6, diag_weight=0.3, B=2, **self.CFG)
+        tracemalloc.start()
+        try:
+            run = simulate_statistic(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(run.samples))
+        assert peak < 10 * 2**20, peak
+
+    def test_thm2_degenerate_for_equal_marginals(self):
+        cfg = SimConfig(m=30, epsilon=1.0, diag_weight=0.3, B=10,
+                        **{**self.CFG, "statistic": "thm2_divergence"})
+        with pytest.raises(UsageError, match="degenerate for equal marginals"):
+            simulate_statistic(cfg)
+
+    def test_diag_weight_domain(self):
+        cfg = SimConfig(m=30, epsilon=1.0, diag_weight=1.5, B=10, **self.CFG)
+        with pytest.raises(DomainError, match="diag_weight"):
+            simulate_statistic(cfg)
+
 class TestExperiments:
     def test_coverage_smoke(self):
         cfg = SimConfig(family="power_law", beta=1.0, m=50, n_override=20000,
@@ -395,3 +487,30 @@ class TestMixtureFamily:
         with pytest.raises(UsageError):
             SimConfig(family="power_law", beta=1.0, m=10,
                       statistic="thm1_entropy").n()
+
+
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 50), st.integers(-10**400, 10**400),
+    st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-10**30, 10**30), st.floats(), st.text(max_size=2)),
+             max_size=3).map(tuple),
+)
+_BASE = st.fixed_dictionaries({
+    "family": st.just("power_law"), "statistic": st.just("thm1_entropy"), "beta": st.just(1.0),
+    "m": st.integers(2, 100), "epsilon": st.floats(-1.0, 3.0),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BASE, st.dictionaries(st.sampled_from(sorted(SimConfig.__dataclass_fields__)),
+                              _ANY_VALUE, max_size=3))
+@example({"family": "power_law", "statistic": "thm1_entropy", "m": 40}, {"epsilon": 1e6})
+@example({"family": "power_law", "statistic": "thm1_entropy", "m": 40}, {"alpha": 10**400})
+@example({"family": "power_law", "statistic": "thm1_entropy", "epsilon": 1.0}, {"m": 10**400})
+def test_validate_raises_only_package_errors(base, changes):
+    # validate() samples nothing; whatever a few fields of a valid config are
+    # changed to, it returns or raises a RenydivError
+    try:
+        SimConfig(**{**base, **changes}).validate()
+    except RenydivError:
+        pass
