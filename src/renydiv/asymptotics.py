@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .counts import CountVector, JointCountTable, as_count_vector
 from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
@@ -34,10 +34,6 @@ from .projections import (LDReport, _degenerate, _ld_report, _v_moments_cells,
 MARGINAL_EQUALITY_TOL = 1e-9
 # draws of a thinned sample before an all-empty result raises
 _THINNING_DRAWS = 100
-
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def normal_quantile(u: float) -> float:
@@ -74,9 +70,9 @@ class TestReport:
 
 def _p_value(z: float, sidedness: str) -> float:
     if sidedness == "upper":
-        return normal_cdf(-z)
+        return float(ndtr(-z))
     if sidedness == "two-sided":
-        return 2.0 * normal_cdf(-abs(z))
+        return 2.0 * float(ndtr(-abs(z)))
     raise UsageError(f"unknown sidedness {sidedness!r}")
 
 
@@ -199,10 +195,14 @@ def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
 
 def hill_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
     """Effective-number-of-classes interval: exp-transform of the entropy CI."""
-    h = entropy_ci(c, alpha, level)
+    return _exp_ci(entropy_ci(c, alpha, level))
+
+
+def _exp_ci(h: EstimateWithCI) -> EstimateWithCI:
+    """The Hill-number interval of an entropy interval h."""
     enc = math.exp(h.estimate)
     return EstimateWithCI(
-        estimate=enc, level=level,
+        estimate=enc, level=h.level,
         lower=math.exp(h.lower), upper=math.exp(h.upper),
         std_error=enc * h.std_error, n=h.n, m=h.m, method="thm1", ld=h.ld,
     )
@@ -281,11 +281,31 @@ def lemma2i_standardize(x2: float, m: int) -> float:
     return (x2 - m) / math.sqrt(2.0 * m)
 
 
-def thm3_normalizers(m: int, n: int, alpha: float) -> tuple[float, float]:
-    """Theorem 3 centre log m + (1-a)^(-1) log(1 + binom(a,2) m/n) and scale a sqrt(m/2)."""
-    coef = generalized_binomial(alpha, 2)
-    center = math.log(m) + math.log1p(coef * m / n) / (1.0 - alpha)
-    return center, alpha * math.sqrt(m / 2.0)
+def _thm3_z(counts: np.ndarray, n: int, alpha: float) -> tuple[float, float, float]:
+    """Theorem 3 (z, centre, scale) of n draws on m = counts.size categories: z =
+    n [H_a(uhat) - centre] / scale, centre log m + (1-a)^(-1) log(1 + binom(a,2) m/n),
+    scale a sqrt(m/2); undefined for n <= m."""
+    m = counts.size
+    if n <= m:
+        raise UndefinedStatisticError(
+            f"normalized entropy statistic undefined for n <= m (n={n}, m={m})"
+        )
+    center = math.log(m) + math.log1p(generalized_binomial(alpha, 2) * m / n) / (1.0 - alpha)
+    sd = alpha * math.sqrt(m / 2.0)
+    h_hat = math.log(_power_sum(counts[counts > 0] / n, alpha)) / (1.0 - alpha)
+    return n * (h_hat - center) / sd, center, sd
+
+
+def _null_z(x: float, mu: float, gamma: float) -> float:
+    """The degenerate-null standardization (x - mu_n) / (sqrt(2) gamma_n)."""
+    return (x - mu) / (math.sqrt(2.0) * gamma)
+
+
+def _thm4_z(phat: np.ndarray, qhat: np.ndarray, n: float, alpha: float,
+            mu: float, gamma: float) -> float:
+    """Theorem 4: n (a(a-1))^(-1) (S_a(phat, qhat) - 1) standardized by _null_z."""
+    s = _cross_power_sum(phat, qhat, alpha)
+    return _null_z(n / (alpha * (alpha - 1.0)) * (s - 1.0), mu, gamma)
 
 
 def uniformity_test(c, alpha: float, method: str = "thm3") -> TestReport:
@@ -311,13 +331,7 @@ def uniformity_test(c, alpha: float, method: str = "thm3") -> TestReport:
             m=m, n=n, method="lemma2i",
         )
     if method == "thm3":
-        if n <= m:
-            raise UndefinedStatisticError(
-                f"normalized entropy statistic undefined for n <= m (n={n}, m={m})"
-            )
-        center, sd = thm3_normalizers(m, n, alpha)
-        h_hat = math.log(_power_sum(cv.counts[cv.observed] / n, alpha)) / (1.0 - alpha)
-        z = n * (h_hat - center) / sd
+        z, center, sd = _thm3_z(cv.counts, n, alpha)
         return TestReport(
             statistic=z, null_mean=n * center, null_sd=sd,
             p_value=_p_value(z, "two-sided"), sidedness="two-sided",
@@ -389,9 +403,8 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
         raise UsageError(f"unknown mode {mode!r}")
     if m_union < 2:
         raise DomainError("need at least 2 observed categories")
-    s = _cross_power_sum(cvx.counts / cvx.n, cvy.counts / cvy.n, alpha)
     gamma = math.sqrt(gamma_sq)
-    z = (n_eff / (alpha * (alpha - 1.0)) * (s - 1.0) - mu) / (math.sqrt(2.0) * gamma)
+    z = _thm4_z(cvx.counts / cvx.n, cvy.counts / cvy.n, n_eff, alpha, mu, gamma)
     return TestReport(
         statistic=z, null_mean=mu, null_sd=math.sqrt(2.0) * gamma,
         p_value=_p_value(z, "upper"), sidedness="upper",

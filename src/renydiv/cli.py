@@ -16,12 +16,19 @@ from .powerlaw import fit_powerlaw_ls
 ENV_SEED = "RENYDIV_SEED"
 
 
-def _add_common(sp):
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--level", type=float, default=0.95)
-    sp.add_argument("--seed", type=int, default=None)
+_FLAGS = {
+    "--alpha": dict(type=float, default=0.5),
+    "--level": dict(type=float, default=0.95),
+    "--seed": dict(type=int, default=None),
+    "--format": dict(choices=("json", "tsv"), default="json"),
+}
+
+
+def _add_flags(sp, *flags):
+    """--output plus the given shared flags: a command offers only the flags it reads."""
+    for flag in flags:
+        sp.add_argument(flag, **_FLAGS[flag])
     sp.add_argument("--output", default=None)
-    sp.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,33 +41,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("entropy", help="entropy estimate with CI per sample column")
     sp.add_argument("table")
-    _add_common(sp)
+    _add_flags(sp, "--alpha", "--level", "--format")
 
     sp = sub.add_parser("divergence", help="divergence estimate with CI for a sample pair")
     sp.add_argument("table")
     sp.add_argument("table2", nargs="?", default=None)
-    _add_common(sp)
+    _add_flags(sp, "--alpha", "--level", "--format")
 
     sp = sub.add_parser("filter-noise", help="uniform-block noise decomposition per sample")
     sp.add_argument("table")
     sp.add_argument("--noise-level", type=float, default=0.01)
     sp.add_argument("--max-k", type=int, default=2)
-    _add_common(sp)
+    _add_flags(sp, "--format")
 
     sp = sub.add_parser("test-equality", help="degenerate-regime test of equal distributions")
     sp.add_argument("table")
     sp.add_argument("table2", nargs="?", default=None)
-    _add_common(sp)
+    _add_flags(sp, "--alpha", "--format")
 
     sp = sub.add_parser("test-homogeneity",
                         help="chi-square combination of pairwise equality tests "
                              "(columns are consecutive pairs)")
     sp.add_argument("table")
-    _add_common(sp)
+    _add_flags(sp, "--alpha", "--format")
 
     sp = sub.add_parser("fit-powerlaw", help="least-squares rank-frequency exponent fit")
     sp.add_argument("table")
-    _add_common(sp)
+    _add_flags(sp, "--format")
 
     sp = sub.add_parser("pipeline", help="filter noise, test equality, quantify difference")
     sp.add_argument("table")
@@ -68,12 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise-level", type=float, default=0.01)
     sp.add_argument("--max-k", type=int, default=2)
     sp.add_argument("--equality-level", type=float, default=0.05)
-    _add_common(sp)
+    _add_flags(sp, "--alpha", "--level", "--format")
 
     sp = sub.add_parser("simulate", help="run a seeded simulation from a config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--workers", type=int, default=None)
-    _add_common(sp)
+    _add_flags(sp, "--seed")
     return parser
 
 
@@ -96,13 +103,17 @@ def _pair_from_tables(path1, path2):
     return n1, t1.count_vector(n1), label2, t2.count_vector(n2), t1.categories
 
 
-def _emit(payload, args) -> None:
-    text = dumps_report_tsv(payload) if args.format == "tsv" else dumps_report(payload) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+def _write(text: str, output) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, args) -> None:
+    _write(dumps_report_tsv(payload) if args.format == "tsv" else dumps_report(payload) + "\n",
+           args.output)
 
 
 def _decomposition_payload(dec, categories) -> dict:
@@ -182,12 +193,7 @@ def _cmd_simulate(args) -> None:
     lines = ["normal_quantile,sample_quantile"]
     lines += [f"{a:.9g},{b:.9g}" for a, b in run.qq_pairs]
     lines.append(f"# ks_distance={run.ks_distance:.9g}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
 
 
 def _dispatch(args) -> None:
@@ -239,7 +245,7 @@ def _dispatch(args) -> None:
     elif args.command == "pipeline":
         nx, cx, ny, cy, cats = _pair_from_tables(args.table, args.table2)
         cfg = PipelineConfig(
-            alpha=args.alpha, ci_level=args.level, equality_level=args.equality_level,
+            ci_level=args.level, equality_level=args.equality_level,
             noise_level=args.noise_level, max_noise_components=args.max_k,
         )
         report = diversity_pipeline(cx, cy, alpha=args.alpha, config=cfg)

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .asymptotics import (MARGINAL_EQUALITY_TOL, _null_params, _thinned, divergence_ci,
-                          entropy_ci, lemma2i_standardize, thm3_normalizers)
+from .asymptotics import (MARGINAL_EQUALITY_TOL, _null_params, _null_z, _thinned, _thm3_z,
+                          _thm4_z, divergence_ci, entropy_ci, lemma2i_standardize)
 from .counts import INT64_MAX, CountVector, JointCountTable
 from .distributions import JointDistribution, ProbVector, _sum, check_alpha
-from .errors import DomainError, UndefinedStatisticError, UsageError, ValidationError
+from .errors import DomainError, UsageError, ValidationError
 from .measures import (_cross_power_sum, _pearson_chi_square, _power_sum, _two_sample_chi_square,
-                       cross_power_sum, power_sum, renyi_divergence, renyi_entropy)
+                       cross_power_sum, power_sum)
 from .powerlaw import powerlaw_pmf
 from .projections import _degenerate, projection_w_moments, v_moments_independent
 
@@ -41,6 +41,8 @@ _INTEGER_FIELDS = ("m", "n_override", "B", "master_seed", "workers", "signal_m",
                    "noise_block_sizes")
 _REAL_FIELDS = ("alpha", "epsilon", "thinning_tau", "beta", "beta2", "p0", "diag_weight",
                 "signal_beta", "signal_fraction", "noise_block_fractions")
+# the most categories a family may have: one float64 array of them is already 16 GB
+M_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,8 @@ class SimConfig:
     signal_fraction plus per-block noise sizes and mass fractions;
     bivariate_product uses beta for p and beta2 for q (q = p when beta2 is
     None); bivariate_joint puts diag_weight extra mass on the diagonal of
-    the power-law product (equal marginals for any weight).
+    the power-law product (equal marginals for any weight). m, signal_m and
+    each noise block size are at most M_MAX = 2**31 - 1.
     """
 
     family: str
@@ -123,6 +126,8 @@ class SimConfig:
             raise DomainError("B must be >= 1")
         if self.m < 2:
             raise DomainError("m must be >= 2")
+        if self.m > M_MAX:
+            raise DomainError(f"config key m = {self.m!r} exceeds 2**31 - 1")
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
         if self.master_seed < 0:
@@ -226,6 +231,9 @@ def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: flo
     fracs = tuple(float(f) for f in noise_block_fractions)
     if len(sizes) != len(fracs) or not sizes:
         raise UsageError("need matching, non-empty noise block sizes and fractions")
+    if not all(1 <= s <= M_MAX for s in (*sizes, signal_m)):
+        raise DomainError(f"noise block sizes {sizes} and signal_m = {signal_m} "
+                          f"must lie in [1, 2**31 - 1]")
     total = _sum(fracs) + signal_fraction
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"mixture masses sum to {total}, expected 1")
@@ -255,10 +263,10 @@ def _family_bivariate(cfg: SimConfig):
 
 
 class _Normalizers:
-    """Population quantities shared by all replicates of one run."""
+    """Population quantities shared by all replicates of one run; for thm1 and thm2,
+    s_true = S_a(p) or S_a(p, q), value = H_a or D_a, cv = CV(W) or CV(V)."""
 
     def __init__(self, cfg: SimConfig):
-        self.alpha = cfg.alpha
         self.statistic = cfg.statistic
         if cfg.statistic in UNIVARIATE_STATISTICS:
             self.p = _family_univariate(cfg)
@@ -269,8 +277,9 @@ class _Normalizers:
                         "thm1_entropy is degenerate for a uniform population; "
                         "use thm3_uniform_entropy"
                     )
-                self.h_true = renyi_entropy(self.p, cfg.alpha)
-                self.cv_w = w.cv
+                self.s_true = power_sum(self.p, cfg.alpha)
+                self.value = math.log(self.s_true) / (1.0 - cfg.alpha)
+                self.cv = w.cv
         else:
             self.p, self.q, self.diag_weight = _family_bivariate(cfg)
             if cfg.statistic == "thm2_divergence":
@@ -280,8 +289,9 @@ class _Normalizers:
                         "thm2_divergence is degenerate for equal marginals; "
                         "use thm4_degenerate_divergence"
                     )
-                self.d_true = float(renyi_divergence(self.p, self.q, cfg.alpha))
-                self.cv_v = v.cv
+                self.s_true = float(cross_power_sum(self.p, self.q, cfg.alpha))
+                self.value = math.log(self.s_true) / (cfg.alpha - 1.0)
+                self.cv = v.cv
             else:
                 # thm4 and the two-sample chi-square need equal marginals
                 if not np.allclose(self.p.probs, self.q.probs, rtol=0,
@@ -304,17 +314,11 @@ def _univariate_statistic(counts: np.ndarray, n: int, norm: _Normalizers,
                           m: int, alpha: float) -> float:
     if norm.statistic == "thm1_entropy":
         h_hat = math.log(_power_sum(counts[counts > 0] / n, alpha)) / (1.0 - alpha)
-        return math.sqrt(n) * (1.0 / alpha - 1.0) * (h_hat - norm.h_true) / norm.cv_w
+        return math.sqrt(n) * (1.0 / alpha - 1.0) * (h_hat - norm.value) / norm.cv
     if norm.statistic == "lemma2_pearson":
         return lemma2i_standardize(_pearson_chi_square(counts, n, norm.p.probs), m)
     if norm.statistic == "thm3_uniform_entropy":
-        if n <= m:
-            raise UndefinedStatisticError(
-                f"normalized entropy statistic undefined for n <= m (n={n}, m={m})"
-            )
-        h_hat = math.log(_power_sum(counts[counts > 0] / n, alpha)) / (1.0 - alpha)
-        center, sd = thm3_normalizers(m, n, alpha)
-        return n * (h_hat - center) / sd
+        return _thm3_z(counts, n, alpha)[0]
     raise AssertionError(norm.statistic)
 
 
@@ -322,56 +326,49 @@ def _bivariate_statistic(cx: np.ndarray, cy: np.ndarray, n: int, norm: _Normaliz
                          m: int, alpha: float) -> float:
     if norm.statistic == "thm2_divergence":
         d_hat = math.log(_cross_power_sum(cx / n, cy / n, alpha)) / (alpha - 1.0)
-        return math.sqrt(n) * (alpha - 1.0) * (d_hat - norm.d_true) / norm.cv_v
+        return math.sqrt(n) * (alpha - 1.0) * (d_hat - norm.value) / norm.cv
     if norm.statistic == "thm4_degenerate_divergence":
-        s_hat = _cross_power_sum(cx / n, cy / n, alpha)
-        num = n / (alpha * (alpha - 1.0)) * (s_hat - 1.0) - norm.mu_n
-        return num / (math.sqrt(2.0) * norm.gamma_n)
+        return _thm4_z(cx / n, cy / n, n, alpha, norm.mu_n, norm.gamma_n)
     if norm.statistic == "lemma2_two_sample":
-        x2 = _two_sample_chi_square(cx, cy, n, norm.p.probs)
-        return (x2 - norm.mu_n) / (math.sqrt(2.0) * norm.gamma_n)
+        return _null_z(_two_sample_chi_square(cx, cy, n, norm.p.probs), norm.mu_n, norm.gamma_n)
     raise AssertionError(norm.statistic)
 
 
-def _one_replicate(cfg: SimConfig, norm: _Normalizers, n: int, r: int) -> float:
+def _replicate_counts(cfg: SimConfig, norm: _Normalizers, n: int, r: int):
+    """The one draw rule: replicate r's sample size and counts, (c,) or (cx, cy), from
+    the stream (master_seed, r). Under thinning_tau the size itself is Binomial(n, tau),
+    the Theorem 5 regime, by the rule binomial_thinning applies to an empty draw."""
     rng = replicate_stream(cfg.master_seed, r)
-    n_rep = n
     if cfg.thinning_tau is not None:
-        # Theorem-5 regime: the sample size itself is Binomial(n, tau), under
-        # the thinning rule binomial_thinning applies to an empty draw
-        n_rep = int(_thinned(rng, n, cfg.thinning_tau))
+        n = int(_thinned(rng, n, cfg.thinning_tau))
     if cfg.statistic in UNIVARIATE_STATISTICS:
-        counts = rng.multinomial(n_rep, norm.p.probs)
-        return _univariate_statistic(counts, n_rep, norm, cfg.m, cfg.alpha)
+        return n, (rng.multinomial(n, norm.p.probs),)
     if norm.diag_weight is None:
-        cx = rng.multinomial(n_rep, norm.p.probs)
-        cy = rng.multinomial(n_rep, norm.q.probs)
-    else:
-        # each diagonal_mix draw is a shared (i, i) with probability w, else an
-        # independent (i, j): the marginals of the m x m multinomial, in O(m)
-        n_diag = int(rng.binomial(n_rep, norm.diag_weight))
-        shared = rng.multinomial(n_diag, norm.p.probs)
-        cx = shared + rng.multinomial(n_rep - n_diag, norm.p.probs)
-        cy = shared + rng.multinomial(n_rep - n_diag, norm.p.probs)
-    return _bivariate_statistic(cx, cy, n_rep, norm, cfg.m, cfg.alpha)
+        return n, (rng.multinomial(n, norm.p.probs), rng.multinomial(n, norm.q.probs))
+    # each diagonal_mix draw is a shared (i, i) with probability w, else an
+    # independent (i, j): the marginals of the m x m multinomial, in O(m)
+    n_diag = int(rng.binomial(n, norm.diag_weight))
+    shared = rng.multinomial(n_diag, norm.p.probs)
+    return n, (shared + rng.multinomial(n - n_diag, norm.p.probs),
+               shared + rng.multinomial(n - n_diag, norm.p.probs))
 
 
-def _run_replicates(cfg: SimConfig, norm: _Normalizers, n: int) -> np.ndarray:
+def _run_replicates(cfg: SimConfig, value) -> np.ndarray:
+    """The one replicate loop: value(r) for r < B, serial or on a thread pool."""
     out = np.empty(cfg.B)
-    # replicates are bit-identical across worker counts, so the cap changes no output
-    workers = min(cfg.workers, cfg.B, os.cpu_count() or 1)
-    if workers == 1:
-        for r in range(cfg.B):
-            out[r] = _one_replicate(cfg, norm, n, r)
-        return out
 
     def work(rs):
         for r in rs:
-            out[r] = _one_replicate(cfg, norm, n, r)
+            out[r] = value(r)
 
-    chunks = np.array_split(np.arange(cfg.B), workers)
+    # replicates are bit-identical across worker counts, so the cap changes no output
+    workers = min(cfg.workers, cfg.B, os.cpu_count() or 1)
+    if workers == 1:
+        work(range(cfg.B))
+        return out
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, chunk) for chunk in chunks if chunk.size]
+        futures = [pool.submit(work, chunk)
+                   for chunk in np.array_split(range(cfg.B), workers)]
         for fut in futures:
             fut.result()
     return out
@@ -388,11 +385,14 @@ def simulate_statistic(cfg: SimConfig) -> SimRun:
     cfg.validate()
     n = cfg.n()
     norm = _Normalizers(cfg)
-    if cfg.statistic == "thm3_uniform_entropy" and n <= cfg.m:
-        raise UndefinedStatisticError(
-            f"normalized entropy statistic undefined for n <= m (n={n}, m={cfg.m})"
-        )
-    samples = _run_replicates(cfg, norm, n)
+    statistic = (_univariate_statistic if cfg.statistic in UNIVARIATE_STATISTICS
+                 else _bivariate_statistic)
+
+    def value(r):
+        n_rep, counts = _replicate_counts(cfg, norm, n, r)
+        return statistic(*counts, n_rep, norm, cfg.m, cfg.alpha)
+
+    samples = _run_replicates(cfg, value)
     ks = ks_distance_normal(samples)
     sorted_samples = np.sort(samples)
     grid = (np.arange(1, cfg.B + 1) - 0.5) / cfg.B
@@ -400,33 +400,24 @@ def simulate_statistic(cfg: SimConfig) -> SimRun:
     return SimRun(samples=samples, ks_distance=ks, qq_pairs=qq, config_echo=cfg)
 
 
-def coverage_experiment(cfg: SimConfig, level: float) -> float:
-    """Fraction of replicates whose plug-in CI covers the true H_a or D_a."""
+def _experiment_normalizers(cfg: SimConfig, what: str) -> _Normalizers:
     cfg.validate()
     if cfg.statistic not in {"thm1_entropy", "thm2_divergence"}:
-        raise UsageError("coverage is defined for thm1_entropy and thm2_divergence")
+        raise UsageError(f"{what} is defined for thm1_entropy and thm2_divergence")
+    return _Normalizers(cfg)
+
+
+def coverage_experiment(cfg: SimConfig, level: float) -> float:
+    """Fraction of replicates whose plug-in CI covers the true H_a or D_a."""
+    norm = _experiment_normalizers(cfg, "coverage")
     n = cfg.n()
-    covered = 0
-    if cfg.statistic == "thm1_entropy":
-        p = _family_univariate(cfg)
-        true_val = renyi_entropy(p, cfg.alpha)
-        for r in range(cfg.B):
-            rng = replicate_stream(cfg.master_seed, r)
-            c = CountVector(rng.multinomial(n, p.probs))
-            ci = entropy_ci(c, cfg.alpha, level)
-            covered += ci.lower <= true_val <= ci.upper
-    else:
-        p, q, diag_weight = _family_bivariate(cfg)
-        if diag_weight is not None:
-            raise UsageError("coverage for thm2_divergence uses independent samples")
-        true_val = float(renyi_divergence(p, q, cfg.alpha))
-        for r in range(cfg.B):
-            rng = replicate_stream(cfg.master_seed, r)
-            cx = CountVector(rng.multinomial(n, p.probs))
-            cy = CountVector(rng.multinomial(n, q.probs))
-            ci = divergence_ci(cx, cy, cfg.alpha, level)
-            covered += ci.lower <= true_val <= ci.upper
-    return covered / cfg.B
+    interval = entropy_ci if cfg.statistic == "thm1_entropy" else divergence_ci
+
+    def covers(r):
+        ci = interval(*_replicate_counts(cfg, norm, n, r)[1], cfg.alpha, level)
+        return ci.lower <= norm.value <= ci.upper
+
+    return float(_run_replicates(cfg, covers).mean())
 
 
 def bias_experiment(cfg: SimConfig) -> float:
@@ -435,26 +426,14 @@ def bias_experiment(cfg: SimConfig) -> float:
     Jensen's inequality forces the true value to be <= 0; the estimate should
     sit at or below zero up to Monte Carlo noise.
     """
-    cfg.validate()
-    if cfg.statistic not in {"thm1_entropy", "thm2_divergence"}:
-        raise UsageError("bias is defined for thm1_entropy and thm2_divergence")
+    norm = _experiment_normalizers(cfg, "bias")
     n = cfg.n()
-    ratios = np.empty(cfg.B)
-    if cfg.statistic == "thm1_entropy":
-        p = _family_univariate(cfg)
-        s_true = power_sum(p, cfg.alpha)
-        for r in range(cfg.B):
-            rng = replicate_stream(cfg.master_seed, r)
-            counts = rng.multinomial(n, p.probs)
-            ratios[r] = _power_sum(counts[counts > 0] / n, cfg.alpha) / s_true
-    else:
-        p, q, diag_weight = _family_bivariate(cfg)
-        if diag_weight is not None:
-            raise UsageError("bias for thm2_divergence uses independent samples")
-        s_true = float(cross_power_sum(p, q, cfg.alpha))
-        for r in range(cfg.B):
-            rng = replicate_stream(cfg.master_seed, r)
-            phat = rng.multinomial(n, p.probs) / n
-            qhat = rng.multinomial(n, q.probs) / n
-            ratios[r] = _cross_power_sum(phat, qhat, cfg.alpha) / s_true
-    return float(ratios.mean() - 1.0)
+
+    def ratio(r):
+        n_rep, counts = _replicate_counts(cfg, norm, n, r)
+        if cfg.statistic == "thm1_entropy":
+            c, = counts
+            return _power_sum(c[c > 0] / n_rep, cfg.alpha) / norm.s_true
+        return _cross_power_sum(counts[0] / n_rep, counts[1] / n_rep, cfg.alpha) / norm.s_true
+
+    return float(_run_replicates(cfg, ratio).mean() - 1.0)

@@ -18,10 +18,10 @@ from scipy.special import chdtrc
 from .asymptotics import (
     EstimateWithCI,
     TestReport,
+    _exp_ci,
     divergence_ci,
     entropy_ci,
     equality_test,
-    hill_ci,
     normal_quantile,
 )
 from .counts import CountVector, as_count_vector
@@ -54,7 +54,6 @@ class MixtureDecomposition:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    alpha: float = 0.5
     ci_level: float = 0.95
     equality_level: float = 0.05
     noise_level: float = 0.01
@@ -183,10 +182,6 @@ def diversity_pipeline(cx, cy, alpha: float = 0.5,
         entropy_ci(sx, alpha, level=cfg.ci_level),
         entropy_ci(sy, alpha, level=cfg.ci_level),
     )
-    hills = (
-        hill_ci(sx, alpha, level=cfg.ci_level),
-        hill_ci(sy, alpha, level=cfg.ci_level),
-    )
     return PipelineReport(
         alpha=alpha,
         decompositions=(dx, dy),
@@ -196,7 +191,7 @@ def diversity_pipeline(cx, cy, alpha: float = 0.5,
         equality_rejected=bool(rejected),
         divergence=divergence,
         entropies=entropies,
-        hill_numbers=hills,
+        hill_numbers=tuple(_exp_ci(h) for h in entropies),
         signal_totals=(sx.n, sy.n),
     )
 

@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import renydiv
@@ -502,6 +503,9 @@ class TestCli:
         # n past 2**63 - 1, derived (m = 40) or given
         ("epsilon", "100", "100"), ("epsilon", "1000000", "1000000"),
         ("n_override", "10000000000000000000000", "10000000000000000000000"),
+        # m past the 2**31 - 1 cap, with a small n given on a line of its own
+        ("m", "1000000000000000000000000000000\nn_override = 10",
+         "1000000000000000000000000000000"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, key, raw, shown):
         values = {"family": "power_law", "beta": "1.0", "m": "40", "epsilon": "1.0",
@@ -569,6 +573,77 @@ class TestCli:
         if dec["noise_components"]:
             comp = dec["noise_components"][0]
             assert {"size", "level", "mean_count", "categories"} <= set(comp)
+
+
+TABLE_COMMANDS = ["entropy", "divergence", "filter-noise", "test-equality", "test-homogeneity",
+                  "fit-powerlaw", "pipeline"]
+
+
+@pytest.fixture
+def four_col(tmp_path):
+    rng = np.random.default_rng(302)
+    cols = [rng.multinomial(20000, powerlaw_pmf(beta, 60).probs) for beta in (0.9, 1.0, 0.9, 1.1)]
+    path = tmp_path / "four.tsv"
+    write_table(path, ["category", "x", "y", "x2", "y2"],
+                [[f"g{i}", *(int(c[i]) for c in cols)] for i in range(60)])
+    return str(path)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *[(command, "--seed", "3") for command in TABLE_COMMANDS],
+    *[(command, "--level", "0.1")
+      for command in ("filter-noise", "test-equality", "test-homogeneity", "fit-powerlaw")],
+    *[(command, "--alpha", "0.9") for command in ("filter-noise", "fit-powerlaw", "simulate")],
+    ("simulate", "--level", "0.1"), ("simulate", "--format", "tsv"),
+])
+def test_unread_flag_exits_2(tmp_path, four_col, capsys, command, flag, value):
+    # a command offers only the flags it reads, so an unread one is an error, not a no-op
+    if command == "simulate":
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("family = power_law\nbeta = 1.0\nm = 20\nepsilon = 1.0\n"
+                       "B = 10\nstatistic = thm1_entropy\n")
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = [command, four_col]
+    argv += ["--output", str(tmp_path / "out")]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert run_cli(argv + [flag, value]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+_COUNT = st.one_of(st.integers(0, 60), st.sampled_from([2**62, 2**63 - 1, 10**18]))
+
+
+@st.composite
+def near_valid_tables(draw):
+    """A small count table with some of: a BOM, blank lines, trailing tabs,
+    zero or huge counts, one row, only the category column."""
+    n_cols = draw(st.integers(0, 4))
+    lines = ["category" + "".join(f"\ts{k}" for k in range(n_cols))]
+    lines += [f"g{i}" + "".join(f"\t{draw(_COUNT)}" for _ in range(n_cols))
+              for i in range(draw(st.integers(1, 6)))]
+    for flaw in draw(st.sets(st.sampled_from(["blank", "tab"]))):
+        at = draw(st.integers(0, len(lines) - 1))
+        if flaw == "blank":
+            lines.insert(at + 1, "")
+        else:
+            lines[at] += "\t"
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    return (("\ufeff" if draw(st.booleans()) else "") + text).encode()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(TABLE_COMMANDS),
+       data=st.one_of(st.binary(max_size=48), near_valid_tables()))
+def test_table_commands_fuzz(tmp_path, command, data):
+    # any input ends in a result or a pointed error, never an internal one, and soon
+    path = tmp_path / "fuzz.tsv"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    assert run_cli([command, str(path), "--output", str(tmp_path / "out")]) in (0, 2)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_cli_import_leaves_scipy_stats_out():

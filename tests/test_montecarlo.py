@@ -27,6 +27,7 @@ from renydiv import (
     ks_distance_normal,
     mixture_distribution,
     normal_quantile,
+    power_sum,
     powerlaw_pmf,
     projection_w_moments,
     renyi_entropy,
@@ -105,6 +106,31 @@ BASE = dict(family="power_law", beta=1.0, m=30, epsilon=1.0, alpha=0.5,
             B=40, master_seed=7)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The sizes of the thread pools a run asks for; submitted work runs inline."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    return sizes
+
+
 class TestSimulateStatistic:
     def test_determinism_across_workers(self):
         cfg1 = SimConfig(statistic="thm1_entropy", workers=1, **BASE)
@@ -115,28 +141,7 @@ class TestSimulateStatistic:
         assert r1.ks_distance == r4.ks_distance
         assert np.array_equal(r1.qq_pairs, r4.qq_pairs)
 
-    def test_pool_capped_at_cpus_and_replicates(self, monkeypatch):
-        pools = []
-
-        class RecordingPool:
-            """Runs submitted work inline and records the requested pool size."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    def test_pool_capped_at_cpus_and_replicates(self, monkeypatch, pools):
         serial = simulate_statistic(SimConfig(statistic="thm1_entropy", **BASE)).samples
         assert pools == []
         for workers, B, pool_size in ((10**5, 40, 3), (10**5, 2, 2), (2, 40, 2)):
@@ -406,6 +411,48 @@ class TestExperiments:
                         m=100, n_override=20000, statistic="thm2_divergence",
                         alpha=0.5, B=200, master_seed=16)
         assert bias_experiment(cfg) <= 3e-4
+
+    @pytest.mark.parametrize("experiment", [lambda cfg: coverage_experiment(cfg, 0.95),
+                                            bias_experiment])
+    @pytest.mark.parametrize("extra", [
+        {"statistic": "thm1_entropy"},
+        {"statistic": "thm2_divergence", "family": "bivariate_product", "beta2": 0.5},
+    ])
+    def test_experiments_honour_workers(self, pools, experiment, extra):
+        cfg = SimConfig(**{**BASE, "n_override": 2000, **extra})
+        serial = experiment(cfg)
+        assert pools == []
+        assert experiment(dataclasses.replace(cfg, workers=2)).hex() == serial.hex()
+        assert pools == [2]
+
+    def test_experiments_threads_give_serial_bits(self):
+        cfg = SimConfig(statistic="thm1_entropy", **{**BASE, "n_override": 2000})
+        for experiment in (lambda c: coverage_experiment(c, 0.95), bias_experiment):
+            assert (experiment(dataclasses.replace(cfg, workers=2)).hex()
+                    == experiment(cfg).hex())
+
+    def test_bias_thins_each_replicate(self):
+        # the reference thins n by the harness rule: Binomial(n, tau), redrawn while empty
+        n, tau = 60, 0.3
+        cfg = SimConfig(statistic="thm1_entropy", thinning_tau=tau,
+                        **{**BASE, "n_override": n, "master_seed": 17})
+        p = powerlaw_pmf(1.0, BASE["m"])
+        ratios = np.empty(cfg.B)
+        for r in range(cfg.B):
+            rng = replicate_stream(17, r)
+            n_rep = 0
+            while n_rep == 0:
+                n_rep = int(rng.binomial(n, tau))
+            counts = rng.multinomial(n_rep, p.probs)
+            ratios[r] = power_sum(counts / n_rep, 0.5) / power_sum(p, 0.5)
+        assert bias_experiment(cfg) == ratios.mean() - 1.0
+        assert bias_experiment(dataclasses.replace(cfg, thinning_tau=None)) != ratios.mean() - 1.0
+
+    @pytest.mark.parametrize("experiment", [lambda cfg: coverage_experiment(cfg, 0.95),
+                                            bias_experiment])
+    def test_experiments_reject_a_degenerate_population(self, experiment):
+        with pytest.raises(UsageError, match="degenerate"):
+            experiment(SimConfig(**{**BASE, "family": "uniform", "statistic": "thm1_entropy"}))
 
 
 class TestCLTQualityInvariants:
