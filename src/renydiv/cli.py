@@ -5,10 +5,12 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .asymptotics import divergence_ci, entropy_ci, equality_test
 from .errors import RenydivError
-from .io import dumps_report, dumps_report_tsv, parse_count_table, read_text
+from .io import NameList, dumps_report_tsv, jsonable, parse_count_table, read_text, write_report
 from .montecarlo import SimConfig, simulate_statistic
 from .pipeline import PipelineConfig, diversity_pipeline, filter_noise, homogeneity_test
 from .powerlaw import fit_powerlaw_ls
@@ -112,11 +114,21 @@ def _write(text: str, output) -> None:
 
 
 def _emit(payload, args) -> None:
-    _write(dumps_report_tsv(payload) if args.format == "tsv" else dumps_report(payload) + "\n",
-           args.output)
+    """Write the report as TSV, or as JSON encoded straight into the sink."""
+    if args.format == "tsv":
+        _write(dumps_report_tsv(payload), args.output)
+        return
+    report = jsonable(payload)  # before --output is opened, which truncates it
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            write_report(report, fh)
+            fh.write("\n")
+    else:
+        write_report(report, sys.stdout)
+        sys.stdout.write("\n")
 
 
-def _decomposition_payload(dec, categories) -> dict:
+def _decomposition_payload(dec, names) -> dict:
     # full MixtureDecomposition plus the k_m alias used in tabular summaries
     return {
         "cutoff_k_m": dec.cutoff_k_m,
@@ -129,11 +141,11 @@ def _decomposition_payload(dec, categories) -> dict:
                 "size": comp.size,
                 "level": comp.level,
                 "mean_count": comp.mean_count,
-                "categories": [categories[i] for i in comp.categories.tolist()],
+                "categories": NameList(names, comp.categories),
             }
             for comp in dec.noise_components
         ],
-        "signal_categories": [categories[i] for i in dec.signal_categories.tolist()],
+        "signal_categories": NameList(names, dec.signal_categories),
     }
 
 
@@ -210,11 +222,12 @@ def _dispatch(args) -> None:
         _emit({"alpha": args.alpha, "x": nx, "y": ny, "D_alpha": ci}, args)
     elif args.command == "filter-noise":
         table = parse_count_table(args.table)
+        names = np.array(table.categories, dtype=object)  # shared by the samples
         payload = {
             name: _decomposition_payload(
                 filter_noise(table.count_vector(name), level=args.noise_level,
                              max_K=args.max_k),
-                table.categories,
+                names,
             )
             for name in table.sample_names
         }
@@ -244,6 +257,7 @@ def _dispatch(args) -> None:
         _emit(payload, args)
     elif args.command == "pipeline":
         nx, cx, ny, cy, cats = _pair_from_tables(args.table, args.table2)
+        names = np.array(cats, dtype=object)
         cfg = PipelineConfig(
             ci_level=args.level, equality_level=args.equality_level,
             noise_level=args.noise_level, max_noise_components=args.max_k,
@@ -255,10 +269,10 @@ def _dispatch(args) -> None:
         payload = {
             "alpha": report.alpha,
             "samples": {
-                nx: {**_decomposition_payload(dx, cats),
+                nx: {**_decomposition_payload(dx, names),
                      "n_signal": report.signal_totals[0],
                      "H_alpha": hx, "ENC_alpha": ex},
-                ny: {**_decomposition_payload(dy, cats),
+                ny: {**_decomposition_payload(dy, names),
                      "n_signal": report.signal_totals[1],
                      "H_alpha": hy, "ENC_alpha": ey},
             },

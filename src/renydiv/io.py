@@ -168,12 +168,26 @@ def _round_sig(x: float, digits: int = 9):
     return x
 
 
+@dataclass(frozen=True, eq=False)
+class NameList:
+    """A list of category names: positions `index` into the name table `names`.
+
+    `names` is an object array shared by every sample of one count table, so
+    a report lists ~1e6 categories without a per-name copy of them.
+    """
+
+    names: np.ndarray  # object array of str
+    index: np.ndarray  # int positions into names
+
+
 def jsonable(obj):
     """Convert reports (dataclasses, arrays, numpy scalars) to JSON-ready values.
 
     Floats carry 9 significant digits; key order follows field declaration
-    order so output is stable.
+    order so output is stable. A NameList passes through as it is.
     """
+    if isinstance(obj, NameList):
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -183,7 +197,7 @@ def jsonable(obj):
             return obj.tolist()
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
-        return [v if type(v) is str else jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, (np.floating,)):
         return _round_sig(float(obj))
     if isinstance(obj, float):
@@ -196,47 +210,61 @@ def jsonable(obj):
 
 
 def dumps_report(obj) -> str:
-    """`json.dumps(jsonable(obj), indent=2)`, byte for byte.
-
-    The layout is written here so that a list of strings (category names,
-    up to ~1e6 of them) is escaped and joined in one call each, instead of
-    element by element in json's pure-Python indenting encoder.
-    """
+    """`json.dumps(jsonable(obj), indent=2)`, byte for byte, with each NameList
+    written as its list of names."""
     out: list[str] = []
-    _dump(jsonable(obj), "\n", out)
+    _dump(jsonable(obj), "\n", out.append)
     return "".join(out)
 
 
-def _dump(value, newline: str, out: list) -> None:
-    """Append the indent=2 JSON of a jsonable value; `newline` carries its indent."""
+def write_report(obj, fh) -> None:
+    """Write `dumps_report(obj)` to the text file `fh` piece by piece as it is
+    encoded, so the whole report never sits in memory as one string. A write
+    that fails part way leaves the part already written in the file."""
+    _dump(jsonable(obj), "\n", fh.write)
+
+
+def _dump(value, newline: str, write) -> None:
+    """Pass the indent=2 JSON of a jsonable value to `write` in pieces;
+    `newline` carries its indent.
+
+    A NameList's names are escaped and joined in one call, instead of
+    element by element in json's pure-Python indenting encoder.
+    """
     inner = newline + "  "
     if isinstance(value, dict) and value:
-        out.append("{")
+        write("{")
         sep = inner
         for key, item in value.items():
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _dump(item, inner, out)
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _dump(item, inner, write)
             sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, list) and value and set(map(type, value)) <= {str}:
-        out.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value))
-                   + newline + "]")
+        write(newline + "}")
+    elif isinstance(value, NameList):
+        if len(value.index):
+            write("[" + inner)
+            write(("," + inner).join(map(encode_basestring_ascii,
+                                         value.names[value.index].tolist())))
+            write(newline + "]")
+        else:
+            write("[]")
     elif isinstance(value, list) and value:
-        out.append("[")
+        write("[")
         sep = inner
         for item in value:
-            out.append(sep)
-            _dump(item, inner, out)
+            write(sep)
+            _dump(item, inner, write)
             sep = "," + inner
-        out.append(newline + "]")
+        write(newline + "]")
     else:
-        out.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 def dumps_report_tsv(obj) -> str:
     """Flatten a report into `dotted.key<TAB>value` lines for spreadsheets.
 
-    A list's scalars (up to ~1e6 category names) are written in its own loop.
+    A NameList's names (up to ~1e6 of them) are written unescaped, with
+    their positions, in one loop.
     """
     lines: list[str] = []
 
@@ -244,9 +272,12 @@ def dumps_report_tsv(obj) -> str:
         if isinstance(value, dict):
             for k, v in value.items():
                 walk(f"{prefix}.{k}" if prefix else str(k), v)
+        elif isinstance(value, NameList):
+            lines.extend(f"{prefix}[{i}]\t{name}"
+                         for i, name in enumerate(value.names[value.index].tolist()))
         elif isinstance(value, list):
             for i, v in enumerate(value):
-                if isinstance(v, (dict, list)):
+                if isinstance(v, (dict, list, NameList)):
                     walk(f"{prefix}[{i}]", v)
                 else:
                     lines.append(f"{prefix}[{i}]\t{'' if v is None else v}")

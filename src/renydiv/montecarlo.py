@@ -49,10 +49,11 @@ M_MAX = 2**31 - 1
 class SimConfig:
     """Configuration of one simulation run.
 
-    n is round(m^(1+epsilon)) unless n_override is given. Family parameters:
-    power_law uses beta; noise_and_signal uses p0 (signal mass) with m-1
-    uniform noise categories; mixture uses signal_beta/signal_m/
-    signal_fraction plus per-block noise sizes and mass fractions;
+    n is round(m^(1+epsilon)), or n_override; set one of the two. Family
+    parameters: power_law uses beta; noise_and_signal uses p0 (signal mass)
+    with m-1 uniform noise categories; mixture uses signal_beta/signal_m/
+    signal_fraction plus per-block noise sizes and mass fractions, and its
+    m must equal sum(noise_block_sizes) + signal_m;
     bivariate_product uses beta for p and beta2 for q (q = p when beta2 is
     None); bivariate_joint puts diag_weight extra mass on the diagonal of
     the power-law product (equal marginals for any weight). m, signal_m and
@@ -142,6 +143,16 @@ class SimConfig:
             raise UsageError(f"{self.statistic} needs a univariate family")
         if self.statistic == "thm3_uniform_entropy" and self.family != "uniform":
             raise UsageError("thm3_uniform_entropy is defined for the uniform family")
+        if self.family == "mixture" and self.signal_m is not None:
+            sizes = self.noise_block_sizes
+            support = sum(sizes if isinstance(sizes, tuple) else (sizes,)) + self.signal_m
+            if self.m != support:
+                raise ValidationError(f"config key m = {self.m!r} differs from the mixture "
+                                      f"support sum(noise_block_sizes) + signal_m = {support}")
+        if self.epsilon is not None and self.n_override is not None:
+            raise ValidationError(f"config keys epsilon = {self.epsilon!r} and n_override = "
+                                  f"{self.n_override!r} are both set; n_override replaces "
+                                  f"n = m^(1 + epsilon), so set only one")
         self.n()
 
 

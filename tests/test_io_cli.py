@@ -1,11 +1,13 @@
 """Count-table parsing, report serialization, and the CLI contract."""
 import dataclasses
+import io as stdio
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,13 @@ from renydiv import ValidationError, io, powerlaw_pmf
 from renydiv.cli import load_sim_config, run_cli
 from renydiv.io import (
     CountTableFile,
+    NameList,
     dumps_report,
     dumps_report_tsv,
     jsonable,
     parse_count_table,
     write_count_table,
+    write_report,
 )
 
 
@@ -264,7 +268,10 @@ class TestJsonable:
 
 
 def reference_jsonable(obj):
-    """jsonable as it converted before its array and string-list fast paths."""
+    """jsonable as it converted before its array and string-list fast paths;
+    a NameList becomes the list of its names."""
+    if isinstance(obj, NameList):
+        return [obj.names[i] for i in obj.index.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: reference_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -325,9 +332,13 @@ arrays = st.one_of(
     st.lists(st.floats(), max_size=6).map(lambda v: np.array(v, dtype=float)),
     st.lists(int64s, min_size=6, max_size=6).map(lambda v: np.array(v).reshape(2, 3)),
 )
+name_lists = st.one_of(st.lists(odd_text, min_size=1, max_size=5),
+                       st.lists(plain_text, min_size=1, max_size=5)).flatmap(
+    lambda table: st.lists(st.integers(0, len(table) - 1), max_size=8).map(
+        lambda index: NameList(np.array(table, dtype=object), np.array(index, dtype=np.intp))))
 reports = st.recursive(
     st.one_of(scalars, arrays, st.lists(odd_text, max_size=5),
-              st.lists(plain_text, max_size=5)),
+              st.lists(plain_text, max_size=5), name_lists),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.tuples(children, children),
@@ -342,7 +353,11 @@ class TestEmitter:
     @settings(max_examples=300, deadline=None)
     @given(obj=reports)
     def test_matches_reference_encoding(self, obj):
-        assert dumps_report(obj) == json.dumps(reference_jsonable(obj), indent=2)
+        expected = json.dumps(reference_jsonable(obj), indent=2)
+        assert dumps_report(obj) == expected
+        sink = stdio.StringIO()
+        write_report(obj, sink)
+        assert sink.getvalue() == expected
         assert dumps_report_tsv(obj) == reference_tsv(obj)
 
     @pytest.mark.parametrize("names", [["g1", "g 2", "x:y"], ['q"', "b\\s", "é", "\x01", ""]])
@@ -421,6 +436,43 @@ class TestCli:
         assert run_cli(["entropy", "--output", str(out), two_col]) == 0
         payload = json.loads(out.read_text())
         assert "H_alpha" in payload
+
+    def test_pipeline_emission_stays_under_parse_peak(self, tmp_path):
+        # the report lists all m category names; writing it must not need
+        # more memory than parsing the table did
+        m, reads = 200_000, 2_000_000
+        rng = np.random.default_rng(20240611)
+        signal_m, blocks = m // 5, (m // 2, m - m // 2 - m // 5)
+        w = np.arange(1, signal_m + 1, dtype=float) ** -1.0
+        cols = [np.concatenate([rng.multinomial(reads // 2, w / w.sum())]
+                               + [np.bincount(rng.integers(0, size, reads // 4), minlength=size)
+                                  for size in blocks])
+                for _ in range(2)]
+        path, out = tmp_path / "table.tsv", tmp_path / "report.json"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("category\tx\ty\n")
+            for i in rng.permutation(m).tolist():
+                fh.write(f"g{i:06d}\t{int(cols[0][i])}\t{int(cols[1][i])}\n")
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                return fn(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, parse_peak = traced_peak(lambda: parse_count_table(path))
+        rc, run_peak = traced_peak(lambda: run_cli(["pipeline", str(path), "--output", str(out)]))
+        assert rc == 0 and out.stat().st_size > 20 * m
+        assert run_peak <= parse_peak + 2**20
+
+    @pytest.mark.parametrize("command", ["pipeline", "filter-noise"])
+    def test_output_file_matches_stdout(self, command, pair_table, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli([command, pair_table]) == 0
+        out = tmp_path / "report.json"
+        assert run_cli([command, pair_table, "--output", str(out)]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
     def test_exit_codes(self, tmp_path, two_col):
         assert run_cli(["bogus-command"]) == 2
@@ -503,6 +555,8 @@ class TestCli:
         # n past 2**63 - 1, derived (m = 40) or given
         ("epsilon", "100", "100"), ("epsilon", "1000000", "1000000"),
         ("n_override", "10000000000000000000000", "10000000000000000000000"),
+        # n_override would silently replace the epsilon of the base config
+        ("n_override", "2000", "2000"),
         # m past the 2**31 - 1 cap, with a small n given on a line of its own
         ("m", "1000000000000000000000000000000\nn_override = 10",
          "1000000000000000000000000000000"),
@@ -538,6 +592,23 @@ class TestCli:
         )
         assert run_cli(["simulate", "--config", str(cfg)]) == 0
         assert "# ks_distance=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sizes, fractions, m", [
+        ("200", "0.4", "1000"), ("200", "0.4", "229"), ("300, 100", "0.3, 0.1", "400"),
+    ])
+    def test_simulate_mixture_m_off_support_exits_2(self, tmp_path, capsys, sizes, fractions, m):
+        # the mixture's support is the noise blocks plus signal_m = 30; an m
+        # that differs would standardize with the wrong number of categories
+        cfg = tmp_path / "mix.cfg"
+        cfg.write_text(
+            "family = mixture\nsignal_beta = 1.0\nsignal_m = 30\n"
+            f"signal_fraction = 0.6\nnoise_block_sizes = {sizes}\n"
+            f"noise_block_fractions = {fractions}\nm = {m}\nn_override = 10000\n"
+            "alpha = 0.5\nB = 40\nstatistic = lemma2_pearson\nmaster_seed = 3\n"
+        )
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"m = {m} " in err
 
     def test_report_serialization_stable(self, two_col, capsys):
         run_cli(["entropy", two_col])

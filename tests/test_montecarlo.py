@@ -419,14 +419,14 @@ class TestExperiments:
         {"statistic": "thm2_divergence", "family": "bivariate_product", "beta2": 0.5},
     ])
     def test_experiments_honour_workers(self, pools, experiment, extra):
-        cfg = SimConfig(**{**BASE, "n_override": 2000, **extra})
+        cfg = SimConfig(**{**BASE, "epsilon": None, "n_override": 2000, **extra})
         serial = experiment(cfg)
         assert pools == []
         assert experiment(dataclasses.replace(cfg, workers=2)).hex() == serial.hex()
         assert pools == [2]
 
     def test_experiments_threads_give_serial_bits(self):
-        cfg = SimConfig(statistic="thm1_entropy", **{**BASE, "n_override": 2000})
+        cfg = SimConfig(statistic="thm1_entropy", **{**BASE, "epsilon": None, "n_override": 2000})
         for experiment in (lambda c: coverage_experiment(c, 0.95), bias_experiment):
             assert (experiment(dataclasses.replace(cfg, workers=2)).hex()
                     == experiment(cfg).hex())
@@ -435,7 +435,7 @@ class TestExperiments:
         # the reference thins n by the harness rule: Binomial(n, tau), redrawn while empty
         n, tau = 60, 0.3
         cfg = SimConfig(statistic="thm1_entropy", thinning_tau=tau,
-                        **{**BASE, "n_override": n, "master_seed": 17})
+                        **{**BASE, "epsilon": None, "n_override": n, "master_seed": 17})
         p = powerlaw_pmf(1.0, BASE["m"])
         ratios = np.empty(cfg.B)
         for r in range(cfg.B):
