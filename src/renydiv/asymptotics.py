@@ -102,25 +102,32 @@ def two_sample_chi_square(joint: JointCountTable, p) -> float:
     return _two_sample_chi_square(joint.row_counts(), joint.col_counts(), joint.n, pv.probs)
 
 
-def _null_params(b: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 marg: np.ndarray) -> tuple[float, float]:
-    """mu_n and gamma_n^2 of an equal-marginal joint s_ij = b_i b_j + v_ij, in O(m + cells).
+def _null_params(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray, marg: np.ndarray) -> tuple[float, float]:
+    """mu_n and gamma_n^2 of an equal-marginal joint s_ij = a_i b_j + v_ij, in O(m + cells).
 
     v is listed on its cells (rows, cols, vals), each cell at most once and
     diagonal cells allowed; the marginal `marg` is given explicitly. With
-    x_i = b_i^2 / marg_i the off-diagonal part of gamma_n^2 expands to
-    (sum x)^2 - sum x^2 + sum over the off-diagonal cells of
-    [2 b_i b_j v_ij + (v_ij^2 + v_ij v_ji) / 2] / (marg_i marg_j),
+    x = a^2 / marg, y = b^2 / marg and z = a b / marg, the product part's
+    off-diagonal sum of (a_i b_j + a_j b_i)^2 / (4 marg_i marg_j) is
+    [sum x sum y + (sum z)^2 - 2 sum x y] / 2, which is (sum x)^2 - sum x^2
+    when b is a. The rest of gamma_n^2 sums over the off-diagonal cells
+    [(a_i b_j + a_j b_i) v_ij + (v_ij^2 + v_ij v_ji) / 2] / (marg_i marg_j),
     where v_ji is the cell's transpose partner (0 when unlisted). Diagonal
     cells enter only through s_ii, so no sum of diagonal terms is added and
     then subtracted again.
     """
     m = marg.size
     on_diag = rows == cols
-    s_ii = b * b + np.bincount(rows[on_diag], vals[on_diag], minlength=m)
+    s_ii = a * b + np.bincount(rows[on_diag], vals[on_diag], minlength=m)
     mu = _sum(1.0 - s_ii / marg)
     t1 = _sum(((marg - s_ii) / marg) ** 2)
-    x = b * b / marg
+    x = a * a / marg
+    if b is a:  # one factor: (sum x)^2 itself, since a float's ** 2 and x * x can differ
+        product = _sum(x) ** 2 - _sum(x * x)
+    else:
+        y, z = b * b / marg, a * b / marg
+        product = 0.5 * (_sum(x) * _sum(y) + _sum(z) ** 2) - _sum(x * y)
     off = ~on_diag
     rows, cols, vals = rows[off], cols[off], vals[off]
     # each cell's transpose partner, looked up among the cells sorted by key
@@ -131,9 +138,9 @@ def _null_params(b: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.nda
     at = np.minimum(np.searchsorted(keys, partner_keys), max(keys.size - 1, 0))
     partner = np.where(keys[at] == partner_keys, vals[order][at], 0.0)
     mm = marg[rows] * marg[cols]
-    cells = _sum(b[rows] * b[cols] * vals / mm)
+    cells = _sum((a[rows] * b[cols] + a[cols] * b[rows]) * vals / mm)
     pairs = _sum((vals * vals + vals * partner) / mm)
-    return mu, t1 + (_sum(x) ** 2 - _sum(x * x)) + 2.0 * cells + 0.5 * pairs
+    return mu, t1 + product + cells + 0.5 * pairs
 
 
 def chi_square_null_params(joint: JointDistribution) -> tuple[float, float]:
@@ -142,7 +149,8 @@ def chi_square_null_params(joint: JointDistribution) -> tuple[float, float]:
     mu_n = sum_i (1 - p_ii / p_i);
     gamma_n^2 = sum_i (p_i - p_ii)^2 / p_i^2
               + sum_{i != j} (p_ij + p_ji)^2 / (4 p_i p_j).
-    For an independent product joint both equal m - 1 exactly.
+    For an independent product joint both equal m - 1 exactly. The cost is
+    O(m + cells): the joint's product part enters through O(m) sums.
     """
     if not isinstance(joint, JointDistribution):
         raise ShapeError("chi_square_null_params expects a JointDistribution")
@@ -153,8 +161,8 @@ def chi_square_null_params(joint: JointDistribution) -> tuple[float, float]:
         )
     if np.any(p <= 0):
         raise DomainError("null parameters require strictly positive marginals")
-    rows, cols = np.nonzero(joint.pij)
-    return _null_params(np.zeros(joint.m), rows, cols, joint.pij[rows, cols], p)
+    return _null_params(joint.product_mass * joint.a, joint.b, joint.rows, joint.cols,
+                        joint.vals, p)
 
 
 def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
@@ -364,7 +372,7 @@ def _shrunken_joint_null_params(joint: JointCountTable, alpha: float) -> tuple[f
     v = delta / total
     marg = b * _sum(b) + 0.5 * (np.bincount(ii, v, minlength=rm.size)
                                 + np.bincount(jj, v, minlength=rm.size))
-    return _null_params(b, ii, jj, v, marg)
+    return _null_params(b, b, ii, jj, v, marg)
 
 
 def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent",

@@ -10,7 +10,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import divergence_ci, entropy_ci, equality_test
 from .errors import RenydivError
-from .io import NameList, dumps_report_tsv, jsonable, parse_count_table, read_text, write_report
+from .io import (NameList, jsonable, parse_count_table, read_text, write_report,
+                 write_report_tsv)
 from .montecarlo import SimConfig, simulate_statistic
 from .pipeline import PipelineConfig, diversity_pipeline, filter_noise, homogeneity_test
 from .powerlaw import fit_powerlaw_ls
@@ -114,18 +115,17 @@ def _write(text: str, output) -> None:
 
 
 def _emit(payload, args) -> None:
-    """Write the report as TSV, or as JSON encoded straight into the sink."""
-    if args.format == "tsv":
-        _write(dumps_report_tsv(payload), args.output)
-        return
+    """Write the report as JSON (and a final newline) or as TSV, encoded straight
+    into the sink."""
     report = jsonable(payload)  # before --output is opened, which truncates it
+    write, end = (write_report_tsv, "") if args.format == "tsv" else (write_report, "\n")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            write_report(report, fh)
-            fh.write("\n")
+            write(report, fh)
+            fh.write(end)
     else:
-        write_report(report, sys.stdout)
-        sys.stdout.write("\n")
+        write(report, sys.stdout)
+        sys.stdout.write(end)
 
 
 def _decomposition_payload(dec, names) -> dict:

@@ -42,6 +42,24 @@ def _checked_total(counts: np.ndarray) -> int:
     return int(counts.sum())
 
 
+def _coo_cells(rows, cols, values: np.ndarray, m: int):
+    """(rows, cols, values) of COO cells on an m x m grid as new arrays: int64
+    indices in 0..m-1, cells whose value is 0 dropped, a cell listed twice an error."""
+    rows = _nonnegative_int64(rows, "cell indices")
+    cols = _nonnegative_int64(cols, "cell indices")
+    if not (rows.ndim == cols.ndim == values.ndim == 1
+            and rows.size == cols.size == values.size):
+        raise ValidationError("rows, cols and cell values must be 1-D and of one length")
+    if rows.size and max(rows.max(), cols.max()) >= m:
+        raise ValidationError(f"cell index outside 0..{m - 1}")
+    keep = values > 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    flat = np.sort(rows * m + cols)
+    if np.any(flat[1:] == flat[:-1]):
+        raise ValidationError("duplicate cells in the joint table")
+    return rows, cols, values
+
+
 @dataclass(frozen=True, eq=False)
 class CountVector:
     """Non-negative integer counts per category for a single sample."""
@@ -100,24 +118,13 @@ class JointCountTable:
         m = self.m
         if m < 1:
             raise ValidationError("m must be >= 1")
-        rows = _nonnegative_int64(self.rows, "cell indices")
-        cols = _nonnegative_int64(self.cols, "cell indices")
-        counts = _nonnegative_int64(self.counts, "cell counts")
-        if not (rows.ndim == cols.ndim == counts.ndim == 1
-                and rows.size == cols.size == counts.size):
-            raise ValidationError("rows, cols and counts must be 1-D and of one length")
-        if rows.size and max(rows.max(), cols.max()) >= m:
-            raise ValidationError(f"cell index outside 0..{m - 1}")
-        keep = counts > 0
-        rows, cols, counts = rows[keep], cols[keep], counts[keep]
-        flat = np.sort(rows * m + cols)
-        if np.any(flat[1:] == flat[:-1]):
-            raise ValidationError("duplicate cells in the joint table")
+        rows, cols, counts = _coo_cells(self.rows, self.cols,
+                                        _nonnegative_int64(self.counts, "cell counts"), m)
         total = _checked_total(counts)
         if total < 1:
             raise ValidationError("total count n must be >= 1")
         for name, arr in (("rows", rows), ("cols", cols), ("counts", counts)):
-            arr.setflags(write=False)  # boolean indexing above made them copies
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n", total)
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .counts import _coo_cells
 from .errors import DomainError, ShapeError, ValidationError
 
 PROB_SUM_TOL = 1e-12
@@ -106,49 +107,63 @@ def as_prob_vector(p) -> ProbVector:
     return ProbVector(np.asarray(p, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """A bivariate distribution (p_ij) over m x m categories with derived marginals."""
+    """A bivariate distribution over m x m categories in O(m + cells) memory:
+    p_ij = product_mass * a_i b_j, plus vals[k] on each listed cell (rows[k], cols[k]).
 
-    pij: np.ndarray
+    a and b are probability vectors of one size m. Each cell is listed at
+    most once and cells of value 0 are dropped; product_mass plus the cell
+    values sum to 1 within PROB_SUM_TOL. product(p, q) has no cells,
+    diagonal_mix(p, w) is (1 - w) p x p plus m diagonal cells, and
+    from_dense(matrix) puts all of a matrix's mass in cells. The marginals
+    row and col are derived; every array is read-only.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    product_mass: float = 1.0
+    rows: np.ndarray = ()
+    cols: np.ndarray = ()
+    vals: np.ndarray = ()
     row: np.ndarray = field(init=False)
     col: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.pij, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-            raise ValidationError("joint distribution must be a square m x m matrix")
-        if not np.all(np.isfinite(mat)):
+        a, b = as_prob_vector(self.a).probs, as_prob_vector(self.b).probs
+        m = a.size
+        if b.size != m:
+            raise ShapeError(f"factor sizes differ: {m} vs {b.size}")
+        lam = float(self.product_mass)
+        if not 0.0 <= lam <= 1.0:
+            raise ValidationError(f"product_mass must lie in [0, 1], got {lam!r}")
+        vals = np.asarray(self.vals, dtype=float)
+        if not np.all(np.isfinite(vals)):
             raise ValidationError("joint distribution has non-finite entries")
-        if np.any(mat < 0):
+        if np.any(vals < 0):
             raise ValidationError("joint distribution has negative entries")
-        total = _sum(mat)
+        rows, cols, vals = _coo_cells(self.rows, self.cols, vals, m)
+        total = _sum(np.append(vals, lam))
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValidationError(
                 f"joint probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}"
             )
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "pij", mat)
-        row = mat.sum(axis=1)
-        col = mat.sum(axis=0)
-        row.setflags(write=False)
-        col.setflags(write=False)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
+        row = lam * a * _sum(b) + np.bincount(rows, vals, minlength=m)
+        col = lam * b * _sum(a) + np.bincount(cols, vals, minlength=m)
+        object.__setattr__(self, "product_mass", lam)
+        for name, arr in (("a", a), ("b", b), ("rows", rows), ("cols", cols), ("vals", vals),
+                          ("row", row), ("col", col)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:
-        return int(self.pij.shape[0])
+        return int(self.a.size)
 
     @classmethod
     def product(cls, p, q) -> "JointDistribution":
         """Independent joint with the given marginals."""
-        pv = as_prob_vector(p)
-        qv = as_prob_vector(q)
-        if pv.m != qv.m:
-            raise ShapeError(f"marginal sizes differ: {pv.m} vs {qv.m}")
-        return cls(np.outer(pv.probs, qv.probs))
+        return cls(p, q)
 
     @classmethod
     def diagonal_mix(cls, p, diag_weight: float) -> "JointDistribution":
@@ -160,6 +175,16 @@ class JointDistribution:
         w = float(diag_weight)
         if not (0.0 <= w <= 1.0):
             raise DomainError("diag_weight must lie in [0, 1]")
-        mat = (1.0 - w) * np.outer(pv.probs, pv.probs)
-        mat[np.diag_indices(pv.m)] += w * pv.probs
-        return cls(mat)
+        diag = np.arange(pv.m)
+        return cls(pv, pv, 1.0 - w, diag, diag, w * pv.probs)
+
+    @classmethod
+    def from_dense(cls, matrix) -> "JointDistribution":
+        """The joint whose cells are the nonzero entries of a square matrix; its
+        product part has mass 0 (a and b are then uniform and weigh nothing)."""
+        mat = np.asarray(matrix, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
+            raise ValidationError("joint distribution must be a square m x m matrix")
+        rows, cols = np.nonzero(mat)
+        uniform = ProbVector.uniform(mat.shape[0])
+        return cls(uniform, uniform, 0.0, rows, cols, mat[rows, cols])

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from io import StringIO
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -260,29 +261,49 @@ def _dump(value, newline: str, write) -> None:
         write(json.dumps(value))
 
 
+# names per TSV write: one join per chunk, whose lines (~100 bytes each with
+# their key) then never all sit in memory at once
+_TSV_NAMES = 2**14
+
+
 def dumps_report_tsv(obj) -> str:
     """Flatten a report into `dotted.key<TAB>value` lines for spreadsheets.
 
     A NameList's names (up to ~1e6 of them) are written unescaped, with
-    their positions, in one loop.
+    their positions, one join per _TSV_NAMES names. An empty report is one
+    empty line.
     """
-    lines: list[str] = []
+    sink = StringIO()
+    write_report_tsv(obj, sink)
+    return sink.getvalue()
 
-    def walk(prefix, value):
-        if isinstance(value, dict):
-            for k, v in value.items():
-                walk(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, NameList):
-            lines.extend(f"{prefix}[{i}]\t{name}"
-                         for i, name in enumerate(value.names[value.index].tolist()))
-        elif isinstance(value, list):
-            for i, v in enumerate(value):
-                if isinstance(v, (dict, list, NameList)):
-                    walk(f"{prefix}[{i}]", v)
-                else:
-                    lines.append(f"{prefix}[{i}]\t{'' if v is None else v}")
-        else:
-            lines.append(f"{prefix}\t{'' if value is None else value}")
 
-    walk("", jsonable(obj))
-    return "\n".join(lines) + "\n"
+def write_report_tsv(obj, fh) -> None:
+    """Write `dumps_report_tsv(obj)` to the text file `fh` piece by piece, as
+    write_report does for JSON."""
+    wrote = False
+
+    def write(text):
+        nonlocal wrote
+        wrote = True
+        fh.write(text)
+
+    _dump_tsv(jsonable(obj), "", write)
+    if not wrote:
+        fh.write("\n")
+
+
+def _dump_tsv(value, prefix: str, write) -> None:
+    """Pass the TSV lines of a jsonable value under the key `prefix` to `write`."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _dump_tsv(v, f"{prefix}.{k}" if prefix else str(k), write)
+    elif isinstance(value, NameList):
+        for start in range(0, len(value.index), _TSV_NAMES):
+            names = value.names[value.index[start:start + _TSV_NAMES]].tolist()
+            write("".join(f"{prefix}[{i}]\t{name}\n" for i, name in enumerate(names, start)))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _dump_tsv(v, f"{prefix}[{i}]", write)
+    else:
+        write(f"{prefix}\t{'' if value is None else value}\n")

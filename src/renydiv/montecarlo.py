@@ -32,9 +32,15 @@ from .projections import _degenerate, projection_w_moments, v_moments_independen
 UNIVARIATE_STATISTICS = {"thm1_entropy", "thm3_uniform_entropy", "lemma2_pearson"}
 BIVARIATE_STATISTICS = {"thm2_divergence", "thm4_degenerate_divergence", "lemma2_two_sample"}
 STATISTICS = UNIVARIATE_STATISTICS | BIVARIATE_STATISTICS
-FAMILIES = {
-    "power_law", "uniform", "noise_and_signal", "mixture",
-    "bivariate_product", "bivariate_joint",
+# the family fields each family reads; validate() rejects any other one that is set
+FAMILY_FIELDS = {
+    "power_law": ("beta",),
+    "uniform": (),
+    "noise_and_signal": ("p0",),
+    "mixture": ("signal_beta", "signal_m", "signal_fraction", "noise_block_sizes",
+                "noise_block_fractions"),
+    "bivariate_product": ("beta", "beta2"),
+    "bivariate_joint": ("beta", "diag_weight"),
 }
 # SimConfig fields by kind; the noise_block_* ones may also hold a tuple of that kind
 _INTEGER_FIELDS = ("m", "n_override", "B", "master_seed", "workers", "signal_m",
@@ -56,8 +62,9 @@ class SimConfig:
     m must equal sum(noise_block_sizes) + signal_m;
     bivariate_product uses beta for p and beta2 for q (q = p when beta2 is
     None); bivariate_joint puts diag_weight extra mass on the diagonal of
-    the power-law product (equal marginals for any weight). m, signal_m and
-    each noise block size are at most M_MAX = 2**31 - 1.
+    the power-law product (equal marginals for any weight). A family field
+    that the family does not read (FAMILY_FIELDS) must stay unset. m,
+    signal_m and each noise block size are at most M_MAX = 2**31 - 1.
     """
 
     family: str
@@ -119,8 +126,14 @@ class SimConfig:
 
     def validate(self) -> None:
         self._check_types()
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_FIELDS:
             raise UsageError(f"unknown family {self.family!r}")
+        unread = set().union(*FAMILY_FIELDS.values()) - set(FAMILY_FIELDS[self.family])
+        for name in sorted(unread):
+            value = getattr(self, name)
+            if value != SimConfig.__dataclass_fields__[name].default:
+                raise ValidationError(f"config key {name} = {value!r} is not read by the "
+                                      f"{self.family} family")
         if self.statistic not in STATISTICS:
             raise UsageError(f"unknown statistic {self.statistic!r}")
         if self.B < 1:
@@ -178,12 +191,28 @@ def sample_multinomial(p, n: int, stream: np.random.Generator) -> CountVector:
 
 
 def sample_joint(joint: JointDistribution, n: int, stream: np.random.Generator) -> JointCountTable:
-    """One multinomial draw over the m x m cells of a bivariate distribution."""
+    """One multinomial draw of n pairs over the m x m cells of a bivariate distribution,
+    in O(m + n log n) time and O(m + n) memory.
+
+    N ~ Binomial(n, product_mass / total mass) pairs fall in the product part:
+    their rows are one multinomial(N, a) draw and their columns N independent
+    inverse-CDF draws from b (Devroye 1986, ch. III). The other n - N are one
+    multinomial draw over the cells. One np.unique of the cell keys gives the table.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
-    flat = stream.multinomial(n, joint.pij.ravel())
-    k = np.flatnonzero(flat)
-    return JointCountTable(k // joint.m, k % joint.m, flat[k], joint.m)
+    m, lam, vals = joint.m, joint.product_mass, joint.vals
+    cell_mass = _sum(vals)
+    n_product = int(stream.binomial(n, lam / (lam + cell_mass)))
+    keys = np.repeat(np.arange(0, m * m, m), stream.multinomial(n_product, joint.a))
+    cdf = np.cumsum(joint.b)
+    cdf /= cdf[-1]  # so every uniform draw in [0, 1) falls below the last step
+    keys += np.searchsorted(cdf, stream.random(n_product), side="right")
+    if vals.size:
+        per_cell = stream.multinomial(n - n_product, vals / cell_mass)
+        keys = np.concatenate([keys, np.repeat(joint.rows * m + joint.cols, per_cell)])
+    keys, counts = np.unique(keys, return_counts=True)
+    return JointCountTable(keys // m, keys % m, counts, m)
 
 
 def ks_distance_normal(samples) -> float:
@@ -316,7 +345,8 @@ class _Normalizers:
                     # diagonal_mix: p_ij = (1 - w) p_i p_j + w p_i 1{i = j}
                     p, w = self.p.probs, self.diag_weight
                     diag = np.arange(cfg.m)
-                    mu, gamma_sq = _null_params(math.sqrt(1.0 - w) * p, diag, diag, w * p, p)
+                    s = math.sqrt(1.0 - w) * p
+                    mu, gamma_sq = _null_params(s, s, diag, diag, w * p, p)
                     self.mu_n = mu
                     self.gamma_n = math.sqrt(gamma_sq)
 

@@ -65,29 +65,37 @@ def _v_part(w: np.ndarray, ratio: np.ndarray, coef: float) -> tuple[float, float
     return _sum(w * vals), _sum(w * vals**2)
 
 
+def _v_product_parts(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray,
+                     alpha: float) -> tuple[float, float, float, float]:
+    """E A, E A^2 over weights a and E B, E B^2 over weights b, for
+    A_i = a (q_i/p_i)^(1-a) and B_j = (1-a) (p_j/q_j)^a; p and q are positive."""
+    return (*_v_part(a, (q / p) ** (1.0 - alpha), alpha),
+            *_v_part(b, (p / q) ** alpha, 1.0 - alpha))
+
+
 def _v_moments_independent(p: np.ndarray, q: np.ndarray, alpha: float) -> ProjectionMoments:
     """V = A_i + B_j moments for independent marginals, from the A and B sums.
 
-    A_i = a (q_i/p_i)^(1-a) and B_j = (1-a) (p_j/q_j)^a; off the shared
-    support the weight or the value is 0 and the term contributes nothing.
+    Off the shared support the weight or the value is 0 and the term
+    contributes nothing.
     """
     shared = (p > 0) & (q > 0)
     ps, qs = p[shared], q[shared]
-    ea, ea2 = _v_part(ps, (qs / ps) ** (1.0 - alpha), alpha)
-    eb, eb2 = _v_part(qs, (ps / qs) ** alpha, 1.0 - alpha)
+    ea, ea2, eb, eb2 = _v_product_parts(ps, qs, ps, qs, alpha)
     # E V^2 = E A^2 + 2 E A E B + E B^2 since A and B are independent
     return _moments(ea + eb, ea2 + 2.0 * ea * eb + eb2)
 
 
 def _v_moments_cells(ii: np.ndarray, jj: np.ndarray, w: np.ndarray, p: np.ndarray,
-                     q: np.ndarray, alpha: float) -> ProjectionMoments:
-    """V moments over the cells (ii[k], jj[k]) with masses w[k], marginals p and q.
+                     q: np.ndarray, alpha: float, base=(0.0, 0.0)) -> ProjectionMoments:
+    """V moments over the cells (ii[k], jj[k]) with masses w[k], marginals p and q,
+    plus base = (E V, E V^2) of any mass off the cells.
 
     A cell with mass forces p[ii] > 0 and q[jj] > 0, so no ratio divides by
     zero; q[ii] = 0 or p[jj] = 0 gives a zero term since 0^e = 0 for e > 0.
     """
     vals = alpha * (q[ii] / p[ii]) ** (1.0 - alpha) + (1.0 - alpha) * (p[jj] / q[jj]) ** alpha
-    return _moments(_sum(w * vals), _sum(w * vals * vals))
+    return _moments(base[0] + _sum(w * vals), base[1] + _sum(w * vals * vals))
 
 
 def _v_ratio_sum(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
@@ -126,7 +134,7 @@ def noise_and_signal_w_variance(p0: float, m: int, alpha: float) -> float:
 
 
 def projection_v_moments(joint: JointDistribution, alpha: float) -> ProjectionMoments:
-    """Moments of V from an explicit bivariate distribution.
+    """Moments of V from a bivariate distribution, in O(m + cells).
 
     mean = S_a(p, q) over the marginals; variance = 0 iff p = q.
     The two marginal supports must coincide (support mismatch leaves the
@@ -138,11 +146,14 @@ def projection_v_moments(joint: JointDistribution, alpha: float) -> ProjectionMo
     p, q = joint.row, joint.col
     if not np.array_equal(p > 0, q > 0):
         raise DomainError("marginal supports differ: V is undefined off shared support")
-    mask = joint.pij > 0
-    if not mask.any():
-        raise DomainError("joint distribution has empty support")
-    ii, jj = np.nonzero(mask)
-    return _v_moments_cells(ii, jj, joint.pij[mask], p, q, alpha)
+    # V = A_i + B_j, so over the product part lam a_i b_j its moments are O(m)
+    # sums; a and b weigh nothing off the support
+    a = joint.product_mass * joint.a
+    s = p > 0
+    ea, ea2, eb, eb2 = _v_product_parts(a[s], joint.b[s], p[s], q[s], alpha)
+    sa, sb = _sum(a), _sum(joint.b)
+    base = (ea * sb + sa * eb, ea2 * sb + 2.0 * ea * eb + sa * eb2)
+    return _v_moments_cells(joint.rows, joint.cols, joint.vals, p, q, alpha, base)
 
 
 def v_moments_independent(p, q, alpha: float) -> ProjectionMoments:

@@ -33,6 +33,8 @@ from renydiv import (
 from renydiv.asymptotics import generalized_binomial
 from renydiv.projections import _v_ratio_sum
 
+from dense_joint import dense_pij
+
 
 class TestNormalQuantile:
     def test_against_scipy(self):
@@ -111,7 +113,7 @@ class TestNullParams:
     def test_perfectly_correlated(self):
         p = np.array([0.2, 0.3, 0.5])
         mat = np.diag(p)
-        mu, gsq = chi_square_null_params(JointDistribution(mat))
+        mu, gsq = chi_square_null_params(JointDistribution.from_dense(mat))
         assert mu == pytest.approx(0.0, abs=1e-14)
         assert gsq == pytest.approx(0.0, abs=1e-14)
 
@@ -119,7 +121,7 @@ class TestNullParams:
         # mu = 0.8; gamma^2 = 0.16 + 0.16 + 0.16 + 0.16 = 0.64 by Eq.-level
         # evaluation (two diagonal terms (0.2/0.5)^2, two off-diagonal terms
         # (0.4)^2 / (4 * 0.25))
-        joint = JointDistribution([[0.3, 0.2], [0.2, 0.3]])
+        joint = JointDistribution.from_dense([[0.3, 0.2], [0.2, 0.3]])
         mu, gsq = chi_square_null_params(joint)
         assert mu == pytest.approx(0.8, abs=1e-14)
         assert gsq == pytest.approx(0.64, abs=1e-14)
@@ -132,14 +134,14 @@ class TestNullParams:
             p = rng.dirichlet(np.ones(m) * 5)
             w = rng.uniform(0, 0.5)
             joint = JointDistribution.diagonal_mix(p, w)
-            bound = float(np.max(joint.pij / np.outer(joint.row, joint.col)))
+            bound = float(np.max(dense_pij(joint) / np.outer(joint.row, joint.col)))
             mu, gsq = chi_square_null_params(joint)
             assert m - 2 * bound - 1e-9 <= gsq <= m + bound**2 + 1e-9
 
     def test_unequal_marginals_rejected(self):
         mat = np.array([[0.5, 0.2], [0.1, 0.2]])
         with pytest.raises(DomainError):
-            chi_square_null_params(JointDistribution(mat))
+            chi_square_null_params(JointDistribution.from_dense(mat))
 
 
 class TestEntropyCI:
@@ -246,7 +248,7 @@ class TestDivergenceCI:
         mat = np.array([[30, 10, 0], [5, 20, 0], [10, 0, 35]])
         n = int(mat.sum())
         ci = divergence_ci(None, None, 0.5, joint=JointCountTable.from_dense(mat))
-        var = projection_v_moments(JointDistribution(mat / n), 0.5).variance
+        var = projection_v_moments(JointDistribution.from_dense(mat / n), 0.5).variance
         ratio = _v_ratio_sum(mat.sum(axis=1) / n, mat.sum(axis=0) / n, 0.5)
         assert ci.ld.divergence_condition == pytest.approx(
             ratio / math.sqrt(n * var), rel=1e-12)

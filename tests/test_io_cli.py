@@ -27,6 +27,7 @@ from renydiv.io import (
     parse_count_table,
     write_count_table,
     write_report,
+    write_report_tsv,
 )
 
 
@@ -35,6 +36,31 @@ def write_table(path, header, rows):
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(str(v) for v in row) + "\n")
+
+
+def write_mixture_table(path, m: int) -> None:
+    """A two-sample table of m categories: a power-law signal plus two uniform noise blocks."""
+    reads = 10 * m
+    rng = np.random.default_rng(20240611)
+    signal_m, blocks = m // 5, (m // 2, m - m // 2 - m // 5)
+    w = np.arange(1, signal_m + 1, dtype=float) ** -1.0
+    cols = [np.concatenate([rng.multinomial(reads // 2, w / w.sum())]
+                           + [np.bincount(rng.integers(0, size, reads // 4), minlength=size)
+                              for size in blocks])
+            for _ in range(2)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("category\tx\ty\n")
+        for i in rng.permutation(m).tolist():
+            fh.write(f"g{i:06d}\t{int(cols[0][i])}\t{int(cols[1][i])}\n")
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -359,6 +385,9 @@ class TestEmitter:
         write_report(obj, sink)
         assert sink.getvalue() == expected
         assert dumps_report_tsv(obj) == reference_tsv(obj)
+        sink = stdio.StringIO()
+        write_report_tsv(obj, sink)
+        assert sink.getvalue() == reference_tsv(obj)
 
     @pytest.mark.parametrize("names", [["g1", "g 2", "x:y"], ['q"', "b\\s", "é", "\x01", ""]])
     def test_string_lists_escape_like_json(self, names):
@@ -440,29 +469,19 @@ class TestCli:
     def test_pipeline_emission_stays_under_parse_peak(self, tmp_path):
         # the report lists all m category names; writing it must not need
         # more memory than parsing the table did
-        m, reads = 200_000, 2_000_000
-        rng = np.random.default_rng(20240611)
-        signal_m, blocks = m // 5, (m // 2, m - m // 2 - m // 5)
-        w = np.arange(1, signal_m + 1, dtype=float) ** -1.0
-        cols = [np.concatenate([rng.multinomial(reads // 2, w / w.sum())]
-                               + [np.bincount(rng.integers(0, size, reads // 4), minlength=size)
-                                  for size in blocks])
-                for _ in range(2)]
-        path, out = tmp_path / "table.tsv", tmp_path / "report.json"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("category\tx\ty\n")
-            for i in rng.permutation(m).tolist():
-                fh.write(f"g{i:06d}\t{int(cols[0][i])}\t{int(cols[1][i])}\n")
-
-        def traced_peak(fn):
-            tracemalloc.start()
-            try:
-                return fn(), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        m, path, out = 200_000, tmp_path / "table.tsv", tmp_path / "report.json"
+        write_mixture_table(path, m)
         _, parse_peak = traced_peak(lambda: parse_count_table(path))
         rc, run_peak = traced_peak(lambda: run_cli(["pipeline", str(path), "--output", str(out)]))
+        assert rc == 0 and out.stat().st_size > 20 * m
+        assert run_peak <= parse_peak + 2**20
+
+    def test_pipeline_tsv_emission_stays_under_parse_peak(self, tmp_path):
+        m, path, out = 200_000, tmp_path / "table.tsv", tmp_path / "report.tsv"
+        write_mixture_table(path, m)
+        _, parse_peak = traced_peak(lambda: parse_count_table(path))
+        rc, run_peak = traced_peak(lambda: run_cli(["pipeline", str(path), "--format", "tsv",
+                                                    "--output", str(out)]))
         assert rc == 0 and out.stat().st_size > 20 * m
         assert run_peak <= parse_peak + 2**20
 
@@ -473,6 +492,22 @@ class TestCli:
         out = tmp_path / "report.json"
         assert run_cli([command, pair_table, "--output", str(out)]) == 0
         assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.parametrize("command", ["pipeline", "filter-noise"])
+    def test_tsv_output_file_matches_stdout(self, command, pair_table, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli([command, pair_table, "--format", "tsv"]) == 0
+        out = tmp_path / "report.tsv"
+        assert run_cli([command, pair_table, "--format", "tsv", "--output", str(out)]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.parametrize("command", ["pipeline", "filter-noise"])
+    def test_tsv_output_flattens_the_json_report(self, command, pair_table, capsys):
+        capsys.readouterr()
+        assert run_cli([command, pair_table]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert run_cli([command, pair_table, "--format", "tsv"]) == 0
+        assert capsys.readouterr().out == reference_tsv(report)
 
     def test_exit_codes(self, tmp_path, two_col):
         assert run_cli(["bogus-command"]) == 2
@@ -609,6 +644,21 @@ class TestCli:
         assert run_cli(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"m = {m} " in err
+
+    @pytest.mark.parametrize("family_lines, key, shown", [
+        ("family = uniform\nbeta = 7\nstatistic = thm3_uniform_entropy\n", "beta", "7"),
+        ("family = power_law\nbeta = 1.0\ndiag_weight = 0.5\np0 = 0.3\n"
+         "statistic = thm1_entropy\n", "diag_weight", "0.5"),
+        ("family = bivariate_product\nbeta = 1.0\ndiag_weight = 0.9\n"
+         "statistic = thm4_degenerate_divergence\n", "diag_weight", "0.9"),
+    ])
+    def test_simulate_unread_family_field_exits_2(self, tmp_path, capsys, family_lines, key,
+                                                  shown):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(family_lines + "m = 100\nn_override = 2000\nB = 50\nmaster_seed = 1\n")
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"config key {key} = {shown} " in err
 
     def test_report_serialization_stable(self, two_col, capsys):
         run_cli(["entropy", two_col])

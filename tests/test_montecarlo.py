@@ -20,6 +20,7 @@ from renydiv import (
     UndefinedStatisticError,
     RenydivError,
     UsageError,
+    ValidationError,
     bias_experiment,
     chi_square_null_params,
     coverage_experiment,
@@ -39,6 +40,8 @@ from renydiv import (
 )
 from renydiv import montecarlo
 from renydiv.montecarlo import replicate_stream
+
+from dense_joint import dense_pij
 
 
 class TestSampling:
@@ -60,7 +63,7 @@ class TestSampling:
     def test_joint_point_mass(self):
         mat = np.zeros((3, 3))
         mat[1, 2] = 1.0
-        t = sample_joint(JointDistribution(mat), 25, replicate_stream(1, 0))
+        t = sample_joint(JointDistribution.from_dense(mat), 25, replicate_stream(1, 0))
         assert (t.rows.tolist(), t.cols.tolist(), t.counts.tolist()) == ([1], [2], [25])
 
     def test_joint_product_marginals(self):
@@ -82,6 +85,34 @@ class TestSampling:
             rows += t.row_counts()
             cols += t.col_counts()
         assert np.max(np.abs(rows - cols) / rows.sum()) < 0.01
+
+
+    @pytest.mark.parametrize("joint", [
+        JointDistribution.product([0.6, 0.4], [0.45, 0.55]),
+        JointDistribution.diagonal_mix([0.55, 0.45], 0.4),
+        JointDistribution.from_dense([[0.3, 0.25], [0.0, 0.45]]),
+        JointDistribution([0.5, 0.5], [0.4, 0.6], 0.6, [0, 1, 1], [0, 0, 1], [0.1, 0.1, 0.2]),
+    ], ids=["product", "diagonal_mix", "from_dense", "product_plus_cells"])
+    def test_law_is_the_m2_cell_multinomial(self, joint):
+        # at m = 2, n = 3 a table is one of the 20 ways to put 3 draws in the 4
+        # cells; its exact probability is the multinomial one
+        n, B = 3, 4000
+        pij = dense_pij(joint).ravel()
+        outcomes = [c for c in itertools.product(range(n + 1), repeat=4) if sum(c) == n]
+        exact = np.array([math.factorial(n) / math.prod(math.factorial(k) for k in c)
+                          * math.prod(pij ** np.array(c)) for c in outcomes])
+        where = {c: k for k, c in enumerate(outcomes)}
+        seen = np.zeros(len(outcomes))
+        rng = np.random.default_rng(43)
+        for _ in range(B):
+            t = sample_joint(joint, n, rng)
+            cells = np.zeros(4, dtype=int)
+            cells[t.rows * 2 + t.cols] = t.counts
+            seen[where[tuple(cells.tolist())]] += 1
+        support = exact > 0
+        assert seen[~support].sum() == 0
+        x2 = float((((seen - B * exact) ** 2)[support] / (B * exact[support])).sum())
+        assert chdtrc(support.sum() - 1, x2) > 1e-3, x2
 
 
 class TestKSDistance:
@@ -312,7 +343,7 @@ class TestBivariateJointSampler:
         m, n, B = 6, 40, 12_000
         cx, cy = self.draws(monkeypatch, m=m, n_override=n, diag_weight=w, B=B, master_seed=41)
         p = powerlaw_pmf(1.0, m).probs
-        pij = JointDistribution.diagonal_mix(p, w).pij
+        pij = dense_pij(JointDistribution.diagonal_mix(p, w))
         products = (cx[:, :, None] * cy[:, None, :]).reshape(B, m * m)
         for values, expected in ((cx, n * p), (cy, n * p),
                                  (products, (n * pij + n * (n - 1) * np.outer(p, p)).ravel())):
@@ -323,7 +354,7 @@ class TestBivariateJointSampler:
         # at m = 2, n = 3 the pair (cx_0, cy_0) takes 16 values whose exact
         # probabilities follow from the 20 ways to put 3 draws in the 4 cells
         n, B, w = 3, 20_000, 0.3
-        pij = JointDistribution.diagonal_mix(powerlaw_pmf(1.0, 2), w).pij.ravel()
+        pij = dense_pij(JointDistribution.diagonal_mix(powerlaw_pmf(1.0, 2), w)).ravel()
         exact = np.zeros((n + 1, n + 1))
         for cells in itertools.product(range(n + 1), repeat=4):
             if sum(cells) == n:
@@ -452,7 +483,8 @@ class TestExperiments:
                                             bias_experiment])
     def test_experiments_reject_a_degenerate_population(self, experiment):
         with pytest.raises(UsageError, match="degenerate"):
-            experiment(SimConfig(**{**BASE, "family": "uniform", "statistic": "thm1_entropy"}))
+            experiment(SimConfig(**{**BASE, "family": "uniform", "beta": None,
+                                    "statistic": "thm1_entropy"}))
 
 
 class TestCLTQualityInvariants:
@@ -561,3 +593,37 @@ def test_validate_raises_only_package_errors(base, changes):
         SimConfig(**{**base, **changes}).validate()
     except RenydivError:
         pass
+
+
+# one valid config per family, each setting only the family fields it reads
+_FAMILY_CONFIGS = {
+    "power_law": dict(beta=1.0, statistic="thm1_entropy"),
+    "uniform": dict(statistic="thm3_uniform_entropy"),
+    "noise_and_signal": dict(p0=0.3, statistic="thm1_entropy"),
+    "mixture": dict(signal_beta=1.0, signal_m=10, signal_fraction=0.5, noise_block_sizes=(20,),
+                    noise_block_fractions=(0.5,), statistic="thm1_entropy"),
+    "bivariate_product": dict(beta=1.0, beta2=0.5, statistic="thm2_divergence"),
+    "bivariate_joint": dict(beta=1.0, diag_weight=0.3, statistic="thm4_degenerate_divergence"),
+}
+_FAMILY_VALUES = dict(beta=7.0, beta2=0.5, p0=0.3, diag_weight=0.5, signal_beta=1.0, signal_m=10,
+                      signal_fraction=0.5, noise_block_sizes=(20,), noise_block_fractions=(0.5,))
+
+
+def _family_config(family, **fields):
+    return SimConfig(family=family, m=30, n_override=2000, B=5, master_seed=1,
+                     **{**_FAMILY_CONFIGS[family], **fields})
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_CONFIGS))
+def test_each_family_config_runs(family):
+    assert np.all(np.isfinite(simulate_statistic(_family_config(family)).samples))
+
+
+@pytest.mark.parametrize("family, key", [
+    (family, key) for family in sorted(_FAMILY_CONFIGS) for key in sorted(_FAMILY_VALUES)
+    if key not in _FAMILY_CONFIGS[family]])
+def test_unread_family_field_rejected(family, key):
+    cfg = _family_config(family, **{key: _FAMILY_VALUES[key]})
+    with pytest.raises(ValidationError, match=rf"config key {key} = .* is not read by the "
+                                              rf"{family} family"):
+        cfg.validate()

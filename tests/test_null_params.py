@@ -1,4 +1,5 @@
-"""The O(m + cells) null-parameter kernel against the dense m x m code it replaced."""
+"""The O(m + cells) null-parameter and V-moment kernels against the dense m x m code
+they replaced."""
 import tracemalloc
 from fractions import Fraction
 
@@ -7,10 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from renydiv import JointCountTable, JointDistribution, chi_square_null_params, equality_test
+from renydiv import (DomainError, JointCountTable, JointDistribution, chi_square_null_params,
+                     equality_test, projection_v_moments)
 from renydiv.asymptotics import _shrunken_joint_null_params
 from renydiv.distributions import _sum
 from renydiv.montecarlo import sample_joint
+from renydiv.projections import _v_moments_cells
+
+from dense_joint import dense_pij
 
 
 def reference_null_params(pij: np.ndarray, marg: np.ndarray) -> tuple[float, float]:
@@ -93,7 +98,7 @@ def random_joint(kind: str, m: int, rng: np.random.Generator) -> JointDistributi
         for a, b in ((i, j), (j, k), (k, i)):
             mat[a, b] += eps
             mat[b, a] -= eps
-    return JointDistribution(mat / _sum(mat))
+    return JointDistribution.from_dense(mat / _sum(mat))
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,7 +107,58 @@ def random_joint(kind: str, m: int, rng: np.random.Generator) -> JointDistributi
 def test_chi_square_null_params_matches_dense_reference(kind, m, seed):
     joint = random_joint(kind, m, np.random.default_rng(seed))
     assume(np.max(np.abs(joint.row - joint.col)) <= 1e-9 and np.all(joint.row > 0))
-    assert_matches(chi_square_null_params(joint), joint.pij, joint.row)
+    assert_matches(chi_square_null_params(joint), dense_pij(joint), joint.row)
+
+
+def reference_v_moments(pij: np.ndarray, alpha: float):
+    """V moments as the dense code computed them, over every nonzero cell of the m x m joint."""
+    ii, jj = np.nonzero(pij)
+    return _v_moments_cells(ii, jj, pij[ii, jj], pij.sum(axis=1), pij.sum(axis=0), alpha)
+
+
+JOINT_KINDS = ("product", "product_same", "diagonal_mix", "symmetric", "swapped_factors",
+               "product_plus_cells")
+
+
+def random_any_joint(kind: str, m: int, rng: np.random.Generator) -> JointDistribution:
+    """A joint of each representation: product part, cells, or both."""
+    a, b = rng.dirichlet(np.full(m, rng.uniform(0.2, 5.0)), size=2)
+    if kind == "product":
+        return JointDistribution.product(a, b)
+    if kind == "product_same":
+        return JointDistribution.product(a, a)
+    if kind in ("diagonal_mix", "symmetric"):
+        return random_joint(kind, m, rng)
+    cells = rng.exponential(size=(m, m)) * (rng.uniform(size=(m, m)) < rng.uniform())
+    if kind == "swapped_factors":
+        # lam a x b plus the cells lam b x a and a symmetric part: equal marginals, b != a
+        cells = cells + cells.T
+        s = rng.uniform(0.0, 0.5) if cells.any() else 0.0
+        cells *= s / max(_sum(cells), 1e-300)
+        lam = (1.0 - s) / 2.0
+        cells += lam * np.outer(b, a)
+    else:
+        lam = rng.uniform() if cells.any() else 1.0
+        cells *= (1.0 - lam) / max(_sum(cells), 1e-300)
+    rows, cols = np.nonzero(cells)
+    return JointDistribution(a, b, lam, rows, cols, cells[rows, cols])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(JOINT_KINDS), st.integers(1, 80), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 0.95))
+def test_kernels_match_the_dense_code(kind, m, seed, alpha):
+    joint = random_any_joint(kind, m, np.random.default_rng(seed))
+    pij = dense_pij(joint)
+    if not np.array_equal(pij.sum(axis=1) > 0, pij.sum(axis=0) > 0):
+        with pytest.raises(DomainError):
+            projection_v_moments(joint, alpha)
+        return
+    got, ref = projection_v_moments(joint, alpha), reference_v_moments(pij, alpha)
+    assert abs(got.mean - ref.mean) <= 1e-12 * ref.mean
+    assert abs(got.variance - ref.variance) <= 1e-12 * (ref.mean ** 2 + ref.variance)
+    if np.max(np.abs(joint.row - joint.col)) <= 1e-9 and np.all(joint.row > 0):
+        assert_matches(chi_square_null_params(joint), pij, joint.row)
 
 
 @pytest.mark.parametrize("w", [0.5, 0.99, 0.999, 0.9999])
@@ -112,7 +168,7 @@ def test_near_diagonal_joint_is_exact(w):
     rng = np.random.default_rng(4)
     for m in (3, 8, 12):
         joint = JointDistribution.diagonal_mix(rng.dirichlet(np.ones(m)), w)
-        pij = [[Fraction(float(v)) for v in row] for row in joint.pij]
+        pij = [[Fraction(float(v)) for v in row] for row in dense_pij(joint)]
         marg = [Fraction(float(v)) for v in joint.row]
         gsq = sum(((marg[i] - pij[i][i]) / marg[i]) ** 2 for i in range(m)) + sum(
             (pij[i][j] + pij[j][i]) ** 2 / (4 * marg[i] * marg[j])
@@ -133,3 +189,18 @@ def test_paired_equality_test_memory_is_linear(m, cells):
         tracemalloc.stop()
     assert np.isfinite(report.statistic)
     assert peak <= 200 * (m + flat.size), peak
+
+
+def test_diagonal_mix_draw_and_paired_test_memory_is_linear():
+    m, n = 20_000, 200_000
+    p = np.arange(1, m + 1, dtype=float) ** -1.0
+    p /= p.sum()
+    tracemalloc.start()
+    try:
+        table = sample_joint(JointDistribution.diagonal_mix(p, 0.3), n, np.random.default_rng(5))
+        report = equality_test(alpha=0.5, mode="paired", joint=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.n == n and np.isfinite(report.statistic)
+    assert peak <= 200 * (m + table.rows.size + n), peak

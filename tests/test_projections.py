@@ -130,7 +130,7 @@ class TestVMoments:
         for _ in range(100):
             m = int(rng.integers(2, 20))
             mat = rng.dirichlet(np.ones(m * m)).reshape(m, m)
-            joint = JointDistribution(mat)
+            joint = JointDistribution.from_dense(mat)
             a = rng.uniform(0.05, 0.95)
             v = projection_v_moments(joint, a)
             s = float(cross_power_sum(joint.row, joint.col, a))
@@ -143,7 +143,7 @@ class TestVMoments:
             mat = rng.dirichlet(np.ones(m * m)).reshape(m, m)
             a = rng.uniform(0.05, 0.95)
             mean, var = enumerate_v(mat, a)
-            v = projection_v_moments(JointDistribution(mat), a)
+            v = projection_v_moments(JointDistribution.from_dense(mat), a)
             assert v.mean == pytest.approx(mean, rel=1e-12)
             assert v.variance == pytest.approx(var, rel=1e-9, abs=1e-12)
 
@@ -165,7 +165,7 @@ class TestVMoments:
     def test_support_mismatch(self):
         mat = np.array([[0.5, 0.0], [0.5, 0.0]])  # col support misses category 2
         with pytest.raises(DomainError):
-            projection_v_moments(JointDistribution(mat), 0.5)
+            projection_v_moments(JointDistribution.from_dense(mat), 0.5)
 
 
 class TestLDDiagnostic:
