@@ -149,8 +149,8 @@ def chi_square_null_params(joint: JointDistribution) -> tuple[float, float]:
     mu_n = sum_i (1 - p_ii / p_i);
     gamma_n^2 = sum_i (p_i - p_ii)^2 / p_i^2
               + sum_{i != j} (p_ij + p_ji)^2 / (4 p_i p_j).
-    For an independent product joint both equal m - 1 exactly. The cost is
-    O(m + cells): the joint's product part enters through O(m) sums.
+    For an independent product joint both equal m - 1 up to rounding. The
+    cost is O(m + cells): the joint's product part enters through O(m) sums.
     """
     if not isinstance(joint, JointDistribution):
         raise ShapeError("chi_square_null_params expects a JointDistribution")
@@ -228,13 +228,16 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
 
     std_error = CV(V at plug-in) / ((1 - alpha) sqrt(n)). Without a joint
     table the two samples are treated as independent (product plug-in joint);
-    with one, V's moments use the observed joint cells. Empirically identical
-    marginals give CV(V) = 0: that direction belongs to equality_test.
+    with one (cx and cy then None), V's moments use the observed joint cells.
+    Empirically identical marginals give CV(V) = 0: that direction belongs to
+    equality_test.
     """
     alpha = check_alpha(alpha)
     if not (0.0 < level < 1.0):
         raise DomainError("confidence level must lie in (0, 1)")
     if joint is not None:
+        if cx is not None or cy is not None:
+            raise UsageError("divergence_ci takes the two samples from joint: pass cx = cy = None")
         cvx, cvy = joint.marginal_count_vectors()
         n_eff = float(joint.n)
     else:
@@ -383,14 +386,17 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
     one-sided upper (the numerator's leading term is non-negative by Holder,
     so only upward deviations indicate p != q).
 
-    mode="independent": two separate samples, mu_n = gamma_n^2 = m - 1 with m
-    the union support size. mode="paired": a bivariate table, (mu_n, gamma_n^2)
-    estimated from the smoothed plug-in joint.
+    mode="independent": two separate samples cx and cy, mu_n = gamma_n^2 = m - 1
+    with m the union support size. mode="paired": a bivariate table joint alone,
+    (mu_n, gamma_n^2) estimated from the smoothed plug-in joint. An argument the
+    mode does not read raises UsageError.
     """
     alpha = check_alpha(alpha)
     if mode == "paired":
         if joint is None:
             raise UsageError("paired mode requires joint counts")
+        if cx is not None or cy is not None:
+            raise UsageError("paired mode takes the two samples from joint: pass cx = cy = None")
         cvx, cvy = joint.marginal_count_vectors()
         n_eff = float(joint.n)
         mu, gamma_sq = _shrunken_joint_null_params(joint, alpha)
@@ -399,6 +405,8 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
     elif mode == "independent":
         if cx is None or cy is None:
             raise UsageError("independent mode requires two count vectors")
+        if joint is not None:
+            raise UsageError("independent mode ignores joint counts: use mode='paired'")
         cvx = as_count_vector(cx)
         cvy = as_count_vector(cy)
         if cvx.m != cvy.m:

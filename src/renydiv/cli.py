@@ -169,6 +169,7 @@ def _parse_scalar(raw: str):
 def load_sim_config(path, seed_override=None, workers_override=None) -> SimConfig:
     """Read a flat key=value config file into a SimConfig."""
     values: dict = {}
+    key_lines: dict = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -177,6 +178,10 @@ def load_sim_config(path, seed_override=None, workers_override=None) -> SimConfi
             raise RenydivError(f"{path}: line {lineno}: expected key = value")
         key, raw = line.split("=", 1)
         key = key.strip()
+        if key in key_lines:
+            raise RenydivError(f"{path}: line {lineno}: config key {key} is already set on "
+                               f"line {key_lines[key]}")
+        key_lines[key] = lineno
         if "," in raw:
             values[key] = tuple(_parse_scalar(part) for part in raw.split(","))
         else:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .asymptotics import (MARGINAL_EQUALITY_TOL, _null_params, _null_z, _thinned, _thm3_z,
-                          _thm4_z, divergence_ci, entropy_ci, lemma2i_standardize)
+from .asymptotics import (_null_z, _thinned, _thm3_z, _thm4_z, chi_square_null_params,
+                          divergence_ci, entropy_ci, lemma2i_standardize)
 from .counts import INT64_MAX, CountVector, JointCountTable
-from .distributions import JointDistribution, ProbVector, _sum, check_alpha
+from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum, check_alpha
 from .errors import DomainError, UsageError, ValidationError
 from .measures import (_cross_power_sum, _pearson_chi_square, _power_sum, _two_sample_chi_square,
                        cross_power_sum, power_sum)
@@ -42,6 +42,8 @@ FAMILY_FIELDS = {
     "bivariate_product": ("beta", "beta2"),
     "bivariate_joint": ("beta", "diag_weight"),
 }
+# the family fields a family may leave unset; validate() requires its others
+OPTIONAL_FIELDS = ("beta2", "diag_weight", "noise_block_sizes", "noise_block_fractions")
 # SimConfig fields by kind; the noise_block_* ones may also hold a tuple of that kind
 _INTEGER_FIELDS = ("m", "n_override", "B", "master_seed", "workers", "signal_m",
                    "noise_block_sizes")
@@ -63,8 +65,9 @@ class SimConfig:
     bivariate_product uses beta for p and beta2 for q (q = p when beta2 is
     None); bivariate_joint puts diag_weight extra mass on the diagonal of
     the power-law product (equal marginals for any weight). A family field
-    that the family does not read (FAMILY_FIELDS) must stay unset. m,
-    signal_m and each noise block size are at most M_MAX = 2**31 - 1.
+    that the family does not read (FAMILY_FIELDS) must stay unset, and one
+    it reads must be set unless it is in OPTIONAL_FIELDS. m, signal_m and
+    each noise block size are at most M_MAX = 2**31 - 1.
     """
 
     family: str
@@ -134,6 +137,13 @@ class SimConfig:
             if value != SimConfig.__dataclass_fields__[name].default:
                 raise ValidationError(f"config key {name} = {value!r} is not read by the "
                                       f"{self.family} family")
+        for name in FAMILY_FIELDS[self.family]:
+            if name not in OPTIONAL_FIELDS and getattr(self, name) is None:
+                raise UsageError(f"the {self.family} family requires config key {name}")
+        if self.p0 is not None and not (0.0 < self.p0 < 1.0):
+            raise DomainError(f"config key p0 = {self.p0!r} must lie strictly between 0 and 1")
+        if self.diag_weight is not None and not (0.0 <= self.diag_weight <= 1.0):
+            raise DomainError(f"config key diag_weight = {self.diag_weight!r} must lie in [0, 1]")
         if self.statistic not in STATISTICS:
             raise UsageError(f"unknown statistic {self.statistic!r}")
         if self.B < 1:
@@ -156,7 +166,11 @@ class SimConfig:
             raise UsageError(f"{self.statistic} needs a univariate family")
         if self.statistic == "thm3_uniform_entropy" and self.family != "uniform":
             raise UsageError("thm3_uniform_entropy is defined for the uniform family")
-        if self.family == "mixture" and self.signal_m is not None:
+        if (self.statistic in {"thm4_degenerate_divergence", "lemma2_two_sample"}
+                and self.beta2 not in (None, self.beta)):
+            raise UsageError(f"{self.statistic} requires equal marginals: config key beta2 = "
+                             f"{self.beta2!r} differs from beta = {self.beta!r}")
+        if self.family == "mixture":
             sizes = self.noise_block_sizes
             support = sum(sizes if isinstance(sizes, tuple) else (sizes,)) + self.signal_m
             if self.m != support:
@@ -227,20 +241,15 @@ def ks_distance_normal(samples) -> float:
     return float(max(lo, hi))
 
 
-def _family_univariate(cfg: SimConfig) -> ProbVector:
+def _population(cfg: SimConfig):
+    """The population of a validated config: a ProbVector for a univariate family, a
+    JointDistribution for a bivariate one."""
     if cfg.family == "power_law":
-        if cfg.beta is None:
-            raise UsageError("power_law family requires beta")
         return powerlaw_pmf(cfg.beta, cfg.m)
     if cfg.family == "uniform":
         return ProbVector.uniform(cfg.m)
     if cfg.family == "noise_and_signal":
-        if cfg.p0 is None:
-            raise UsageError("noise_and_signal family requires p0")
-        if not (0.0 < cfg.p0 < 1.0):
-            raise DomainError("p0 must lie strictly between 0 and 1")
-        m_noise = cfg.m - 1
-        probs = np.full(cfg.m, (1.0 - cfg.p0) / m_noise)
+        probs = np.full(cfg.m, (1.0 - cfg.p0) / (cfg.m - 1))
         probs[0] = cfg.p0
         return ProbVector(probs)
     if cfg.family == "mixture":
@@ -250,7 +259,10 @@ def _family_univariate(cfg: SimConfig) -> ProbVector:
             noise_block_sizes=cfg.noise_block_sizes,
             noise_block_fractions=cfg.noise_block_fractions,
         )
-    raise UsageError(f"{cfg.family} is not a univariate family")
+    p = powerlaw_pmf(cfg.beta, cfg.m)
+    if cfg.family == "bivariate_joint":
+        return JointDistribution.diagonal_mix(p, cfg.diag_weight or 0.0)
+    return JointDistribution.product(p, p if cfg.beta2 is None else powerlaw_pmf(cfg.beta2, cfg.m))
 
 
 def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: float,
@@ -275,31 +287,11 @@ def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: flo
         raise DomainError(f"noise block sizes {sizes} and signal_m = {signal_m} "
                           f"must lie in [1, 2**31 - 1]")
     total = _sum(fracs) + signal_fraction
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"mixture masses sum to {total}, expected 1")
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise DomainError(f"mixture masses sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
     parts = [np.full(s, f / s) for s, f in zip(sizes, fracs)]
     parts.append(signal_fraction * powerlaw_pmf(signal_beta, signal_m).probs)
     return ProbVector(np.concatenate(parts))
-
-
-def _family_bivariate(cfg: SimConfig):
-    """Returns (p, q, diag_weight); the weight is None for independent samples.
-
-    bivariate_joint is JointDistribution.diagonal_mix(p, diag_weight), which
-    the harness never builds: its normalizers and draws are O(m).
-    """
-    if cfg.beta is None:
-        raise UsageError("bivariate families require beta for the first marginal")
-    p = powerlaw_pmf(cfg.beta, cfg.m)
-    if cfg.family == "bivariate_product":
-        q = powerlaw_pmf(cfg.beta2, cfg.m) if cfg.beta2 is not None else p
-        return p, q, None
-    if cfg.family == "bivariate_joint":
-        w = cfg.diag_weight if cfg.diag_weight is not None else 0.0
-        if not (0.0 <= w <= 1.0):
-            raise DomainError("diag_weight must lie in [0, 1]")
-        return p, p, w
-    raise UsageError(f"{cfg.family} is not a bivariate family")
 
 
 class _Normalizers:
@@ -309,7 +301,7 @@ class _Normalizers:
     def __init__(self, cfg: SimConfig):
         self.statistic = cfg.statistic
         if cfg.statistic in UNIVARIATE_STATISTICS:
-            self.p = _family_univariate(cfg)
+            self.p = _population(cfg)
             if cfg.statistic == "thm1_entropy":
                 w = projection_w_moments(self.p, cfg.alpha)
                 if _degenerate(w):
@@ -321,34 +313,21 @@ class _Normalizers:
                 self.value = math.log(self.s_true) / (1.0 - cfg.alpha)
                 self.cv = w.cv
         else:
-            self.p, self.q, self.diag_weight = _family_bivariate(cfg)
+            self.joint = _population(cfg)
+            p, q = self.joint.a, self.joint.b
             if cfg.statistic == "thm2_divergence":
-                v = v_moments_independent(self.p, self.q, cfg.alpha)
+                v = v_moments_independent(p, q, cfg.alpha)
                 if _degenerate(v):
                     raise UsageError(
                         "thm2_divergence is degenerate for equal marginals; "
                         "use thm4_degenerate_divergence"
                     )
-                self.s_true = float(cross_power_sum(self.p, self.q, cfg.alpha))
+                self.s_true = float(cross_power_sum(p, q, cfg.alpha))
                 self.value = math.log(self.s_true) / (cfg.alpha - 1.0)
                 self.cv = v.cv
             else:
-                # thm4 and the two-sample chi-square need equal marginals
-                if not np.allclose(self.p.probs, self.q.probs, rtol=0,
-                                   atol=MARGINAL_EQUALITY_TOL):
-                    raise UsageError(f"{cfg.statistic} requires equal marginals (p = q)")
-                if self.diag_weight is None:
-                    m = cfg.m
-                    self.mu_n = float(m - 1)
-                    self.gamma_n = math.sqrt(m - 1.0)
-                else:
-                    # diagonal_mix: p_ij = (1 - w) p_i p_j + w p_i 1{i = j}
-                    p, w = self.p.probs, self.diag_weight
-                    diag = np.arange(cfg.m)
-                    s = math.sqrt(1.0 - w) * p
-                    mu, gamma_sq = _null_params(s, s, diag, diag, w * p, p)
-                    self.mu_n = mu
-                    self.gamma_n = math.sqrt(gamma_sq)
+                self.mu_n, gamma_sq = chi_square_null_params(self.joint)
+                self.gamma_n = math.sqrt(gamma_sq)
 
 
 def _univariate_statistic(counts: np.ndarray, n: int, norm: _Normalizers,
@@ -371,7 +350,7 @@ def _bivariate_statistic(cx: np.ndarray, cy: np.ndarray, n: int, norm: _Normaliz
     if norm.statistic == "thm4_degenerate_divergence":
         return _thm4_z(cx / n, cy / n, n, alpha, norm.mu_n, norm.gamma_n)
     if norm.statistic == "lemma2_two_sample":
-        return _null_z(_two_sample_chi_square(cx, cy, n, norm.p.probs), norm.mu_n, norm.gamma_n)
+        return _null_z(_two_sample_chi_square(cx, cy, n, norm.joint.a), norm.mu_n, norm.gamma_n)
     raise AssertionError(norm.statistic)
 
 
@@ -384,14 +363,13 @@ def _replicate_counts(cfg: SimConfig, norm: _Normalizers, n: int, r: int):
         n = int(_thinned(rng, n, cfg.thinning_tau))
     if cfg.statistic in UNIVARIATE_STATISTICS:
         return n, (rng.multinomial(n, norm.p.probs),)
-    if norm.diag_weight is None:
-        return n, (rng.multinomial(n, norm.p.probs), rng.multinomial(n, norm.q.probs))
-    # each diagonal_mix draw is a shared (i, i) with probability w, else an
-    # independent (i, j): the marginals of the m x m multinomial, in O(m)
-    n_diag = int(rng.binomial(n, norm.diag_weight))
-    shared = rng.multinomial(n_diag, norm.p.probs)
-    return n, (shared + rng.multinomial(n - n_diag, norm.p.probs),
-               shared + rng.multinomial(n - n_diag, norm.p.probs))
+    # each pair is a shared (i, i) with probability w, else an independent (i, j): the
+    # marginals of the m x m multinomial, in O(m). At w = 0 (the product family) the
+    # binomial and the empty multinomial take nothing from the stream.
+    n_diag = int(rng.binomial(n, cfg.diag_weight or 0.0))
+    shared = rng.multinomial(n_diag, norm.joint.a)
+    return n, (shared + rng.multinomial(n - n_diag, norm.joint.a),
+               shared + rng.multinomial(n - n_diag, norm.joint.b))
 
 
 def _run_replicates(cfg: SimConfig, value) -> np.ndarray:

@@ -156,6 +156,8 @@ def diversity_pipeline(cx, cy, alpha: float = 0.5,
     omission).
     """
     cfg = config or PipelineConfig()
+    if not (0.0 < cfg.equality_level < 1.0):
+        raise DomainError(f"equality_level must lie in (0, 1), got {cfg.equality_level!r}")
     alpha = check_alpha(alpha)
     cvx = as_count_vector(cx)
     cvy = as_count_vector(cy)

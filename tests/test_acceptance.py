@@ -296,12 +296,12 @@ def test_criterion_11_bias_direction():
 
 
 def _bias_ratios(cfg: SimConfig) -> np.ndarray:
-    from renydiv.montecarlo import _family_bivariate, _family_univariate
+    from renydiv.montecarlo import _population
 
     n = cfg.n()
     out = np.empty(cfg.B)
     if cfg.statistic == "thm1_entropy":
-        p = _family_univariate(cfg)
+        p = _population(cfg)
         s_true = math.fsum(np.power(p.probs, cfg.alpha).tolist())
         for r in range(cfg.B):
             rng = replicate_stream(cfg.master_seed, r)
@@ -309,12 +309,13 @@ def _bias_ratios(cfg: SimConfig) -> np.ndarray:
             pos = pos[pos > 0] / n
             out[r] = math.fsum(np.power(pos, cfg.alpha).tolist()) / s_true
     else:
-        p, q, _ = _family_bivariate(cfg)
+        joint = _population(cfg)
+        p, q = joint.a, joint.b
         s_true = float(cross_power_sum(p, q, cfg.alpha))
         for r in range(cfg.B):
             rng = replicate_stream(cfg.master_seed, r)
-            phat = rng.multinomial(n, p.probs) / n
-            qhat = rng.multinomial(n, q.probs) / n
+            phat = rng.multinomial(n, p) / n
+            qhat = rng.multinomial(n, q) / n
             mask = (phat > 0) & (qhat > 0)
             s_hat = math.fsum(
                 (np.power(phat[mask], cfg.alpha)

@@ -257,6 +257,12 @@ class TestDivergenceCI:
         with pytest.raises(ShapeError):
             divergence_ci([1, 2, 3], [1, 2], 0.5)
 
+    def test_samples_beside_a_joint_raise(self):
+        # the interval is taken from the joint table; samples passed with it are not read
+        joint = JointCountTable(rows=[0, 1, 2], cols=[0, 1, 0], counts=[30, 20, 10], m=3)
+        with pytest.raises(UsageError, match="cx = cy = None"):
+            divergence_ci([30, 20, 10], [40, 20, 0], 0.5, joint=joint)
+
 
 class TestUniformityTest:
     def test_generalized_binomial(self):
@@ -383,6 +389,15 @@ class TestEqualityTest:
     def test_unknown_mode(self):
         with pytest.raises(UsageError):
             equality_test([1, 2], [2, 1], mode="bogus")
+
+    def test_unread_arguments_raise(self):
+        joint = JointCountTable(rows=[0, 1, 2], cols=[0, 1, 0], counts=[30, 20, 10], m=3)
+        with pytest.raises(UsageError, match="independent mode ignores joint"):
+            equality_test([30, 20, 10], [40, 20, 0], alpha=0.5, joint=joint)
+        with pytest.raises(UsageError, match="cx = cy = None"):
+            equality_test([30, 20, 10], [40, 20, 0], alpha=0.5, mode="paired", joint=joint)
+        with pytest.raises(UsageError, match="cx = cy = None"):
+            equality_test(cy=[40, 20, 0], alpha=0.5, mode="paired", joint=joint)
 
 
 class TestBinomialThinning:

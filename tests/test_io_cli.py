@@ -581,6 +581,24 @@ class TestCli:
         cfg.write_text("family = power_law\nbogus = 1\n")
         assert run_cli(["simulate", "--config", str(cfg)]) == 2
 
+    def test_duplicate_config_key(self, tmp_path, capsys):
+        # the second m would otherwise replace the first without a word
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("family = power_law\nbeta = 1.0\nm = 50\nepsilon = 1.0\n# again\n"
+                       "m = 5000\nB = 30\nstatistic = thm1_entropy\n")
+        with pytest.raises(renydiv.RenydivError,
+                           match="line 6: config key m is already set on line 3"):
+            load_sim_config(cfg)
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        assert "config key m is already set on line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["5", "-1", "nan", "0", "1"])
+    def test_pipeline_equality_level_outside_unit_interval_exits_2(self, pair_table, capsys,
+                                                                   level):
+        assert run_cli(["pipeline", pair_table, "--equality-level", level]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "equality_level" in err
+
     @pytest.mark.parametrize("key, raw, shown", [
         ("workers", "abc", "'abc'"), ("workers", "2.5", "2.5"), ("workers", "-3", "-3"),
         ("B", "abc", "'abc'"), ("B", "2.5", "2.5"), ("B", "true", "True"),

@@ -39,6 +39,7 @@ from renydiv import (
     uniformity_test,
 )
 from renydiv import montecarlo
+from renydiv.cli import run_cli
 from renydiv.montecarlo import replicate_stream
 
 from dense_joint import dense_pij
@@ -556,6 +557,12 @@ class TestMixtureFamily:
             mixture_distribution(signal_beta=1.0, signal_m=10, signal_fraction=0.5,
                                  noise_block_sizes=(10,), noise_block_fractions=(0.4,))
 
+    def test_mixture_mass_checked_at_the_probability_tolerance(self):
+        # a total off by 5e-10 is a mixture error, not the ProbVector sum error after it
+        with pytest.raises(DomainError, match=r"mixture masses sum to 1\.0000000005"):
+            mixture_distribution(signal_beta=1.0, signal_m=10, signal_fraction=0.5,
+                                 noise_block_sizes=(10,), noise_block_fractions=(0.5 + 5e-10,))
+
     def test_config_validation(self):
         with pytest.raises(UsageError):
             SimConfig(family="bogus", m=10, statistic="thm1_entropy",
@@ -627,3 +634,59 @@ def test_unread_family_field_rejected(family, key):
     with pytest.raises(ValidationError, match=rf"config key {key} = .* is not read by the "
                                               rf"{family} family"):
         cfg.validate()
+
+
+# each family requirement validate() checks: the fields changed from _family_config,
+# the error, and the text naming the key
+_FAMILY_REQUIREMENTS = [
+    ("power_law", dict(beta=None), UsageError, "requires config key beta"),
+    ("bivariate_product", dict(beta=None), UsageError, "requires config key beta"),
+    ("bivariate_joint", dict(beta=None), UsageError, "requires config key beta"),
+    ("noise_and_signal", dict(p0=None), UsageError, "requires config key p0"),
+    ("noise_and_signal", dict(p0=0.0), DomainError, "config key p0 = 0.0 must"),
+    ("noise_and_signal", dict(p0=1.5), DomainError, "config key p0 = 1.5 must"),
+    ("mixture", dict(signal_beta=None), UsageError, "requires config key signal_beta"),
+    ("mixture", dict(signal_m=None), UsageError, "requires config key signal_m"),
+    ("mixture", dict(signal_fraction=None), UsageError, "requires config key signal_fraction"),
+    ("bivariate_joint", dict(diag_weight=1.5), DomainError, "config key diag_weight = 1.5 must"),
+    ("bivariate_joint", dict(diag_weight=-0.5), DomainError,
+     "config key diag_weight = -0.5 must"),
+    ("bivariate_product", dict(beta2=0.5, statistic="thm4_degenerate_divergence"), UsageError,
+     "config key beta2 = 0.5 differs from beta = 1.0"),
+    ("bivariate_product", dict(beta2=0.5, statistic="lemma2_two_sample"), UsageError,
+     "config key beta2 = 0.5 differs from beta = 1.0"),
+]
+
+
+@pytest.mark.parametrize("family, fields, error, text", _FAMILY_REQUIREMENTS)
+def test_validate_checks_family_requirements(tmp_path, capsys, family, fields, error, text):
+    cfg = _family_config(family, **fields)
+    with pytest.raises(error, match=text):
+        cfg.validate()
+    # the same config through the CLI: every field set away from its default, one a line
+    lines = [f"{f.name} = " + (", ".join(map(str, value)) if isinstance(value, tuple)
+                               else str(value))
+             for f in dataclasses.fields(cfg)
+             if (value := getattr(cfg, f.name)) != f.default]
+    path = tmp_path / "sim.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err
+
+
+def test_bivariate_product_stream(monkeypatch):
+    # at w = 0 the shared-diagonal draw takes nothing from the stream: replicate r
+    # of a product run is multinomial(n, p) and then multinomial(n, q) from (seed, r)
+    draws = []
+    monkeypatch.setattr(montecarlo, "_bivariate_statistic",
+                        lambda cx, cy, *args: draws.append((cx, cy)) or 0.0)
+    simulate_statistic(SimConfig(family="bivariate_product", beta=1.0, beta2=0.5, m=25,
+                                 n_override=300, B=4, master_seed=9,
+                                 statistic="thm2_divergence"))
+    p, q = powerlaw_pmf(1.0, 25).probs, powerlaw_pmf(0.5, 25).probs
+    assert len(draws) == 4
+    for r, (cx, cy) in enumerate(draws):
+        rng = replicate_stream(9, r)
+        assert np.array_equal(cx, rng.multinomial(300, p))
+        assert np.array_equal(cy, rng.multinomial(300, q))

@@ -8,6 +8,7 @@ from renydiv import (
     CountVector,
     DomainError,
     NoSignalError,
+    PipelineConfig,
     UsageError,
     diversity_pipeline,
     filter_noise,
@@ -15,6 +16,7 @@ from renydiv import (
     mixture_distribution,
     powerlaw_pmf,
 )
+from renydiv import pipeline
 
 N_TABLE = 39084
 LAM_B, N_B = 6.75, 2315
@@ -165,6 +167,17 @@ class TestDiversityPipeline:
     def test_mismatched_universe(self):
         with pytest.raises(UsageError):
             diversity_pipeline([1, 2, 3], [1, 2], alpha=0.5)
+
+    @pytest.mark.parametrize("level", [5.0, -1.0, math.nan, 0.0, 1.0])
+    def test_equality_level_domain(self, monkeypatch, level):
+        # checked before any filtering, on a pair the pipeline otherwise runs on
+        rng = np.random.default_rng(224)
+        cx = rng.multinomial(N_TABLE, powerlaw_pmf(0.87, 165).probs)
+        cy = rng.multinomial(N_TABLE, powerlaw_pmf(0.97, 165).probs)
+        diversity_pipeline(cx, cy, alpha=0.5)
+        monkeypatch.setattr(pipeline, "filter_noise", None)
+        with pytest.raises(DomainError, match=rf"equality_level must lie in \(0, 1\), got {level!r}"):
+            diversity_pipeline(cx, cy, alpha=0.5, config=PipelineConfig(equality_level=level))
 
     def test_null_rejection_rate(self):
         # two iid samples from one distribution, full pipeline incl. filtering
