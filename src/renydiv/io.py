@@ -35,6 +35,11 @@ class CountTableFile:
 
 
 _FAST_DIGITS = 18  # any count of at most 18 ASCII digits fits in int64
+# characters per parse chunk: only one chunk's field strings are alive at a time
+_CHUNK = 2**20
+# names per NameList write, JSON or TSV, and rows per count-table write: one
+# join per chunk, so its escaped names or lines never all sit in memory at once
+_NAME_CHUNK = 2**14
 
 
 def read_text(path) -> str:
@@ -86,29 +91,52 @@ def parse_count_table(path) -> CountTableFile:
 def _parse_rows_fast(body: str, width: int):
     """(categories, int64 columns) of a valid table, or None if any check fails.
 
-    One tab split covers every row: with each line end written as a field of
-    its own, a table whose every row has `width` fields has a line end at
+    The body is parsed in chunks of about _CHUNK characters, each cut at a line
+    end, so the per-field strings of one chunk at a time are alive. One tab
+    split covers every row of a chunk: with each line end written as a field
+    of its own, a chunk whose every row has `width` fields has a line end at
     every (width + 1)-th field and nowhere else.
     """
     n = body.count("\n") + 1
     stride = width + 1
-    fields = body.replace("\n", "\t\n\t").split("\t")
-    if len(fields) != n * stride - 1 or fields[width::stride].count("\n") != n - 1:
-        return None
-    categories = fields[::stride]
-    if len(set(categories)) != n:
-        return None
-    columns = []
-    for k in range(1, width):
-        cells = fields[k::stride]
-        digits = "".join(cells)
-        lengths = set(map(len, cells))
-        if not (digits.isascii() and digits.isdigit()
-                and min(lengths) >= 1 and max(lengths) <= _FAST_DIGITS):
+    categories: list[str] = []
+    columns = [np.empty(n, dtype=np.int64) for _ in range(width - 1)]
+    row = start = 0
+    while start <= len(body):
+        end = body.find("\n", start + _CHUNK)
+        if end < 0:
+            end = len(body)
+        chunk = body[start:end]
+        rows = chunk.count("\n") + 1
+        fields = chunk.replace("\n", "\t\n\t").split("\t")
+        if len(fields) != rows * stride - 1 or fields[width::stride].count("\n") != rows - 1:
             return None
-        # text mode stops or fails at malformed input, so it runs only after the checks
-        columns.append(np.fromstring("\n".join(cells), dtype=np.int64, sep="\n"))
+        categories += fields[::stride]
+        for k, column in enumerate(columns, 1):
+            cells = fields[k::stride]
+            digits = "".join(cells)
+            lengths = set(map(len, cells))
+            if not (digits.isascii() and digits.isdigit()
+                    and min(lengths) >= 1 and max(lengths) <= _FAST_DIGITS):
+                return None
+            # text mode stops or fails at malformed input, so it runs only after the checks
+            column[row:row + rows] = np.fromstring("\n".join(cells), dtype=np.int64, sep="\n")
+        row += rows
+        start = end + 1
+    if not _distinct(categories):
+        return None
     return categories, columns
+
+
+def _distinct(names: list) -> bool:
+    """Whether the strings `names` are all different.
+
+    Sorted 64-bit hashes (8 bytes a name) settle it unless two hashes are
+    equal; only then is the exact set of the names built.
+    """
+    hashes = np.fromiter(map(hash, names), dtype=np.int64, count=len(names))
+    hashes.sort()
+    return not (hashes[1:] == hashes[:-1]).any() or len(set(names)) == len(names)
 
 
 def _parse_rows_slow(path, lines: list, width: int):
@@ -152,13 +180,39 @@ def _parse_count(path, lineno: int, raw: str) -> int:
 
 
 def write_count_table(table: CountTableFile, path) -> None:
-    """Emit a CountTableFile in the same TSV format parse_count_table reads."""
-    names = table.sample_names
+    """Emit a CountTableFile in the same TSV format parse_count_table reads.
+
+    A table the parser would reject raises a ValidationError naming what is
+    wrong before the file is opened: no sample or no category, a category or
+    sample name that is not a string free of tabs and line ends, a repeated
+    category, or a column that is not one int64-range count per category.
+    """
+    names, categories = table.sample_names, table.categories
+    if not names or not categories:
+        raise ValidationError("a count table needs at least one sample and one category")
+    for kind, texts in (("sample name", names), ("category", categories)):
+        bad = next((t for t in texts if not isinstance(t, str)
+                    or "\t" in t or "\n" in t or "\r" in t), None)
+        if bad is not None:
+            raise ValidationError(f"{kind} {bad!r} is not a string free of tabs and line ends")
+    if not _distinct(categories):
+        seen: set = set()
+        dup = next(c for c in categories if c in seen or seen.add(c))
+        raise ValidationError(f"duplicate category {dup!r}")
+    columns = []
+    for name in names:
+        col = np.asarray(table.samples[name])
+        if (col.dtype.kind not in "iu" or col.shape != (len(categories),)
+                or col.min() < 0 or col.max() > INT64_MAX):
+            raise ValidationError(f"sample column {name!r} is not {len(categories)} integer "
+                                  f"counts from 0 to 2**63 - 1")
+        columns.append(col)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("category\t" + "\t".join(names) + "\n")
-        for i, cat in enumerate(table.categories):
-            row = [str(int(table.samples[name][i])) for name in names]
-            fh.write(cat + "\t" + "\t".join(row) + "\n")
+        for start in range(0, len(categories), _NAME_CHUNK):
+            stop = start + _NAME_CHUNK
+            cells = (map(str, col[start:stop].tolist()) for col in columns)
+            fh.write("\n".join(map("\t".join, zip(categories[start:stop], *cells))) + "\n")
 
 
 def _round_sig(x: float, digits: int = 9):
@@ -229,8 +283,8 @@ def _dump(value, newline: str, write) -> None:
     """Pass the indent=2 JSON of a jsonable value to `write` in pieces;
     `newline` carries its indent.
 
-    A NameList's names are escaped and joined in one call, instead of
-    element by element in json's pure-Python indenting encoder.
+    A NameList's names are escaped and joined one call per _NAME_CHUNK names,
+    instead of element by element in json's pure-Python indenting encoder.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value:
@@ -243,9 +297,11 @@ def _dump(value, newline: str, write) -> None:
         write(newline + "}")
     elif isinstance(value, NameList):
         if len(value.index):
-            write("[" + inner)
-            write(("," + inner).join(map(encode_basestring_ascii,
-                                         value.names[value.index].tolist())))
+            sep = "[" + inner
+            for start in range(0, len(value.index), _NAME_CHUNK):
+                names = value.names[value.index[start:start + _NAME_CHUNK]].tolist()
+                write(sep + ("," + inner).join(map(encode_basestring_ascii, names)))
+                sep = "," + inner
             write(newline + "]")
         else:
             write("[]")
@@ -261,16 +317,11 @@ def _dump(value, newline: str, write) -> None:
         write(json.dumps(value))
 
 
-# names per TSV write: one join per chunk, whose lines (~100 bytes each with
-# their key) then never all sit in memory at once
-_TSV_NAMES = 2**14
-
-
 def dumps_report_tsv(obj) -> str:
     """Flatten a report into `dotted.key<TAB>value` lines for spreadsheets.
 
     A NameList's names (up to ~1e6 of them) are written unescaped, with
-    their positions, one join per _TSV_NAMES names. An empty report is one
+    their positions, one join per _NAME_CHUNK names. An empty report is one
     empty line.
     """
     sink = StringIO()
@@ -299,8 +350,8 @@ def _dump_tsv(value, prefix: str, write) -> None:
         for k, v in value.items():
             _dump_tsv(v, f"{prefix}.{k}" if prefix else str(k), write)
     elif isinstance(value, NameList):
-        for start in range(0, len(value.index), _TSV_NAMES):
-            names = value.names[value.index[start:start + _TSV_NAMES]].tolist()
+        for start in range(0, len(value.index), _NAME_CHUNK):
+            names = value.names[value.index[start:start + _NAME_CHUNK]].tolist()
             write("".join(f"{prefix}[{i}]\t{name}\n" for i, name in enumerate(names, start)))
     elif isinstance(value, list):
         for i, v in enumerate(value):

@@ -171,6 +171,16 @@ class SimConfig:
             raise UsageError(f"{self.statistic} requires equal marginals: config key beta2 = "
                              f"{self.beta2!r} differs from beta = {self.beta!r}")
         if self.family == "mixture":
+            fracs = self.noise_block_fractions
+            if min(fracs if isinstance(fracs, tuple) else (fracs,), default=0.0) < 0.0:
+                raise DomainError(f"config key noise_block_fractions = {fracs!r} has a "
+                                  f"negative entry")
+            if not (0.0 <= self.signal_fraction <= 1.0):
+                raise DomainError(f"config key signal_fraction = {self.signal_fraction!r} "
+                                  f"must lie in [0, 1]")
+            if not (0.0 < self.signal_beta < math.inf):
+                raise DomainError(f"config key signal_beta = {self.signal_beta!r} must be a "
+                                  f"finite number > 0")
             sizes = self.noise_block_sizes
             support = sum(sizes if isinstance(sizes, tuple) else (sizes,)) + self.signal_m
             if self.m != support:

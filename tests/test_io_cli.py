@@ -158,6 +158,47 @@ class TestParse:
         for name in table.sample_names:
             assert np.array_equal(back.samples[name], table.samples[name])
 
+    def test_round_trip_bytes_of_the_cell_by_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cats = [f"g {i}é" for i in range(300)] + ["", "x:y", "🧬"]
+        table = CountTableFile(categories=cats, samples={
+            "a b": rng.integers(0, 10**6, len(cats)), "é": rng.integers(0, 2**63 - 1, len(cats)),
+            "u": np.arange(len(cats), dtype=np.uint8)})
+        path = tmp_path / "rt.tsv"
+        write_count_table(table, path)
+        expected = "category\ta b\té\tu\n" + "".join(
+            cat + "\t" + "\t".join(str(int(table.samples[n][i])) for n in table.samples) + "\n"
+            for i, cat in enumerate(cats))
+        assert path.read_text(encoding="utf-8") == expected
+        back = parse_count_table(path)
+        assert back.categories == cats and back.sample_names == ["a b", "é", "u"]
+        for name in table.sample_names:
+            assert back.samples[name].tolist() == table.samples[name].tolist()
+
+    @pytest.mark.parametrize("categories, samples, message", [
+        (["a", "b\tc"], {"s": [1, 2]}, r"category 'b\\tc'"),
+        (["a\nb", "c"], {"s": [1, 2]}, r"category 'a\\nb'"),
+        (["a", "c\r"], {"s": [1, 2]}, r"category 'c\\r'"),
+        (["a", 7], {"s": [1, 2]}, r"category 7 "),
+        (["a", "b"], {"s\tt": [1, 2]}, r"sample name 's\\tt'"),
+        (["a", "b"], {"x": [1, 2], "s\r": [1, 2]}, r"sample name 's\\r'"),
+        (["a", "b", "a"], {"s": [1, 2, 3]}, r"duplicate category 'a'"),
+        (["a", "b"], {"s": [1, -2]}, r"sample column 's'"),
+        (["a", "b"], {"s": [1.0, 2.0]}, r"sample column 's'"),
+        (["a", "b"], {"s": [1, 2, 3]}, r"sample column 's'"),
+        (["a", "b"], {"s": np.array([1, 2**63], dtype=np.uint64)}, r"sample column 's'"),
+        ([], {"s": []}, r"at least one sample and one category"),
+        (["a"], {}, r"at least one sample and one category"),
+    ])
+    def test_write_rejects_what_the_parser_rejects(self, tmp_path, categories, samples,
+                                                   message):
+        path = tmp_path / "bad.tsv"
+        table = CountTableFile(categories=categories,
+                               samples={k: np.asarray(v) for k, v in samples.items()})
+        with pytest.raises(ValidationError, match=message):
+            write_count_table(table, path)
+        assert not path.exists()
+
 
 def write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -278,6 +319,47 @@ class TestParsePaths:
         monkeypatch.setattr(io, "_parse_rows_slow", fail)
         assert parse_count_table(pair_table).samples["x"].size == 165
 
+    @settings(max_examples=150, deadline=None)
+    @given(names=category_names, n_cols=st.integers(1, 3), chunk=st.integers(0, 40),
+           data=st.data())
+    def test_chunked_parse_matches_the_row_parser(self, names, n_cols, chunk, data):
+        # chunks of a few characters put chunk cuts at every place in a row;
+        # a table with one bad line is None to the fast parser, an error to the slow one
+        rows = [name + "".join(f"\t{c}" for c in data.draw(
+            st.lists(st.integers(0, 10**18 - 1), min_size=n_cols, max_size=n_cols)))
+            for name in names]
+        bad_line = data.draw(st.sampled_from([None, "", names[0] + "\t1" * n_cols,
+                                              "x" + "\t1" * (n_cols + 1), "y\t" + "\t1" * n_cols]))
+        if bad_line is not None:
+            rows.insert(data.draw(st.integers(0, len(rows))), bad_line)
+        body = "\n".join(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_CHUNK", chunk)
+            fast = io._parse_rows_fast(body, n_cols + 1)
+        try:
+            slow = io._parse_rows_slow("t.tsv", body.split("\n"), n_cols + 1)
+        except ValidationError:
+            assert fast is None
+            return
+        assert fast is not None and fast[0] == slow[0]
+        assert [f.tolist() for f in fast[1]] == [s.tolist() for s in slow[1]]
+        assert all(f.dtype == np.int64 for f in fast[1])
+
+    def test_duplicate_across_chunks_named_by_the_row_parser(self, tmp_path, monkeypatch):
+        rows = "".join(f"g{i:03d}\t{i}\t1\n" for i in range(200)) + "g007\t5\t5\n"
+        path = write_text(tmp_path / "dup.tsv", HEADER + rows)
+        monkeypatch.setattr(io, "_CHUNK", 24)  # two or three rows a chunk
+        with pytest.raises(ValidationError,
+                           match=r"line 202: duplicate category 'g007' \(first seen on line 9\)"):
+            parse_count_table(path)
+
+    def test_equal_hashes_fall_back_to_the_exact_check(self, pair_table, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "hash", lambda name: 7, raising=False)
+        assert parse_count_table(pair_table).categories == [f"g{i}" for i in range(165)]
+        path = write_text(tmp_path / "dup.tsv", HEADER + "a\t1\t2\nb\t1\t2\na\t3\t4\n")
+        with pytest.raises(ValidationError, match=r"line 4: duplicate category 'a'"):
+            parse_count_table(path)
+
 
 class TestJsonable:
     def test_nine_significant_digits(self):
@@ -393,6 +475,33 @@ class TestEmitter:
     def test_string_lists_escape_like_json(self, names):
         obj = {"categories": names, "nested": [names, {"k": tuple(names)}]}
         assert dumps_report(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("extra, chunks", [(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1), (1, 2)])
+    def test_name_lists_at_chunk_boundaries(self, extra, chunks):
+        # lengths 0, 1, C - 1, C, C + 1 and 2C + 1 for the chunk C of both emitters
+        size = chunks * io._NAME_CHUNK + extra
+        table = np.array(["g1", 'q"', "é\t", "b\\s", "\x01", ""], dtype=object)
+        names = NameList(table, np.arange(size) % len(table))
+        obj = {"signal": names, "noise": [names, {"k": 1.5}]}
+        assert dumps_report(obj) == json.dumps(reference_jsonable(obj), indent=2)
+        assert dumps_report_tsv(obj) == reference_tsv(obj)
+
+    def test_name_list_written_in_bounded_memory(self):
+        # the escaped names of a 600k-name list joined at once took ~57 MB
+        size = 600_000
+        names = NameList(np.array([f"category_{i:07d}" for i in range(size)], dtype=object),
+                         np.arange(size)[::-1].copy())
+
+        class Counter:
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+
+        sink = Counter()
+        _, peak = traced_peak(lambda: write_report({"signal": names}, sink))
+        assert sink.written > 20 * size
+        assert peak <= 4 * 2**20
 
 
 class TestCli:
@@ -662,6 +771,31 @@ class TestCli:
         assert run_cli(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"m = {m} " in err
+
+    @pytest.mark.parametrize("fractions, signal_fraction, signal_beta, key, shown", [
+        # masses that sum to 1 with a negative block and a signal past 1
+        ("-0.5", "1.5", "1.0", "noise_block_fractions", "-0.5"),
+        ("0.5, -0.1", "0.6", "1.0", "noise_block_fractions", "(0.5, -0.1)"),
+        ("0, 0", "1.2", "1.0", "signal_fraction", "1.2"),
+        ("0.6, 0.6", "-0.2", "1.0", "signal_fraction", "-0.2"),
+        ("0.2, 0.2", "0.6", "-3", "signal_beta", "-3"),
+        ("0.2, 0.2", "0.6", "0", "signal_beta", "0"),
+        ("0.2, 0.2", "0.6", "inf", "signal_beta", "inf"),
+        ("0.2, 0.2", "0.6", "nan", "signal_beta", "nan"),
+    ])
+    def test_simulate_bad_mixture_field_named(self, tmp_path, capsys, fractions,
+                                              signal_fraction, signal_beta, key, shown):
+        sizes = "100, 100" if "," in fractions else "200"
+        cfg = tmp_path / "mix.cfg"
+        cfg.write_text(
+            f"family = mixture\nsignal_beta = {signal_beta}\nsignal_m = 30\n"
+            f"signal_fraction = {signal_fraction}\nnoise_block_sizes = {sizes}\n"
+            f"noise_block_fractions = {fractions}\nm = 230\nn_override = 10000\n"
+            "alpha = 0.5\nB = 40\nstatistic = lemma2_pearson\nmaster_seed = 3\n"
+        )
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"config key {key}" in err and shown in err
 
     @pytest.mark.parametrize("family_lines, key, shown", [
         ("family = uniform\nbeta = 7\nstatistic = thm3_uniform_entropy\n", "beta", "7"),
