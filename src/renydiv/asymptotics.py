@@ -27,7 +27,8 @@ from .errors import (
     UndefinedStatisticError,
     UsageError,
 )
-from .measures import _cross_power_sum, _pearson_chi_square, _power_sum, _two_sample_chi_square
+from .measures import (_count, _cross_power_sum, _distinct, _pearson_chi_square, _plugin,
+                       _power_sum, _two_sample_chi_square)
 from .projections import (LDReport, _degenerate, _ld_report, _v_moments_cells,
                           _v_moments_independent, _v_ratio_sum, _w_moments)
 
@@ -178,14 +179,14 @@ def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
     cv = as_count_vector(c)
     if cv.n < 2:
         raise DomainError("need n >= 2 observations")
-    if cv.m_observed < 2:
+    phat, mult, m = _plugin(cv.counts, cv.n)
+    if m < 2:
         raise DegenerateStatisticError(
             "all mass in one category: entropy estimate is 0 and its CLT variance "
             "is undefined; nothing to test in the non-degenerate regime"
         )
-    phat = cv.counts[cv.observed] / cv.n
-    s_a = _power_sum(phat, alpha)
-    w = _w_moments(s_a, _power_sum(phat, 2.0 * alpha - 1.0), alpha)
+    s_a = _power_sum(phat, alpha, mult)
+    w = _w_moments(s_a, _power_sum(phat, 2.0 * alpha - 1.0, mult), alpha)
     if _degenerate(w):
         raise DegenerateStatisticError(
             "empirically uniform counts: CV(W) = 0, the entropy CLT is degenerate; "
@@ -194,10 +195,10 @@ def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
     est = math.log(s_a) / (1.0 - alpha)
     se = w.cv * alpha / ((1.0 - alpha) * math.sqrt(cv.n))
     z = normal_quantile(0.5 + level / 2.0)
-    ld = _ld_report(phat.size, cv.n, float(phat.min()), w, _power_sum(phat, alpha - 1.0))
+    ld = _ld_report(m, cv.n, float(phat.min()), w, _power_sum(phat, alpha - 1.0, mult))
     return EstimateWithCI(
         estimate=est, level=level, lower=est - z * se, upper=est + z * se,
-        std_error=se, n=cv.n, m=phat.size, method="thm1", ld=ld,
+        std_error=se, n=cv.n, m=m, method="thm1", ld=ld,
     )
 
 
@@ -246,16 +247,17 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
         if cvx.m != cvy.m:
             raise ShapeError(f"category counts differ: {cvx.m} vs {cvy.m}")
         n_eff = _effective_n(cvx.n, cvy.n)
-    phat = cvx.counts / cvx.n
-    qhat = cvy.counts / cvy.n
+    gx, gy, mult = _distinct(cvx.counts, cvy.counts)
+    phat, qhat = gx / cvx.n, gy / cvy.n
     shared = (phat > 0) & (qhat > 0)
     if not shared.any():
         raise DomainError("no shared support between the two samples")
-    est = math.log(_cross_power_sum(phat, qhat, alpha)) / (alpha - 1.0)
+    est = math.log(_cross_power_sum(phat, qhat, alpha, mult)) / (alpha - 1.0)
     if joint is None:
-        v = _v_moments_independent(phat, qhat, alpha)
+        v = _v_moments_independent(phat, qhat, alpha, mult)
     else:
-        v = _v_moments_cells(joint.rows, joint.cols, joint.counts / joint.n, phat, qhat, alpha)
+        v = _v_moments_cells(joint.rows, joint.cols, joint.counts / joint.n,
+                             cvx.counts / cvx.n, cvy.counts / cvy.n, alpha)
     if _degenerate(v):
         raise DegenerateStatisticError(
             "empirically identical marginals: CV(V) = 0, the divergence CLT is "
@@ -263,19 +265,19 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
         )
     se = v.cv / ((1.0 - alpha) * math.sqrt(n_eff))
     z = normal_quantile(0.5 + level / 2.0)
-    union = (phat > 0) | (qhat > 0)
     ld = None
     # the LD conditions need strictly positive masses on the whole universe
     if shared.all():
-        w = _w_moments(_power_sum(phat, alpha), _power_sum(phat, 2.0 * alpha - 1.0), alpha)
+        w = _w_moments(_power_sum(phat, alpha, mult),
+                       _power_sum(phat, 2.0 * alpha - 1.0, mult), alpha)
         ld = _ld_report(
-            phat.size, int(round(n_eff)), min(float(phat.min()), float(qhat.min())), w,
-            _power_sum(phat, alpha - 1.0), v, _v_ratio_sum(phat, qhat, alpha),
+            cvx.m, int(round(n_eff)), min(float(phat.min()), float(qhat.min())), w,
+            _power_sum(phat, alpha - 1.0, mult), v, _v_ratio_sum(phat, qhat, alpha, mult),
         )
     return EstimateWithCI(
         estimate=est, level=level, lower=est - z * se,
         upper=est + z * se, std_error=se,
-        n=int(round(n_eff)), m=int(union.sum()), method="thm2", ld=ld,
+        n=int(round(n_eff)), m=_count((phat > 0) | (qhat > 0), mult), method="thm2", ld=ld,
     )
 
 
@@ -303,7 +305,8 @@ def _thm3_z(counts: np.ndarray, n: int, alpha: float) -> tuple[float, float, flo
         )
     center = math.log(m) + math.log1p(generalized_binomial(alpha, 2) * m / n) / (1.0 - alpha)
     sd = alpha * math.sqrt(m / 2.0)
-    h_hat = math.log(_power_sum(counts[counts > 0] / n, alpha)) / (1.0 - alpha)
+    phat, mult, _ = _plugin(counts, n)
+    h_hat = math.log(_power_sum(phat, alpha, mult)) / (1.0 - alpha)
     return n * (h_hat - center) / sd, center, sd
 
 
@@ -313,9 +316,10 @@ def _null_z(x: float, mu: float, gamma: float) -> float:
 
 
 def _thm4_z(phat: np.ndarray, qhat: np.ndarray, n: float, alpha: float,
-            mu: float, gamma: float) -> float:
-    """Theorem 4: n (a(a-1))^(-1) (S_a(phat, qhat) - 1) standardized by _null_z."""
-    s = _cross_power_sum(phat, qhat, alpha)
+            mu: float, gamma: float, mult=None) -> float:
+    """Theorem 4: n (a(a-1))^(-1) (S_a(phat, qhat) - 1) standardized by _null_z;
+    mult as for _cross_power_sum."""
+    s = _cross_power_sum(phat, qhat, alpha, mult)
     return _null_z(n / (alpha * (alpha - 1.0)) * (s - 1.0), mu, gamma)
 
 
@@ -334,7 +338,8 @@ def uniformity_test(c, alpha: float, method: str = "thm3") -> TestReport:
     if n < 2 or m < 2:
         raise DomainError("need n >= 2 and m >= 2")
     if method == "lemma2i":
-        x2 = _pearson_chi_square(cv.counts, n, np.full(m, 1.0 / m))
+        vals, mult = _distinct(cv.counts)
+        x2 = _pearson_chi_square(vals, n, 1.0 / m, mult)
         z = lemma2i_standardize(x2, m)
         return TestReport(
             statistic=z, null_mean=float(m), null_sd=math.sqrt(2.0 * m),
@@ -399,9 +404,6 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
             raise UsageError("paired mode takes the two samples from joint: pass cx = cy = None")
         cvx, cvy = joint.marginal_count_vectors()
         n_eff = float(joint.n)
-        mu, gamma_sq = _shrunken_joint_null_params(joint, alpha)
-        union = (cvx.counts > 0) | (cvy.counts > 0)
-        m_union = int(union.sum())
     elif mode == "independent":
         if cx is None or cy is None:
             raise UsageError("independent mode requires two count vectors")
@@ -411,16 +413,19 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
         cvy = as_count_vector(cy)
         if cvx.m != cvy.m:
             raise ShapeError(f"category counts differ: {cvx.m} vs {cvy.m}")
-        union = (cvx.counts > 0) | (cvy.counts > 0)
-        m_union = int(union.sum())
         n_eff = _effective_n(cvx.n, cvy.n)
-        mu = gamma_sq = float(max(m_union - 1, 0))
     else:
         raise UsageError(f"unknown mode {mode!r}")
+    gx, gy, mult = _distinct(cvx.counts, cvy.counts)
+    m_union = _count((gx > 0) | (gy > 0), mult)
     if m_union < 2:
         raise DomainError("need at least 2 observed categories")
+    if mode == "paired":
+        mu, gamma_sq = _shrunken_joint_null_params(joint, alpha)
+    else:
+        mu = gamma_sq = float(m_union - 1)
     gamma = math.sqrt(gamma_sq)
-    z = _thm4_z(cvx.counts / cvx.n, cvy.counts / cvy.n, n_eff, alpha, mu, gamma)
+    z = _thm4_z(gx / cvx.n, gy / cvy.n, n_eff, alpha, mu, gamma, mult)
     return TestReport(
         statistic=z, null_mean=mu, null_sd=math.sqrt(2.0) * gamma,
         p_value=_p_value(z, "upper"), sidedness="upper",

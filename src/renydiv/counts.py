@@ -62,32 +62,26 @@ def _coo_cells(rows, cols, values: np.ndarray, m: int):
 
 @dataclass(frozen=True, eq=False)
 class CountVector:
-    """Non-negative integer counts per category for a single sample."""
+    """Non-negative integer counts per category for a single sample, and their total n."""
 
     counts: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self):
         arr = np.asarray(self.counts)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("count vector must be 1-D and non-empty")
         arr = _nonnegative_int64(arr, "counts")
-        if _checked_total(arr) < 1:
+        total = _checked_total(arr)
+        if total < 1:
             raise ValidationError("total count n must be >= 1")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
+        object.__setattr__(self, "n", total)
 
     @property
     def m(self) -> int:
         return int(self.counts.size)
-
-    @property
-    def observed(self) -> np.ndarray:
-        """Boolean mask of categories with positive count."""
-        return self.counts > 0
 
     @property
     def m_observed(self) -> int:

@@ -14,26 +14,43 @@ PROB_SUM_TOL = 1e-12
 _PEEL_MIN = 4096
 
 
-def _sum(values) -> float:
+def _sum(values, mult=None) -> float:
     """The package's one summation, exactly rounded, so the same terms in any
     order give the same bits: always those of math.fsum (Shewchuk 1997) over
     the terms. Takes an array or an iterable.
 
-    A real array of _PEEL_MIN to 2**26 elements is first split by error-free
-    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation,
-    Part I", 2008): with sigma = 2**(e + bits), |x| < 2**e and n + 1 < 2**bits,
+    mult, an optional int64 array of one size with the array values, repeats
+    term k mult[k] times. It adds values[k] * 2**j for each set bit j of
+    mult[k]: a power-of-two scaling is exact, so the result has the bits of
+    the sum over the repeated terms in O(values.size * log2(max mult)). A
+    scaling that would overflow repeats the terms themselves instead.
+
+    A real array of _PEEL_MIN to 2**26 elements (with mult, under 2**26 that
+    stand for at least _PEEL_MIN terms) is first split by error-free extraction
+    (Rump, Ogita and Oishi, "Accurate floating-point summation, Part I", 2008):
+    with sigma = 2**(e + bits), |x| < 2**e and n + 1 < 2**bits,
     q = (x + sigma) - sigma holds multiples of sigma * 2**-53 whose np.sum is
     exact in any order, and x - q is exact too. Each pass strips ~53 - log2(n)
     bits, so a few passes leave a zero remainder and fsum adds only the parts.
     Arrays holding inf or nan, or whose sigma would overflow, go to fsum whole.
     """
+    if mult is not None:
+        t, mult = np.ravel(values), np.ravel(mult)
+        top = int(mult.max()).bit_length() if mult.size else 0
+        try:
+            with np.errstate(over="raise"):
+                values = np.concatenate(
+                    [t[:0]] + [np.ldexp(t[(mult >> j) & 1 == 1], j) for j in range(top)])
+        except FloatingPointError:
+            values = np.repeat(t, mult)
     if not isinstance(values, np.ndarray):
         return math.fsum(values)
     x = values.ravel()
     parts = []
     if x.dtype.kind in "biu":
         x = x.astype(float)
-    if x.dtype == np.float64 and _PEEL_MIN <= x.size < 2**26:
+    terms = x.size if mult is None else int(mult.sum())
+    if x.dtype == np.float64 and _PEEL_MIN <= terms and x.size < 2**26:
         bits = (x.size + 1).bit_length()
         q = None
         while True:

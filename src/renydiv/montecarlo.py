@@ -24,8 +24,8 @@ from .asymptotics import (_null_z, _thinned, _thm3_z, _thm4_z, chi_square_null_p
 from .counts import INT64_MAX, CountVector, JointCountTable
 from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum, check_alpha
 from .errors import DomainError, UsageError, ValidationError
-from .measures import (_cross_power_sum, _pearson_chi_square, _power_sum, _two_sample_chi_square,
-                       cross_power_sum, power_sum)
+from .measures import (_cross_power_sum, _distinct, _pearson_chi_square, _plugin, _power_sum,
+                       _two_sample_chi_square, cross_power_sum, power_sum)
 from .powerlaw import powerlaw_pmf
 from .projections import _degenerate, projection_w_moments, v_moments_independent
 
@@ -343,7 +343,8 @@ class _Normalizers:
 def _univariate_statistic(counts: np.ndarray, n: int, norm: _Normalizers,
                           m: int, alpha: float) -> float:
     if norm.statistic == "thm1_entropy":
-        h_hat = math.log(_power_sum(counts[counts > 0] / n, alpha)) / (1.0 - alpha)
+        phat, mult, _ = _plugin(counts, n)
+        h_hat = math.log(_power_sum(phat, alpha, mult)) / (1.0 - alpha)
         return math.sqrt(n) * (1.0 / alpha - 1.0) * (h_hat - norm.value) / norm.cv
     if norm.statistic == "lemma2_pearson":
         return lemma2i_standardize(_pearson_chi_square(counts, n, norm.p.probs), m)
@@ -354,13 +355,14 @@ def _univariate_statistic(counts: np.ndarray, n: int, norm: _Normalizers,
 
 def _bivariate_statistic(cx: np.ndarray, cy: np.ndarray, n: int, norm: _Normalizers,
                          m: int, alpha: float) -> float:
-    if norm.statistic == "thm2_divergence":
-        d_hat = math.log(_cross_power_sum(cx / n, cy / n, alpha)) / (alpha - 1.0)
-        return math.sqrt(n) * (alpha - 1.0) * (d_hat - norm.value) / norm.cv
-    if norm.statistic == "thm4_degenerate_divergence":
-        return _thm4_z(cx / n, cy / n, n, alpha, norm.mu_n, norm.gamma_n)
     if norm.statistic == "lemma2_two_sample":
         return _null_z(_two_sample_chi_square(cx, cy, n, norm.joint.a), norm.mu_n, norm.gamma_n)
+    gx, gy, mult = _distinct(cx, cy)
+    if norm.statistic == "thm2_divergence":
+        d_hat = math.log(_cross_power_sum(gx / n, gy / n, alpha, mult)) / (alpha - 1.0)
+        return math.sqrt(n) * (alpha - 1.0) * (d_hat - norm.value) / norm.cv
+    if norm.statistic == "thm4_degenerate_divergence":
+        return _thm4_z(gx / n, gy / n, n, alpha, norm.mu_n, norm.gamma_n, mult)
     raise AssertionError(norm.statistic)
 
 
@@ -461,8 +463,9 @@ def bias_experiment(cfg: SimConfig) -> float:
     def ratio(r):
         n_rep, counts = _replicate_counts(cfg, norm, n, r)
         if cfg.statistic == "thm1_entropy":
-            c, = counts
-            return _power_sum(c[c > 0] / n_rep, cfg.alpha) / norm.s_true
-        return _cross_power_sum(counts[0] / n_rep, counts[1] / n_rep, cfg.alpha) / norm.s_true
+            phat, mult, _ = _plugin(*counts, n_rep)
+            return _power_sum(phat, cfg.alpha, mult) / norm.s_true
+        gx, gy, mult = _distinct(*counts)
+        return _cross_power_sum(gx / n_rep, gy / n_rep, cfg.alpha, mult) / norm.s_true
 
     return float(_run_replicates(cfg, ratio).mean() - 1.0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
 from .errors import DomainError, ShapeError
-from .measures import _power_sum, cross_power_sum
+from .measures import _masked, _power_sum, cross_power_sum
 
 # Desk-scale advisory thresholds for the asymptotic o(.) conditions: a finite-n
 # quotient below 0.1 reads "pass", below 0.5 "marginal", otherwise "fail".
@@ -59,21 +59,23 @@ def _w_moments(s_a: float, s_2a_minus_1: float, alpha: float) -> ProjectionMomen
     return _moments(alpha * s_a, alpha * alpha * s_2a_minus_1)
 
 
-def _v_part(w: np.ndarray, ratio: np.ndarray, coef: float) -> tuple[float, float]:
-    """E X and E X^2 for X = coef * ratio taking its values with weights w."""
+def _v_part(w: np.ndarray, ratio: np.ndarray, coef: float, mult=None) -> tuple[float, float]:
+    """E X and E X^2 for X = coef * ratio taking its values with weights w, each
+    term taken mult times."""
     vals = coef * ratio
-    return _sum(w * vals), _sum(w * vals**2)
+    return _sum(w * vals, mult), _sum(w * vals**2, mult)
 
 
 def _v_product_parts(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray,
-                     alpha: float) -> tuple[float, float, float, float]:
+                     alpha: float, mult=None) -> tuple[float, float, float, float]:
     """E A, E A^2 over weights a and E B, E B^2 over weights b, for
     A_i = a (q_i/p_i)^(1-a) and B_j = (1-a) (p_j/q_j)^a; p and q are positive."""
-    return (*_v_part(a, (q / p) ** (1.0 - alpha), alpha),
-            *_v_part(b, (p / q) ** alpha, 1.0 - alpha))
+    return (*_v_part(a, (q / p) ** (1.0 - alpha), alpha, mult),
+            *_v_part(b, (p / q) ** alpha, 1.0 - alpha, mult))
 
 
-def _v_moments_independent(p: np.ndarray, q: np.ndarray, alpha: float) -> ProjectionMoments:
+def _v_moments_independent(p: np.ndarray, q: np.ndarray, alpha: float,
+                           mult=None) -> ProjectionMoments:
     """V = A_i + B_j moments for independent marginals, from the A and B sums.
 
     Off the shared support the weight or the value is 0 and the term
@@ -81,7 +83,7 @@ def _v_moments_independent(p: np.ndarray, q: np.ndarray, alpha: float) -> Projec
     """
     shared = (p > 0) & (q > 0)
     ps, qs = p[shared], q[shared]
-    ea, ea2, eb, eb2 = _v_product_parts(ps, qs, ps, qs, alpha)
+    ea, ea2, eb, eb2 = _v_product_parts(ps, qs, ps, qs, alpha, _masked(mult, shared))
     # E V^2 = E A^2 + 2 E A E B + E B^2 since A and B are independent
     return _moments(ea + eb, ea2 + 2.0 * ea * eb + eb2)
 
@@ -98,9 +100,9 @@ def _v_moments_cells(ii: np.ndarray, jj: np.ndarray, w: np.ndarray, p: np.ndarra
     return _moments(base[0] + _sum(w * vals), base[1] + _sum(w * vals * vals))
 
 
-def _v_ratio_sum(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
+def _v_ratio_sum(p: np.ndarray, q: np.ndarray, alpha: float, mult=None) -> float:
     """sum (q_i/p_i)^(1-a) + sum (p_i/q_i)^a, for strictly positive p and q."""
-    return _sum((q / p) ** (1.0 - alpha)) + _sum((p / q) ** alpha)
+    return _sum((q / p) ** (1.0 - alpha), mult) + _sum((p / q) ** alpha, mult)
 
 
 def projection_w_moments(p, alpha: float) -> ProjectionMoments:

@@ -1,7 +1,9 @@
 """distributions._sum: the same bits as math.fsum on any array, and fsum kept off large ones."""
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +84,37 @@ def test_int64_sum_is_fsum_of_floats(n, seed, bound):
     x = np.random.default_rng(seed).integers(-bound, bound, n)
     assert _sum(x).hex() == _fsum_or_error(x)
     assert _sum(x[::3]).hex() == _fsum_or_error(x[::3])
+
+
+def _exact(values, mult) -> float:
+    """sum_k values[k] * mult[k] in rationals, rounded once to the nearest float."""
+    return float(sum(Fraction(v) * k for v, k in zip(values.tolist(), mult.tolist())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e290, 1e290, allow_subnormal=True), max_size=60),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 2**12, 2**31 - 1]))
+@example([1e16, 1.0, -1e16], 0, 1)
+@example([5e-324, -1e-310, 2.2250738585072014e-308], 0, 2**31 - 1)
+def test_sum_with_multiplicities_is_exactly_rounded(values, seed, top):
+    x = np.array(values, dtype=float)
+    mult = np.random.default_rng(seed).integers(0, top, x.size, endpoint=True)
+    assert _sum(x, mult).hex() == _exact(x, mult).hex()
+    assert _sum(x, np.ones(x.size, np.int64)).hex() == _fsum_or_error(x)
+
+
+def test_sum_with_multiplicities_edges():
+    cancel = np.array([1e16, 1.0, -1e16])
+    for mult in ([1, 1, 1], [3, 5, 3], [2**31 - 1, 7, 2**31 - 1], [0, 2**31 - 1, 0]):
+        mult = np.array(mult)
+        assert _sum(cancel, mult) == _exact(cancel, mult)
+    tiny = np.array([5e-324, 1e-320])
+    assert _sum(tiny, np.array([2**31 - 1, 3])) == _exact(tiny, np.array([2**31 - 1, 3]))
+    assert _sum(np.array([2.5, 1.0]), np.array([0, 0])) == 0.0
+    assert _sum(np.array([]), np.array([], dtype=np.int64)) == 0.0
+    # a scaling past the float range sums the repeated terms, as fsum would
+    with pytest.raises(OverflowError):
+        _sum(np.array([1e308]), np.array([2]))
 
 
 def test_iterables_go_to_fsum():
