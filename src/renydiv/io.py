@@ -37,8 +37,8 @@ class CountTableFile:
 _FAST_DIGITS = 18  # any count of at most 18 ASCII digits fits in int64
 # characters per parse chunk: only one chunk's field strings are alive at a time
 _CHUNK = 2**20
-# names per NameList write, JSON or TSV, and rows per count-table write: one
-# join per chunk, so its escaped names or lines never all sit in memory at once
+# names per NameList write, JSON or TSV: one join per chunk, so its escaped
+# names never all sit in memory at once
 _NAME_CHUNK = 2**14
 
 
@@ -179,42 +179,6 @@ def _parse_count(path, lineno: int, raw: str) -> int:
     )
 
 
-def write_count_table(table: CountTableFile, path) -> None:
-    """Emit a CountTableFile in the same TSV format parse_count_table reads.
-
-    A table the parser would reject raises a ValidationError naming what is
-    wrong before the file is opened: no sample or no category, a category or
-    sample name that is not a string free of tabs and line ends, a repeated
-    category, or a column that is not one int64-range count per category.
-    """
-    names, categories = table.sample_names, table.categories
-    if not names or not categories:
-        raise ValidationError("a count table needs at least one sample and one category")
-    for kind, texts in (("sample name", names), ("category", categories)):
-        bad = next((t for t in texts if not isinstance(t, str)
-                    or "\t" in t or "\n" in t or "\r" in t), None)
-        if bad is not None:
-            raise ValidationError(f"{kind} {bad!r} is not a string free of tabs and line ends")
-    if not _distinct(categories):
-        seen: set = set()
-        dup = next(c for c in categories if c in seen or seen.add(c))
-        raise ValidationError(f"duplicate category {dup!r}")
-    columns = []
-    for name in names:
-        col = np.asarray(table.samples[name])
-        if (col.dtype.kind not in "iu" or col.shape != (len(categories),)
-                or col.min() < 0 or col.max() > INT64_MAX):
-            raise ValidationError(f"sample column {name!r} is not {len(categories)} integer "
-                                  f"counts from 0 to 2**63 - 1")
-        columns.append(col)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("category\t" + "\t".join(names) + "\n")
-        for start in range(0, len(categories), _NAME_CHUNK):
-            stop = start + _NAME_CHUNK
-            cells = (map(str, col[start:stop].tolist()) for col in columns)
-            fh.write("\n".join(map("\t".join, zip(categories[start:stop], *cells))) + "\n")
-
-
 def _round_sig(x: float, digits: int = 9):
     if isinstance(x, float):
         if math.isnan(x) or math.isinf(x):
@@ -284,7 +248,9 @@ def _dump(value, newline: str, write) -> None:
     `newline` carries its indent.
 
     A NameList's names are escaped and joined one call per _NAME_CHUNK names,
-    instead of element by element in json's pure-Python indenting encoder.
+    instead of element by element in json's pure-Python indenting encoder. A
+    slice whose names need no escaping, which one escape of all of them
+    joined shows, is joined between quotes without escaping each name.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value:
@@ -297,10 +263,14 @@ def _dump(value, newline: str, write) -> None:
         write(newline + "}")
     elif isinstance(value, NameList):
         if len(value.index):
-            sep = "[" + inner
+            sep, plain = "[" + inner, '",' + inner + '"'
             for start in range(0, len(value.index), _NAME_CHUNK):
                 names = value.names[value.index[start:start + _NAME_CHUNK]].tolist()
-                write(sep + ("," + inner).join(map(encode_basestring_ascii, names)))
+                flat = "".join(names)
+                if len(encode_basestring_ascii(flat)) == len(flat) + 2:  # only quotes added
+                    write(sep + '"' + plain.join(names) + '"')
+                else:
+                    write(sep + ("," + inner).join(map(encode_basestring_ascii, names)))
                 sep = "," + inner
             write(newline + "]")
         else:

@@ -90,9 +90,12 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
     stops once max_K components are closed. Zero-count categories carry no
     observations and belong to neither side.
 
-    One stable sort puts the positive counts in ascending order, ties by
-    category index, so every block is a slice of it and each candidate's
-    statistic comes in O(1) from exact integer sums of c and c^2.
+    The strata are the distinct positive counts and their multiplicities,
+    so each candidate's statistic comes in O(1) from exact integer sums of c
+    and c^2. Only the noise needs category order: one stable sort of the
+    counts capped at the first signal value, a small unsigned key, puts the
+    noise in ascending order, ties by category index, and every component is
+    a slice of it.
     """
     if not (0.0 < level < 1.0):
         raise DomainError("significance level must lie in (0, 1)")
@@ -101,11 +104,12 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
     cv = as_count_vector(c)
     counts = cv.counts
     n = cv.n
-    order = np.argsort(counts, kind="stable")[cv.m - cv.m_observed:]  # zeros sort first
-    ranked = counts[order]
-    # size[j]: categories below the j-th distinct value; stratum j is order[size[j]:size[j + 1]]
-    size = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), int(order.size)]
-    values = ranked[size[:-1]].tolist()
+    zeros = cv.m - cv.m_observed
+    distinct, mult = np.unique(counts, return_counts=True)
+    skip = int(zeros > 0)  # zero counts form no stratum
+    # values: the distinct positive counts; size[j]: categories below the j-th of them
+    values = distinct[skip:].tolist()
+    size = [0, *np.cumsum(mult[skip:]).tolist()]
     zcrit = normal_quantile(1.0 - level)
 
     blocks: list[tuple[int, int, int]] = []  # closed components: strata [a, b) and their sum of c
@@ -126,16 +130,23 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
     else:
         blocks.append((a, len(values), s))
 
+    stop = blocks[-1][1] if blocks else 0  # strata below stop are noise
+    cutoff = values[stop - 1] if stop else 0
+    # every signal count keyed as the first value above the cutoff: the stable sort
+    # (radix for a key of up to 16 bits) puts zeros first, then stratum j of the
+    # noise at order[size[j]:size[j + 1]], ties by category index
+    top = values[stop] if stop < len(values) else cutoff
+    key = np.minimum(counts, top).astype(np.min_scalar_type(top))
+    order = np.argsort(key, kind="stable")[zeros:zeros + size[stop]]
     components = []
     for lo, hi, total in blocks:
         mean_count = total / (size[hi] - size[lo])
         components.append(NoiseComponent(categories=order[size[lo]:size[hi]],
                                           level=mean_count / n, mean_count=mean_count))
-    stop = blocks[-1][1] if blocks else 0  # strata below stop are noise
     noise_total = sum(total for _, _, total in blocks)
-    signal_categories = np.sort(order[size[stop]:])
+    signal_categories = np.flatnonzero(counts > cutoff)
     return MixtureDecomposition(
-        cutoff_k_m=values[stop - 1] if stop else 0,
+        cutoff_k_m=cutoff,
         noise_components=components,
         signal_categories=signal_categories,
         noise_fraction=noise_total / n,

@@ -1,5 +1,6 @@
 """filter_noise against its pre-sort reference; the homogeneity p-value against scipy.stats."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,7 +90,8 @@ def count_tables(draw):
     exact; the rewrite sums exact integers at any size.
     """
     kind = draw(st.sampled_from(
-        ["list", "poisson", "mixture", "dirichlet", "small", "geometric", "near_uniform"]))
+        ["list", "poisson", "mixture", "dirichlet", "small", "geometric", "near_uniform",
+         "wide", "constant"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 3000))
     if kind == "list":
@@ -106,10 +108,24 @@ def count_tables(draw):
         c = rng.integers(0, 4, m)
     elif kind == "geometric":
         c = rng.geometric(rng.uniform(0.05, 0.9), m)
-    else:
+    elif kind == "near_uniform":
         c = rng.poisson(rng.uniform(100.0, 3000.0), m) + 1
+    elif kind == "wide":
+        c = wide_table(rng, m, draw(st.sampled_from([400.0, 3000.0, 1e5])))
+    else:
+        c = np.full(m, draw(st.integers(1, 2**30))) * (rng.random(m) < 0.9)
     c[0] += c.sum() == 0  # n >= 1
     return c
+
+
+def wide_table(rng, m: int, mean: float) -> np.ndarray:
+    """A Poisson(mean) noise block, some zeros, and a spread-out signal far above it.
+
+    At a mean of 400 or more the noise cutoff passes 2**8, at 1e5 it passes 2**16,
+    so filter_noise sorts on a uint16 or a uint32 key.
+    """
+    return np.concatenate([rng.poisson(mean, m) + 1, np.zeros(m // 7, dtype=np.int64),
+                           rng.integers(int(3 * mean), int(40 * mean), m // 4 + 1)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,6 +144,60 @@ def test_filter_noise_matches_reference(c, level, max_K):
     for g, w in zip(got.noise_components, want.noise_components):
         assert g.categories.tolist() == w.categories.tolist()  # order included
         assert g.level == w.level and g.mean_count == w.mean_count
+
+
+def assert_matches(got: MixtureDecomposition, want: MixtureDecomposition) -> None:
+    assert (got.cutoff_k_m, got.m_signal) == (want.cutoff_k_m, want.m_signal)
+    assert (got.noise_fraction, got.signal_fraction) == (want.noise_fraction,
+                                                         want.signal_fraction)
+    # the CLI's NameList indexes the name table with these arrays
+    assert got.signal_categories.dtype == np.intp
+    assert got.signal_categories.tolist() == want.signal_categories.tolist()
+    assert len(got.noise_components) == len(want.noise_components)
+    for g, w in zip(got.noise_components, want.noise_components):
+        assert g.categories.dtype == np.intp
+        assert g.categories.tolist() == w.categories.tolist()
+        assert (g.level, g.mean_count) == (w.level, w.mean_count)
+
+
+@pytest.mark.parametrize("mean, low", [(400.0, 2**8), (3000.0, 2**8), (1e5, 2**16)])
+@pytest.mark.parametrize("max_K", [1, 2])
+def test_cutoffs_past_8_and_16_bits_match_reference(mean, low, max_K):
+    c = wide_table(np.random.default_rng(int(mean)), 3000, mean)
+    got = filter_noise(c, max_K=max_K)
+    assert got.cutoff_k_m >= low and got.m_signal > 0
+    assert_matches(got, reference_filter_noise(c, max_K=max_K))
+
+
+@pytest.mark.parametrize("c", [np.full(500, 7), np.array([0, 2**40, 0, 2**40]),
+                               np.array([2**63 - 1]),
+                               np.random.default_rng(3).poisson(60.0, 2000) + 1])
+def test_all_noise_matches_reference(c):
+    got = filter_noise(c)
+    assert got.m_signal == 0 and got.cutoff_k_m == c.max()
+    assert_matches(got, reference_filter_noise(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_tables(), st.integers(1, 4))
+def test_category_indexes_are_intp(c, max_K):
+    assert_matches(filter_noise(c, max_K=max_K), reference_filter_noise(c, max_K=max_K))
+
+
+def test_filter_noise_memory_per_category():
+    # two full stable int64 argsorts of the counts peaked at 17 bytes a category here
+    m = 200_000
+    w = 1.0 / np.arange(1, m + 1)
+    cv = as_count_vector(np.random.default_rng(11).multinomial(10 * m, w / w.sum()) + 1)
+    filter_noise(cv)
+    tracemalloc.start()
+    try:
+        dec = filter_noise(cv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.noise_components and dec.m_signal > 0
+    assert peak <= 14 * m
 
 
 @pytest.mark.parametrize("k, betas", [(2, (1.0, 1.0)), (3, (1.0, 1.0)), (3, (0.87, 0.97)),
