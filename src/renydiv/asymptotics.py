@@ -174,8 +174,7 @@ def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
     that direction belongs to uniformity_test.
     """
     alpha = check_alpha(alpha)
-    if not (0.0 < level < 1.0):
-        raise DomainError("confidence level must lie in (0, 1)")
+    z = _z_level(level)
     cv = as_count_vector(c)
     if cv.n < 2:
         raise DomainError("need n >= 2 observations")
@@ -194,7 +193,6 @@ def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
         )
     est = math.log(s_a) / (1.0 - alpha)
     se = w.cv * alpha / ((1.0 - alpha) * math.sqrt(cv.n))
-    z = normal_quantile(0.5 + level / 2.0)
     ld = _ld_report(m, cv.n, float(phat.min()), w, _power_sum(phat, alpha - 1.0, mult))
     return EstimateWithCI(
         estimate=est, level=level, lower=est - z * se, upper=est + z * se,
@@ -217,10 +215,33 @@ def _exp_ci(h: EstimateWithCI) -> EstimateWithCI:
     )
 
 
+def _z_level(level: float) -> float:
+    """The normal quantile of a two-sided confidence level in (0, 1)."""
+    if not (0.0 < level < 1.0):
+        raise DomainError("confidence level must lie in (0, 1)")
+    return normal_quantile(0.5 + level / 2.0)
+
+
 def _effective_n(n1: int, n2: int) -> float:
     # harmonic-mean effective size; equals n when totals match (the theorem's
     # setting samples one bivariate array, so equal totals are the base case)
     return 2.0 * n1 * n2 / (n1 + n2)
+
+
+def _samples(cx, cy, joint: JointCountTable | None,
+             what: str) -> tuple[CountVector, CountVector, float]:
+    """(cvx, cvy, n_eff) of a two-sample call: the count vectors cx and cy with their
+    effective size, or the marginals of joint with its n (cx and cy then None)."""
+    if joint is not None:
+        if cx is not None or cy is not None:
+            raise UsageError(f"{what} takes the two samples from joint: pass cx = cy = None")
+        return (*joint.marginal_count_vectors(), float(joint.n))
+    if cx is None or cy is None:
+        raise UsageError(f"{what} needs two count vectors cx and cy, or joint")
+    cvx, cvy = as_count_vector(cx), as_count_vector(cy)
+    if cvx.m != cvy.m:
+        raise ShapeError(f"category counts differ: {cvx.m} vs {cvy.m}")
+    return cvx, cvy, _effective_n(cvx.n, cvy.n)
 
 
 def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
@@ -234,19 +255,8 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
     equality_test.
     """
     alpha = check_alpha(alpha)
-    if not (0.0 < level < 1.0):
-        raise DomainError("confidence level must lie in (0, 1)")
-    if joint is not None:
-        if cx is not None or cy is not None:
-            raise UsageError("divergence_ci takes the two samples from joint: pass cx = cy = None")
-        cvx, cvy = joint.marginal_count_vectors()
-        n_eff = float(joint.n)
-    else:
-        cvx = as_count_vector(cx)
-        cvy = as_count_vector(cy)
-        if cvx.m != cvy.m:
-            raise ShapeError(f"category counts differ: {cvx.m} vs {cvy.m}")
-        n_eff = _effective_n(cvx.n, cvy.n)
+    z = _z_level(level)
+    cvx, cvy, n_eff = _samples(cx, cy, joint, "divergence_ci")
     gx, gy, mult = _distinct(cvx.counts, cvy.counts)
     phat, qhat = gx / cvx.n, gy / cvy.n
     shared = (phat > 0) & (qhat > 0)
@@ -264,7 +274,6 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
             "degenerate; use equality_test instead"
         )
     se = v.cv / ((1.0 - alpha) * math.sqrt(n_eff))
-    z = normal_quantile(0.5 + level / 2.0)
     ld = None
     # the LD conditions need strictly positive masses on the whole universe
     if shared.all():
@@ -339,21 +348,15 @@ def uniformity_test(c, alpha: float, method: str = "thm3") -> TestReport:
         raise DomainError("need n >= 2 and m >= 2")
     if method == "lemma2i":
         vals, mult = _distinct(cv.counts)
-        x2 = _pearson_chi_square(vals, n, 1.0 / m, mult)
-        z = lemma2i_standardize(x2, m)
-        return TestReport(
-            statistic=z, null_mean=float(m), null_sd=math.sqrt(2.0 * m),
-            p_value=_p_value(z, "two-sided"), sidedness="two-sided",
-            m=m, n=n, method="lemma2i",
-        )
-    if method == "thm3":
+        z = lemma2i_standardize(_pearson_chi_square(vals, n, 1.0 / m, mult), m)
+        mean, sd = float(m), math.sqrt(2.0 * m)
+    elif method == "thm3":
         z, center, sd = _thm3_z(cv.counts, n, alpha)
-        return TestReport(
-            statistic=z, null_mean=n * center, null_sd=sd,
-            p_value=_p_value(z, "two-sided"), sidedness="two-sided",
-            m=m, n=n, method="thm3",
-        )
-    raise UsageError(f"unknown uniformity method {method!r}")
+        mean = n * center
+    else:
+        raise UsageError(f"unknown uniformity method {method!r}")
+    return TestReport(statistic=z, null_mean=mean, null_sd=sd, p_value=_p_value(z, "two-sided"),
+                      sidedness="two-sided", m=m, n=n, method=method)
 
 
 def _shrunken_joint_null_params(joint: JointCountTable, alpha: float) -> tuple[float, float]:
@@ -397,25 +400,13 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
     mode does not read raises UsageError.
     """
     alpha = check_alpha(alpha)
-    if mode == "paired":
-        if joint is None:
-            raise UsageError("paired mode requires joint counts")
-        if cx is not None or cy is not None:
-            raise UsageError("paired mode takes the two samples from joint: pass cx = cy = None")
-        cvx, cvy = joint.marginal_count_vectors()
-        n_eff = float(joint.n)
-    elif mode == "independent":
-        if cx is None or cy is None:
-            raise UsageError("independent mode requires two count vectors")
-        if joint is not None:
-            raise UsageError("independent mode ignores joint counts: use mode='paired'")
-        cvx = as_count_vector(cx)
-        cvy = as_count_vector(cy)
-        if cvx.m != cvy.m:
-            raise ShapeError(f"category counts differ: {cvx.m} vs {cvy.m}")
-        n_eff = _effective_n(cvx.n, cvy.n)
-    else:
+    if mode not in ("independent", "paired"):
         raise UsageError(f"unknown mode {mode!r}")
+    if mode == "paired" and joint is None:
+        raise UsageError("paired mode requires joint counts")
+    if mode == "independent" and joint is not None:
+        raise UsageError("independent mode ignores joint counts: use mode='paired'")
+    cvx, cvy, n_eff = _samples(cx, cy, joint, "equality_test")
     gx, gy, mult = _distinct(cvx.counts, cvy.counts)
     m_union = _count((gx > 0) | (gy > 0), mult)
     if m_union < 2:

@@ -19,19 +19,38 @@ from .powerlaw import fit_powerlaw_ls
 ENV_SEED = "RENYDIV_SEED"
 
 
+# every argument a command may take, and each command's help and arguments in order;
+# every command also takes --output
 _FLAGS = {
+    "table": {},
+    "table2": dict(nargs="?", default=None),
+    "--config": dict(required=True),
+    "--workers": dict(type=int, default=None),
+    "--noise-level": dict(type=float, default=0.01),
+    "--max-k": dict(type=int, default=2),
+    "--equality-level": dict(type=float, default=0.05),
     "--alpha": dict(type=float, default=0.5),
     "--level": dict(type=float, default=0.95),
     "--seed": dict(type=int, default=None),
     "--format": dict(choices=("json", "tsv"), default="json"),
+    "--output": dict(default=None),
 }
-
-
-def _add_flags(sp, *flags):
-    """--output plus the given shared flags: a command offers only the flags it reads."""
-    for flag in flags:
-        sp.add_argument(flag, **_FLAGS[flag])
-    sp.add_argument("--output", default=None)
+_COMMANDS = {
+    "entropy": ("entropy estimate with CI per sample column",
+                "table --alpha --level --format"),
+    "divergence": ("divergence estimate with CI for a sample pair",
+                   "table table2 --alpha --level --format"),
+    "filter-noise": ("uniform-block noise decomposition per sample",
+                     "table --noise-level --max-k --format"),
+    "test-equality": ("degenerate-regime test of equal distributions",
+                      "table table2 --alpha --format"),
+    "test-homogeneity": ("chi-square combination of pairwise equality tests "
+                         "(columns are consecutive pairs)", "table --alpha --format"),
+    "fit-powerlaw": ("least-squares rank-frequency exponent fit", "table --format"),
+    "pipeline": ("filter noise, test equality, quantify difference",
+                 "table table2 --noise-level --max-k --equality-level --alpha --level --format"),
+    "simulate": ("run a seeded simulation from a config file", "--config --workers --seed"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,49 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("entropy", help="entropy estimate with CI per sample column")
-    sp.add_argument("table")
-    _add_flags(sp, "--alpha", "--level", "--format")
-
-    sp = sub.add_parser("divergence", help="divergence estimate with CI for a sample pair")
-    sp.add_argument("table")
-    sp.add_argument("table2", nargs="?", default=None)
-    _add_flags(sp, "--alpha", "--level", "--format")
-
-    sp = sub.add_parser("filter-noise", help="uniform-block noise decomposition per sample")
-    sp.add_argument("table")
-    sp.add_argument("--noise-level", type=float, default=0.01)
-    sp.add_argument("--max-k", type=int, default=2)
-    _add_flags(sp, "--format")
-
-    sp = sub.add_parser("test-equality", help="degenerate-regime test of equal distributions")
-    sp.add_argument("table")
-    sp.add_argument("table2", nargs="?", default=None)
-    _add_flags(sp, "--alpha", "--format")
-
-    sp = sub.add_parser("test-homogeneity",
-                        help="chi-square combination of pairwise equality tests "
-                             "(columns are consecutive pairs)")
-    sp.add_argument("table")
-    _add_flags(sp, "--alpha", "--format")
-
-    sp = sub.add_parser("fit-powerlaw", help="least-squares rank-frequency exponent fit")
-    sp.add_argument("table")
-    _add_flags(sp, "--format")
-
-    sp = sub.add_parser("pipeline", help="filter noise, test equality, quantify difference")
-    sp.add_argument("table")
-    sp.add_argument("table2", nargs="?", default=None)
-    sp.add_argument("--noise-level", type=float, default=0.01)
-    sp.add_argument("--max-k", type=int, default=2)
-    sp.add_argument("--equality-level", type=float, default=0.05)
-    _add_flags(sp, "--alpha", "--level", "--format")
-
-    sp = sub.add_parser("simulate", help="run a seeded simulation from a config file")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--workers", type=int, default=None)
-    _add_flags(sp, "--seed")
+    for command, (help_text, names) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name in names.split() + ["--output"]:
+            sp.add_argument(name, **_FLAGS[name])
     return parser
 
 
@@ -106,26 +86,13 @@ def _pair_from_tables(path1, path2):
     return n1, t1.count_vector(n1), label2, t2.count_vector(n2), t1.categories
 
 
-def _write(text: str, output) -> None:
+def _emit(write, output) -> None:
+    """Call write(sink) on the file --output names, or on stdout."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
-
-
-def _emit(payload, args) -> None:
-    """Write the report as JSON (and a final newline) or as TSV, encoded straight
-    into the sink."""
-    report = jsonable(payload)  # before --output is opened, which truncates it
-    write, end = (write_report_tsv, "") if args.format == "tsv" else (write_report, "\n")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write(report, fh)
-            fh.write(end)
-    else:
-        write(report, sys.stdout)
-        sys.stdout.write(end)
+        write(sys.stdout)
 
 
 def _decomposition_payload(dec, names) -> dict:
@@ -210,25 +177,26 @@ def _cmd_simulate(args) -> None:
     lines = ["normal_quantile,sample_quantile"]
     lines += [f"{a:.9g},{b:.9g}" for a, b in run.qq_pairs]
     lines.append(f"# ks_distance={run.ks_distance:.9g}")
-    _write("\n".join(lines) + "\n", args.output)
+    _emit(lambda fh: fh.write("\n".join(lines) + "\n"), args.output)
 
 
-def _dispatch(args) -> None:
+def _payload(args):
+    """The report of a table command, before jsonable."""
     if args.command == "entropy":
         table = parse_count_table(args.table)
         payload = {
             name: entropy_ci(table.count_vector(name), args.alpha, args.level)
             for name in table.sample_names
         }
-        _emit({"alpha": args.alpha, "H_alpha": payload}, args)
-    elif args.command == "divergence":
+        return {"alpha": args.alpha, "H_alpha": payload}
+    if args.command == "divergence":
         nx, cx, ny, cy, _cats = _pair_from_tables(args.table, args.table2)
         ci = divergence_ci(cx, cy, args.alpha, args.level)
-        _emit({"alpha": args.alpha, "x": nx, "y": ny, "D_alpha": ci}, args)
-    elif args.command == "filter-noise":
+        return {"alpha": args.alpha, "x": nx, "y": ny, "D_alpha": ci}
+    if args.command == "filter-noise":
         table = parse_count_table(args.table)
         names = np.array(table.categories, dtype=object)  # shared by the samples
-        payload = {
+        return {
             name: _decomposition_payload(
                 filter_noise(table.count_vector(name), level=args.noise_level,
                              max_K=args.max_k),
@@ -236,12 +204,11 @@ def _dispatch(args) -> None:
             )
             for name in table.sample_names
         }
-        _emit(payload, args)
-    elif args.command == "test-equality":
+    if args.command == "test-equality":
         nx, cx, ny, cy, _cats = _pair_from_tables(args.table, args.table2)
         rep = equality_test(cx, cy, alpha=args.alpha, mode="independent")
-        _emit({"alpha": args.alpha, "x": nx, "y": ny, "equality": rep}, args)
-    elif args.command == "test-homogeneity":
+        return {"alpha": args.alpha, "x": nx, "y": ny, "equality": rep}
+    if args.command == "test-homogeneity":
         table = parse_count_table(args.table)
         names = table.sample_names
         if len(names) < 4 or len(names) % 2:
@@ -251,47 +218,47 @@ def _dispatch(args) -> None:
             for i in range(0, len(names), 2)
         ]
         rep = homogeneity_test(pairs, alpha=args.alpha)
-        _emit({"alpha": args.alpha, "pairs": [names[i:i + 2] for i in range(0, len(names), 2)],
-               "homogeneity": rep}, args)
-    elif args.command == "fit-powerlaw":
+        return {"alpha": args.alpha, "pairs": [names[i:i + 2] for i in range(0, len(names), 2)],
+                "homogeneity": rep}
+    if args.command == "fit-powerlaw":
         table = parse_count_table(args.table)
-        payload = {
+        return {
             name: fit_powerlaw_ls(table.count_vector(name))
             for name in table.sample_names
         }
-        _emit(payload, args)
-    elif args.command == "pipeline":
-        nx, cx, ny, cy, cats = _pair_from_tables(args.table, args.table2)
-        names = np.array(cats, dtype=object)
-        cfg = PipelineConfig(
-            ci_level=args.level, equality_level=args.equality_level,
-            noise_level=args.noise_level, max_noise_components=args.max_k,
-        )
-        report = diversity_pipeline(cx, cy, alpha=args.alpha, config=cfg)
-        dx, dy = report.decompositions
-        hx, hy = report.entropies
-        ex, ey = report.hill_numbers
-        payload = {
-            "alpha": report.alpha,
-            "samples": {
-                nx: {**_decomposition_payload(dx, names),
-                     "n_signal": report.signal_totals[0],
-                     "H_alpha": hx, "ENC_alpha": ex},
-                ny: {**_decomposition_payload(dy, names),
-                     "n_signal": report.signal_totals[1],
-                     "H_alpha": hy, "ENC_alpha": ey},
-            },
-            "shared_cutoff": report.shared_cutoff,
-            "m_signal_shared": report.m_signal_shared,
-            "equality": report.equality,
-            "equality_rejected": report.equality_rejected,
-            "D_alpha": report.divergence,
-        }
-        _emit(payload, args)
-    elif args.command == "simulate":
+    # pipeline: argparse admits no other command
+    nx, cx, ny, cy, cats = _pair_from_tables(args.table, args.table2)
+    names = np.array(cats, dtype=object)
+    cfg = PipelineConfig(
+        ci_level=args.level, equality_level=args.equality_level,
+        noise_level=args.noise_level, max_noise_components=args.max_k,
+    )
+    report = diversity_pipeline(cx, cy, alpha=args.alpha, config=cfg)
+    return {
+        "alpha": report.alpha,
+        "samples": {
+            name: {**_decomposition_payload(dec, names), "n_signal": n_signal,
+                   "H_alpha": h, "ENC_alpha": enc}
+            for name, dec, n_signal, h, enc in zip((nx, ny), report.decompositions,
+                                                    report.signal_totals, report.entropies,
+                                                    report.hill_numbers)
+        },
+        "shared_cutoff": report.shared_cutoff,
+        "m_signal_shared": report.m_signal_shared,
+        "equality": report.equality,
+        "equality_rejected": report.equality_rejected,
+        "D_alpha": report.divergence,
+    }
+
+
+def _dispatch(args) -> None:
+    if args.command == "simulate":
         _cmd_simulate(args)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise RenydivError(f"unknown command {args.command!r}")
+        return
+    report = jsonable(_payload(args))  # before --output is opened, which truncates it
+    # the report as JSON and a final newline, or as TSV, encoded straight into the sink
+    write, end = (write_report_tsv, "") if args.format == "tsv" else (write_report, "\n")
+    _emit(lambda fh: (write(report, fh), fh.write(end)), args.output)
 
 
 def run_cli(argv) -> int:
@@ -303,10 +270,7 @@ def run_cli(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         _dispatch(args)
-    except RenydivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RenydivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

@@ -5,7 +5,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from io import StringIO
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -287,21 +286,14 @@ def _dump(value, newline: str, write) -> None:
         write(json.dumps(value))
 
 
-def dumps_report_tsv(obj) -> str:
-    """Flatten a report into `dotted.key<TAB>value` lines for spreadsheets.
+def write_report_tsv(obj, fh) -> None:
+    """Flatten a report into `dotted.key<TAB>value` lines for spreadsheets, written
+    to the text file `fh` piece by piece as write_report does for JSON.
 
     A NameList's names (up to ~1e6 of them) are written unescaped, with
     their positions, one join per _NAME_CHUNK names. An empty report is one
     empty line.
     """
-    sink = StringIO()
-    write_report_tsv(obj, sink)
-    return sink.getvalue()
-
-
-def write_report_tsv(obj, fh) -> None:
-    """Write `dumps_report_tsv(obj)` to the text file `fh` piece by piece, as
-    write_report does for JSON."""
     wrote = False
 
     def write(text):

@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 from .asymptotics import (_null_z, _thinned, _thm3_z, _thm4_z, chi_square_null_params,
                           divergence_ci, entropy_ci, lemma2i_standardize)
 from .counts import INT64_MAX, CountVector, JointCountTable
-from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum, check_alpha
+from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum
 from .errors import DomainError, UsageError, ValidationError
 from .measures import (_cross_power_sum, _distinct, _pearson_chi_square, _plugin, _power_sum,
                        _two_sample_chi_square, cross_power_sum, power_sum)
@@ -44,13 +44,32 @@ FAMILY_FIELDS = {
 }
 # the family fields a family may leave unset; validate() requires its others
 OPTIONAL_FIELDS = ("beta2", "diag_weight", "noise_block_sizes", "noise_block_fractions")
-# SimConfig fields by kind; the noise_block_* ones may also hold a tuple of that kind
-_INTEGER_FIELDS = ("m", "n_override", "B", "master_seed", "workers", "signal_m",
-                   "noise_block_sizes")
-_REAL_FIELDS = ("alpha", "epsilon", "thinning_tau", "beta", "beta2", "p0", "diag_weight",
-                "signal_beta", "signal_fraction", "noise_block_fractions")
 # the most categories a family may have: one float64 array of them is already 16 GB
 M_MAX = 2**31 - 1
+_INT, _REAL = (numbers.Integral, "an integer"), (numbers.Real, "a finite real number")
+# each numeric SimConfig field, or each entry of a noise_block_* tuple: its kind and the
+# interval [lo, hi] (closed) or (lo, hi) it lies in; validate() reports the first field
+# off its row in this order. A mixture's m = sum(noise_block_sizes) + signal_m leaves
+# each of its parts at most M_MAX - 1.
+_NUMERIC_FIELDS = {
+    "p0": (_REAL, 0, 1, False),
+    "diag_weight": (_REAL, 0, 1, True),
+    "B": (_INT, 1, math.inf, True),
+    "m": (_INT, 2, M_MAX, True),
+    "workers": (_INT, 1, math.inf, True),
+    "master_seed": (_INT, 0, math.inf, True),
+    "alpha": (_REAL, 0, 1, False),
+    "thinning_tau": (_REAL, 0, 1, False),
+    "noise_block_fractions": (_REAL, 0, 1, True),
+    "signal_fraction": (_REAL, 0, 1, True),
+    "signal_beta": (_REAL, 0, math.inf, False),
+    "signal_m": (_INT, 1, M_MAX - 1, True),
+    "noise_block_sizes": (_INT, 1, M_MAX - 1, True),
+    "beta": (_REAL, 0, math.inf, False),
+    "beta2": (_REAL, 0, math.inf, False),
+    "epsilon": (_REAL, -math.inf, math.inf, False),
+    "n_override": (_INT, 1, INT64_MAX, True),
+}
 
 
 @dataclass(frozen=True)
@@ -66,8 +85,8 @@ class SimConfig:
     None); bivariate_joint puts diag_weight extra mass on the diagonal of
     the power-law product (equal marginals for any weight). A family field
     that the family does not read (FAMILY_FIELDS) must stay unset, and one
-    it reads must be set unless it is in OPTIONAL_FIELDS. m, signal_m and
-    each noise block size are at most M_MAX = 2**31 - 1.
+    it reads must be set unless it is in OPTIONAL_FIELDS. Each numeric field
+    lies in the interval its _NUMERIC_FIELDS row gives.
     """
 
     family: str
@@ -112,23 +131,21 @@ class SimConfig:
             raise DomainError(f"derived n = {n} must be >= 1")
         return n
 
-    def _check_types(self) -> None:
-        """Integer fields hold ints, real fields reals that are finite as floats
-        (an int past the float range is not); bools are neither."""
-        for names, kind, what in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
-                                  (_REAL_FIELDS, numbers.Real, "a finite real number")):
-            for name in names:
-                value = getattr(self, name)
-                if value is None and SimConfig.__dataclass_fields__[name].default is None:
-                    continue
-                items = value if isinstance(value, tuple) and name.startswith("noise_") else (value,)
-                if not all(isinstance(v, kind) and not isinstance(v, bool)
-                           and (kind is numbers.Integral or abs(v) <= sys.float_info.max)
-                           for v in items):
-                    raise ValidationError(f"config key {name} must be {what}, got {value!r}")
-
     def validate(self) -> None:
-        self._check_types()
+        for name, ((kind, what), lo, hi, closed) in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and SimConfig.__dataclass_fields__[name].default is None:
+                continue
+            items = value if isinstance(value, tuple) and name.startswith("noise_") else (value,)
+            # an int past the float range is no finite real; a bool is neither kind
+            if not all(isinstance(v, kind) and not isinstance(v, bool)
+                       and (kind is numbers.Integral or abs(v) <= sys.float_info.max)
+                       for v in items):
+                raise ValidationError(f"config key {name} must be {what}, got {value!r}")
+            if not all(lo <= v <= hi if closed else lo < v < hi for v in items):
+                ends = "[]" if closed else "()"
+                raise DomainError(f"config key {name} = {value!r} must lie in {ends[0]}{lo}, "
+                                  f"{hi}{ends[1] if hi < math.inf else ')'}")
         if self.family not in FAMILY_FIELDS:
             raise UsageError(f"unknown family {self.family!r}")
         unread = set().union(*FAMILY_FIELDS.values()) - set(FAMILY_FIELDS[self.family])
@@ -140,25 +157,8 @@ class SimConfig:
         for name in FAMILY_FIELDS[self.family]:
             if name not in OPTIONAL_FIELDS and getattr(self, name) is None:
                 raise UsageError(f"the {self.family} family requires config key {name}")
-        if self.p0 is not None and not (0.0 < self.p0 < 1.0):
-            raise DomainError(f"config key p0 = {self.p0!r} must lie strictly between 0 and 1")
-        if self.diag_weight is not None and not (0.0 <= self.diag_weight <= 1.0):
-            raise DomainError(f"config key diag_weight = {self.diag_weight!r} must lie in [0, 1]")
         if self.statistic not in STATISTICS:
             raise UsageError(f"unknown statistic {self.statistic!r}")
-        if self.B < 1:
-            raise DomainError("B must be >= 1")
-        if self.m < 2:
-            raise DomainError("m must be >= 2")
-        if self.m > M_MAX:
-            raise DomainError(f"config key m = {self.m!r} exceeds 2**31 - 1")
-        if self.workers < 1:
-            raise DomainError(f"workers must be >= 1, got {self.workers}")
-        if self.master_seed < 0:
-            raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
-        check_alpha(self.alpha)
-        if self.thinning_tau is not None and not (0.0 < self.thinning_tau < 1.0):
-            raise DomainError("thinning_tau must lie strictly between 0 and 1")
         bivariate_family = self.family in {"bivariate_product", "bivariate_joint"}
         if self.statistic in BIVARIATE_STATISTICS and not bivariate_family:
             raise UsageError(f"{self.statistic} needs a bivariate family")
@@ -171,16 +171,6 @@ class SimConfig:
             raise UsageError(f"{self.statistic} requires equal marginals: config key beta2 = "
                              f"{self.beta2!r} differs from beta = {self.beta!r}")
         if self.family == "mixture":
-            fracs = self.noise_block_fractions
-            if min(fracs if isinstance(fracs, tuple) else (fracs,), default=0.0) < 0.0:
-                raise DomainError(f"config key noise_block_fractions = {fracs!r} has a "
-                                  f"negative entry")
-            if not (0.0 <= self.signal_fraction <= 1.0):
-                raise DomainError(f"config key signal_fraction = {self.signal_fraction!r} "
-                                  f"must lie in [0, 1]")
-            if not (0.0 < self.signal_beta < math.inf):
-                raise DomainError(f"config key signal_beta = {self.signal_beta!r} must be a "
-                                  f"finite number > 0")
             sizes = self.noise_block_sizes
             support = sum(sizes if isinstance(sizes, tuple) else (sizes,)) + self.signal_m
             if self.m != support:

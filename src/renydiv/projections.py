@@ -202,12 +202,20 @@ class LDReport:
     advisories: dict = field(default_factory=dict)
 
 
-def _advisory(value: float) -> str:
+def _advisory(value: float, degenerate: float) -> str:
+    """The label of a CLT quotient, or of its degenerate-regime replacement where the
+    quotient is not finite."""
+    value = value if math.isfinite(value) else degenerate
     if value < ADVISORY_PASS:
         return "pass"
     if value < ADVISORY_MARGINAL:
         return "marginal"
     return "fail"
+
+
+def _condition(x: float, mom: ProjectionMoments, n: int) -> float:
+    """The non-degenerate CLT quotient x / sqrt(n Var), infinite on a degenerate direction."""
+    return math.inf if _degenerate(mom) else x / math.sqrt(n * mom.variance)
 
 
 def ld_diagnostic(p, q, n: int, alpha: float) -> LDReport:
@@ -249,33 +257,15 @@ def _ld_report(m: int, n: int, p_star: float, w: ProjectionMoments, sum_p_am1: f
     independent-marginal V moments and ratio_sum = sum (q/p)^(1-a) + (p/q)^a.
     p_star is the smallest mass over p (and q).
     """
-    if not _degenerate(w):
-        entropy_condition = sum_p_am1 / math.sqrt(n * w.variance)
-    else:
-        entropy_condition = math.inf
+    entropy_condition = _condition(sum_p_am1, w, n)
     degenerate_entropy_condition = m * m / n
-    advisories = {
-        "entropy_clt": _advisory(
-            entropy_condition if math.isfinite(entropy_condition)
-            else degenerate_entropy_condition
-        )
-    }
-
-    divergence_condition = None
-    degenerate_divergence_condition = None
+    advisories = {"entropy_clt": _advisory(entropy_condition, degenerate_entropy_condition)}
+    divergence_condition = degenerate_divergence_condition = None
     if v is not None:
-        if not _degenerate(v):
-            divergence_condition = ratio_sum / math.sqrt(n * v.variance)
-        else:
-            divergence_condition = math.inf
-        degenerate_divergence_condition = max(
-            1.0 / (n * m * p_star * p_star), m / (n * p_star)
-        )
-        advisories["divergence_clt"] = _advisory(
-            divergence_condition if math.isfinite(divergence_condition)
-            else degenerate_divergence_condition
-        )
-
+        divergence_condition = _condition(ratio_sum, v, n)
+        degenerate_divergence_condition = max(1.0 / (n * m * p_star * p_star), m / (n * p_star))
+        advisories["divergence_clt"] = _advisory(divergence_condition,
+                                                 degenerate_divergence_condition)
     return LDReport(
         p_star=p_star,
         ld_ratio=1.0 / (n * p_star),

@@ -263,6 +263,13 @@ class TestDivergenceCI:
         with pytest.raises(UsageError, match="cx = cy = None"):
             divergence_ci([30, 20, 10], [40, 20, 0], 0.5, joint=joint)
 
+    @pytest.mark.parametrize("cx, cy", [(None, None), ([30, 20, 10], None),
+                                        (None, [40, 20, 0])])
+    def test_missing_sample_named(self, cx, cy):
+        # without joint both samples are needed; a missing one is named as such
+        with pytest.raises(UsageError, match="divergence_ci needs two count vectors"):
+            divergence_ci(cx, cy, 0.5)
+
 
 class TestUniformityTest:
     def test_generalized_binomial(self):

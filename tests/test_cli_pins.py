@@ -6,6 +6,7 @@ output shows up here. Category names include quotes, backslashes, control
 characters and non-ASCII text, so string escaping is pinned too.
 """
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -82,3 +83,27 @@ COMMANDS = ["entropy", "divergence", "filter-noise", "test-equality", "test-homo
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_output_bytes_pinned(command, fmt, pin_table, capsys):
     assert cli_digest([command, pin_table, "--format", fmt], capsys) == PINS[command, fmt]
+
+
+# `renydiv --help` and each `renydiv <command> --help` at 80 columns, as the
+# parser built one add_argument call at a time printed them
+HELP_PINS = {
+    None: 'feffa7b2c681700ad579e1320c03ddc863fb241932a8b039a19a17ecf99009a0',
+    'entropy': 'bef025a36a0fa9e4321b0d24f864ff5cf9ebb2ccdc5b2a63df411653afb1d4fd',
+    'divergence': '324a73a673acda67afedc1f0a04f3a16cc87226c8b8cfbc5c4537e95dabaa0ba',
+    'filter-noise': '6be93248d500dcf8f243054b7acbc910eaed869b34c4c30b8f997ab13ad13c78',
+    'test-equality': 'acaa70913eb137577996dbab155facb9e57ee287db1fbd7231c8561462bb4686',
+    'test-homogeneity': 'e450be179fd4a2e19f050e9227a7f0e9ccb9e3bc26bf576a05b3fc1a956e5b55',
+    'fit-powerlaw': '9b2460002636d5e0365fafcb914529255140396fccac8daab5ef3a9ad4db543a',
+    'pipeline': '8b5b89f40773b9272d543f06d0a59dfcb90c53c6fbecf413788588ec69e50342',
+    'simulate': '444cfebef3c18495986a0d750de7e42538666faa9c47c81bb10d0ac1616d33bb',
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently across Python versions")
+@pytest.mark.parametrize("command", list(HELP_PINS), ids=lambda c: c or "top")
+def test_help_bytes_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ([command] if command else []) + ["--help"]
+    assert cli_digest(argv, capsys) == HELP_PINS[command]

@@ -2,6 +2,8 @@
 import dataclasses
 import itertools
 import math
+import numbers
+import re
 import tracemalloc
 from concurrent.futures import Future
 
@@ -673,6 +675,70 @@ def test_validate_checks_family_requirements(tmp_path, capsys, family, fields, e
     assert run_cli(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and text in err
+
+
+def _config_lines(cfg) -> str:
+    """The config file of cfg: every field set away from its default, one a line."""
+    return "".join(f"{f.name} = " + (", ".join(map(str, value)) if isinstance(value, tuple)
+                                     else str(value)) + "\n"
+                   for f in dataclasses.fields(cfg)
+                   if (value := getattr(cfg, f.name)) != f.default)
+
+
+# a family that reads each numeric field; every other field is read by power_law
+_FIELD_FAMILY = {"p0": "noise_and_signal", "diag_weight": "bivariate_joint",
+                 "beta2": "bivariate_product",
+                 **{name: "mixture" for name in montecarlo.FAMILY_FIELDS["mixture"]}}
+
+
+def _bound_config(name, value):
+    """A config whose family reads `name`, valid but for `name` = value."""
+    family = _FIELD_FAMILY.get(name, "power_law")
+    fields = {**_FAMILY_CONFIGS[family], "m": 30, "n_override": 2000, "B": 5,
+              "master_seed": 1, name: value}
+    if family == "mixture":  # one-block scalars, with m on the support where it can be
+        fields = {**fields, "noise_block_sizes": 20, "noise_block_fractions": 0.5, name: value}
+        if name in ("signal_m", "noise_block_sizes"):
+            other = "noise_block_sizes" if name == "signal_m" else "signal_m"
+            fields.update({other: 1, "m": min(max(value + 1, 2), montecarlo.M_MAX)})
+        else:
+            fields["m"] = fields["noise_block_sizes"] + fields["signal_m"]
+    return SimConfig(family=family, **fields)
+
+
+def _bound_cases(outside: bool):
+    """(name, value) per finite bound of each _NUMERIC_FIELDS row: just past the bound
+    and, when open, on it (outside); on it, when closed (not outside)."""
+    for name, ((kind, _), lo, hi, closed) in montecarlo._NUMERIC_FIELDS.items():
+        for bound, away in ((lo, -1), (hi, 1)):
+            if not math.isfinite(bound):
+                continue
+            if kind is numbers.Integral:
+                past = bound + away
+            else:
+                bound, past = float(bound), math.nextafter(bound, away * math.inf)
+            if outside:
+                yield from [(name, past)] + ([] if closed else [(name, bound)])
+            elif closed:
+                yield name, bound
+
+
+@pytest.mark.parametrize("name, value", list(_bound_cases(outside=True)))
+def test_numeric_field_out_of_bounds_named(tmp_path, capsys, name, value):
+    text = f"config key {name} = {value!r} must lie in "
+    cfg = _bound_config(name, value)
+    with pytest.raises(DomainError, match=re.escape(text)):
+        cfg.validate()
+    path = tmp_path / "sim.cfg"
+    path.write_text(_config_lines(cfg))
+    assert run_cli(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err
+
+
+@pytest.mark.parametrize("name, value", list(_bound_cases(outside=False)))
+def test_numeric_field_on_closed_bound_validates(name, value):
+    _bound_config(name, value).validate()
 
 
 def test_bivariate_product_stream(monkeypatch):
