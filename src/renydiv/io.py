@@ -179,11 +179,9 @@ def _parse_count(path, lineno: int, raw: str) -> int:
 
 
 def _round_sig(x: float, digits: int = 9):
-    if isinstance(x, float):
-        if math.isnan(x) or math.isinf(x):
-            return None if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
-        return float(f"{x:.{digits}g}")
-    return x
+    if math.isnan(x) or math.isinf(x):
+        return None if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+    return float(f"{x:.{digits}g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +214,8 @@ def jsonable(obj):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (float, np.floating)):
         return _round_sig(float(obj))
-    if isinstance(obj, float):
-        return _round_sig(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (bool, int, str)) or obj is None:

@@ -23,10 +23,13 @@ import math
 
 import numpy as np
 
-from . import distributions
 from .counts import INT64_MAX
 from .distributions import _sum, as_prob_vector, check_alpha
 from .errors import ShapeError
+
+# fewer categories than this are summed one term each: at m = 1000 the sort that
+# groups them costs more than the grouped sums save
+_GROUP_MIN = 4096
 
 
 class CrossPowerSum(float):
@@ -49,13 +52,13 @@ def _distinct(cx: np.ndarray, cy: np.ndarray | None = None):
     """Group count columns by value: (values, mult), or (x values, y values, mult)
     for a pair, with mult[k] the number of categories holding group k.
 
-    The columns come back as they are, with mult None, below _PEEL_MIN
+    The columns come back as they are, with mult None, below _GROUP_MIN
     categories, when the pair key cx * (max cy + 1) + cy could overflow int64,
     and when the groups number more than a fifth of the categories, where at
     m = 1e6 the sort and the grouped sums already cost about what the
     per-category sums do.
     """
-    if cx.size < distributions._PEEL_MIN:  # _sum's fsum cutoff, read at call time
+    if cx.size < _GROUP_MIN:
         return (cx, None) if cy is None else (cx, cy, None)
     if cy is None:
         vals, mult = np.unique(cx, return_counts=True)

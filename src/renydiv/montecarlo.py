@@ -44,7 +44,8 @@ FAMILY_FIELDS = {
 }
 # the family fields a family may leave unset; validate() requires its others
 OPTIONAL_FIELDS = ("beta2", "diag_weight", "noise_block_sizes", "noise_block_fractions")
-# the most categories a family may have: one float64 array of them is already 16 GB
+# the most categories a family may have, and the most replicates a run may draw: one
+# float64 array of either is already 16 GB
 M_MAX = 2**31 - 1
 _INT, _REAL = (numbers.Integral, "an integer"), (numbers.Real, "a finite real number")
 # each numeric SimConfig field, or each entry of a noise_block_* tuple: its kind and the
@@ -54,7 +55,7 @@ _INT, _REAL = (numbers.Integral, "an integer"), (numbers.Real, "a finite real nu
 _NUMERIC_FIELDS = {
     "p0": (_REAL, 0, 1, False),
     "diag_weight": (_REAL, 0, 1, True),
-    "B": (_INT, 1, math.inf, True),
+    "B": (_INT, 1, M_MAX, True),
     "m": (_INT, 2, M_MAX, True),
     "workers": (_INT, 1, math.inf, True),
     "master_seed": (_INT, 0, math.inf, True),

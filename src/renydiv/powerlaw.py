@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ def powerlaw_pmf(beta: float, m: int) -> ProbVector:
 def powerlaw_model(beta: float, m: int) -> PowerLawModel:
     if beta <= 0:
         raise DomainError("beta must be > 0")
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise DomainError(f"m must be an integer >= 1, got {m}")
     i = np.arange(1, m + 1, dtype=float)
     h = _sum(i ** (-float(beta)))
     return PowerLawModel(beta=float(beta), m=int(m), h_norm=h)

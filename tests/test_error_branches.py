@@ -1,0 +1,160 @@
+"""Error branches the rest of the suite leaves unexercised: one parametrized test per
+module, each case asserting the exception type (or CLI exit code) and a message fragment."""
+import re
+
+import numpy as np
+import pytest
+
+from renydiv import (CountVector, DomainError, JointCountTable, JointDistribution, ProbVector,
+                     ShapeError, SimConfig, UsageError, ValidationError, chi_square_null_params,
+                     cli, ld_diagnostic, mixture_distribution, noise_and_signal_w_variance,
+                     projection_v_moments, sample_joint, sample_multinomial,
+                     two_sample_chi_square, v_moments_independent)
+from renydiv.asymptotics import _p_value
+from renydiv.io import parse_count_table
+
+POWER_LAW = ("family = power_law\nbeta = 1.0\nm = 10\nn_override = 20\nB = 5\n"
+             "statistic = thm1_entropy\n")
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _different_categories(monkeypatch, tmp_path):
+    return ["divergence", _write(tmp_path, "x.tsv", "id\tx\na\t1\nb\t2\n"),
+            _write(tmp_path, "y.tsv", "id\ty\na\t1\nc\t2\n")]
+
+
+def _no_equals_sign(monkeypatch, tmp_path):
+    return ["simulate", "--config", _write(tmp_path, "sim.cfg", POWER_LAW + "B 5\n")]
+
+
+def _bad_env_seed(monkeypatch, tmp_path):
+    monkeypatch.setenv(cli.ENV_SEED, "12abc")
+    return ["simulate", "--config", _write(tmp_path, "sim.cfg", POWER_LAW)]
+
+
+def _command_bug(monkeypatch, tmp_path):
+    def broken(args):
+        raise RuntimeError("a bug")
+    monkeypatch.setattr(cli, "_cmd_simulate", broken)
+    return ["simulate", "--config", _write(tmp_path, "sim.cfg", POWER_LAW)]
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (_different_categories, 2, "error: the two tables list different categories"),
+    (_no_equals_sign, 2, "line 7: expected key = value"),
+    (_bad_env_seed, 2, "error: invalid RENYDIV_SEED value '12abc'"),
+    (_command_bug, 1, "internal error: RuntimeError: a bug"),
+])
+def test_cli_errors(monkeypatch, tmp_path, capsys, argv, code, text):
+    assert cli.run_cli(argv(monkeypatch, tmp_path)) == code
+    assert text in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, sample, message", [
+    ("id\tx\na\t1\n", "y", "no sample named 'y'; have ['x']"),
+    ("id\tx\tx\na\t1\t2\n", "x", "line 1: duplicate sample names"),
+    ("id\tx\n", "x", "no category rows"),
+])
+def test_io_errors(tmp_path, text, sample, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_count_table(_write(tmp_path, "t.tsv", text)).count_vector(sample)
+
+
+_TABLE = JointCountTable.from_dense([[2, 1], [0, 3]])
+_ZERO_MARGINAL = JointDistribution.diagonal_mix([0.5, 0.5, 0.0], 0.3)
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: two_sample_chi_square(CountVector([1, 2]), [0.5, 0.5]), ShapeError,
+     "expects a JointCountTable"),
+    (lambda: two_sample_chi_square(_TABLE, [0.2, 0.3, 0.5]), ShapeError,
+     "joint/probability sizes differ: 2 vs 3"),
+    (lambda: two_sample_chi_square(_TABLE, [1.0, 0.0]), DomainError, "strictly positive p_i"),
+    (lambda: chi_square_null_params(ProbVector([0.5, 0.5])), ShapeError,
+     "expects a JointDistribution"),
+    (lambda: chi_square_null_params(_ZERO_MARGINAL), DomainError,
+     "strictly positive marginals"),
+    (lambda: _p_value(1.0, "lower"), UsageError, "unknown sidedness 'lower'"),
+])
+def test_asymptotics_errors(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: CountVector([[1, 2], [3, 4]]), "count vector must be 1-D"),
+    (lambda: CountVector(np.array(["1", "two"])), "counts must be integers"),
+    (lambda: CountVector([0, 0]), "total count n must be >= 1"),
+    (lambda: JointCountTable([], [], [], 0), "m must be >= 1"),
+    (lambda: JointCountTable.from_dense([[1, 2, 3], [4, 5, 6]]), "must be square"),
+])
+def test_counts_errors(call, text):
+    with pytest.raises(ValidationError, match=re.escape(text)):
+        call()
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: ProbVector([[0.5, 0.5]]), ValidationError, "must be 1-D and non-empty"),
+    (lambda: ProbVector([0.5, np.nan]), ValidationError, "non-finite entries"),
+    (lambda: ProbVector.uniform(0), ValidationError, "m must be >= 1"),
+    (lambda: JointDistribution.diagonal_mix([0.5, 0.5], 1.5), DomainError,
+     "diag_weight must lie in [0, 1]"),
+])
+def test_distributions_errors(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+
+
+def _mixture(**changes):
+    fields = dict(signal_beta=1.0, signal_m=10, signal_fraction=0.5,
+                  noise_block_sizes=(10,), noise_block_fractions=(0.5,))
+    return lambda: mixture_distribution(**{**fields, **changes})
+
+
+def _power_law(statistic="thm1_entropy", **fields):
+    return SimConfig(family="power_law", beta=1.0, m=10, statistic=statistic, **fields)
+
+
+_STREAM = np.random.default_rng(0)
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: _power_law(epsilon=-2.0).n(), DomainError, "derived n = 0 must be >= 1"),
+    (lambda: _power_law(n_override=0).n(), DomainError, "n_override must be >= 1"),
+    (lambda: _power_law(n_override=2**63).n(), DomainError,
+     "config key n_override = 9223372036854775808 exceeds 2**63 - 1"),
+    (lambda: _power_law("thm2_divergence", n_override=20).validate(), UsageError,
+     "thm2_divergence needs a bivariate family"),
+    (lambda: sample_multinomial(ProbVector.uniform(3), 0, _STREAM), DomainError,
+     "n must be >= 1"),
+    (lambda: sample_joint(JointDistribution.product([0.5, 0.5], [0.5, 0.5]), 0, _STREAM),
+     DomainError, "n must be >= 1"),
+    (_mixture(signal_beta=None), UsageError, "mixture family requires signal_beta"),
+    (_mixture(noise_block_fractions=(0.25, 0.25)), UsageError,
+     "need matching, non-empty noise block sizes and fractions"),
+    (_mixture(noise_block_sizes=(0,)), DomainError, "must lie in [1, 2**31 - 1]"),
+])
+def test_montecarlo_errors(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: noise_and_signal_w_variance(1.0, 10, 0.5), DomainError,
+     "p0 must lie strictly between 0 and 1"),
+    (lambda: noise_and_signal_w_variance(0.5, 0, 0.5), DomainError, "m must be >= 1"),
+    (lambda: projection_v_moments(ProbVector([0.5, 0.5]), 0.5), ShapeError,
+     "projection_v_moments expects a JointDistribution"),
+    (lambda: v_moments_independent([0.5, 0.5], [0.2, 0.3, 0.5], 0.5), ShapeError,
+     "category counts differ: 2 vs 3"),
+    (lambda: ld_diagnostic([0.5, 0.5], [0.2, 0.3, 0.5], 100, 0.5), ShapeError,
+     "category counts differ: 2 vs 3"),
+])
+def test_projections_errors(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()

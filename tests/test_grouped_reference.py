@@ -18,6 +18,7 @@ from renydiv.asymptotics import (EstimateWithCI, _effective_n, _exp_ci, _null_z,
                                  normal_quantile)
 from renydiv.distributions import _PEEL_MIN, _sum
 from renydiv.errors import DegenerateStatisticError, DomainError, UndefinedStatisticError
+from renydiv.measures import _GROUP_MIN
 from renydiv.montecarlo import _bivariate_statistic, _univariate_statistic
 from renydiv.projections import _degenerate, _ld_report, _moments, _w_moments
 
@@ -159,7 +160,8 @@ def _outcome(fn, *args):
         return type(exc).__name__
 
 
-SIZES = st.sampled_from([2, 3, 50, _PEEL_MIN - 1, _PEEL_MIN, _PEEL_MIN + 1, 3 * _PEEL_MIN])
+SIZES = st.sampled_from([2, 3, 50, _GROUP_MIN - 1, _GROUP_MIN, _GROUP_MIN + 1, 3 * _GROUP_MIN,
+                         _PEEL_MIN - 1, _PEEL_MIN, _PEEL_MIN + 1])
 
 
 @st.composite
@@ -202,7 +204,7 @@ def count_pairs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(count_pairs(), st.sampled_from([0.3, 0.5, 0.9]) | st.floats(0.05, 0.95))
-@example((np.array([2**62, 1] + [1] * _PEEL_MIN), np.array([3, 2**62 - 7] + [1] * _PEEL_MIN)),
+@example((np.array([2**62, 1] + [1] * _GROUP_MIN), np.array([3, 2**62 - 7] + [1] * _GROUP_MIN)),
          0.5)
 def test_count_statistics_match_per_category_reference(pair, alpha):
     cx, cy = pair

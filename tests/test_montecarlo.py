@@ -565,6 +565,11 @@ class TestMixtureFamily:
             mixture_distribution(signal_beta=1.0, signal_m=10, signal_fraction=0.5,
                                  noise_block_sizes=(10,), noise_block_fractions=(0.5 + 5e-10,))
 
+    def test_non_integer_signal_m_named(self):
+        with pytest.raises(DomainError, match=re.escape("m must be an integer >= 1, got 3.5")):
+            mixture_distribution(signal_beta=1.0, signal_m=3.5, signal_fraction=0.5,
+                                 noise_block_sizes=(4,), noise_block_fractions=(0.5,))
+
     def test_config_validation(self):
         with pytest.raises(UsageError):
             SimConfig(family="bogus", m=10, statistic="thm1_entropy",
@@ -665,13 +670,8 @@ def test_validate_checks_family_requirements(tmp_path, capsys, family, fields, e
     cfg = _family_config(family, **fields)
     with pytest.raises(error, match=text):
         cfg.validate()
-    # the same config through the CLI: every field set away from its default, one a line
-    lines = [f"{f.name} = " + (", ".join(map(str, value)) if isinstance(value, tuple)
-                               else str(value))
-             for f in dataclasses.fields(cfg)
-             if (value := getattr(cfg, f.name)) != f.default]
-    path = tmp_path / "sim.cfg"
-    path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "sim.cfg"  # the same config through the CLI
+    path.write_text(_config_lines(cfg))
     assert run_cli(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and text in err
@@ -739,6 +739,17 @@ def test_numeric_field_out_of_bounds_named(tmp_path, capsys, name, value):
 @pytest.mark.parametrize("name, value", list(_bound_cases(outside=False)))
 def test_numeric_field_on_closed_bound_validates(name, value):
     _bound_config(name, value).validate()
+
+
+def test_replicate_count_past_one_array_is_named(tmp_path, capsys):
+    # B = 10**15 replicate statistics would be one 7 PiB float64 array
+    path = tmp_path / "sim.cfg"
+    path.write_text("family = power_law\nbeta = 1.0\nm = 10\nn_override = 20\n"
+                    "B = 1000000000000000\nstatistic = thm1_entropy\n")
+    assert run_cli(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config key B = 1000000000000000 must lie in [1, 2147483647]" in err
+    assert "internal error" not in err
 
 
 def test_bivariate_product_stream(monkeypatch):

@@ -1,5 +1,6 @@
 """Power-law construction, least-squares fitting, and QQ diagnostics."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,16 @@ class TestPmf:
             powerlaw_pmf(-1.0, 10)
         with pytest.raises(DomainError):
             powerlaw_pmf(1.0, 0)
+
+    @pytest.mark.parametrize("m", [3.5, 3.0, np.float64(4.0), True])
+    @pytest.mark.parametrize("build", [powerlaw_pmf, powerlaw_model])
+    def test_non_integer_m_named(self, build, m):
+        # a fractional m would normalize over ceil(m) ranks but build the pmf over floor(m)
+        with pytest.raises(DomainError, match=re.escape(f"m must be an integer >= 1, got {m}")):
+            build(1.0, m)
+
+    def test_numpy_integer_m(self):
+        assert powerlaw_pmf(1.0, np.int64(3)).probs.tolist() == powerlaw_pmf(1.0, 3).probs.tolist()
 
     def test_ld_equivalence(self):
         # (n min p)^(-1) / ((1-beta)^(-1) m/n) -> 1 for 0 < beta < 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renydiv import distributions, divergence_ci, entropy_ci, powerlaw_pmf
+from renydiv import distributions, divergence_ci, entropy_ci, measures, powerlaw_pmf
 from renydiv.distributions import _PEEL_MIN, _sum
 
 SIZES = st.sampled_from([0, 1, 2, _PEEL_MIN - 1, _PEEL_MIN, _PEEL_MIN + 1, 3 * _PEEL_MIN])
@@ -152,6 +152,7 @@ def test_large_sums_bypass_fsum(monkeypatch):
 
     fast, fast_elements = run()
     monkeypatch.setattr(distributions, "_PEEL_MIN", 2**62)  # every array to fsum whole
+    monkeypatch.setattr(measures, "_GROUP_MIN", 2**62)  # one term per category
     whole, whole_elements = run()
     assert repr(fast) == repr(whole)
     assert whole_elements > 10 * m
