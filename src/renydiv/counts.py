@@ -15,7 +15,8 @@ def _nonnegative_int64(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if not np.issubdtype(arr.dtype, np.integer):
         try:
-            as_int = np.asarray(arr, dtype=np.int64)
+            with np.errstate(invalid="ignore"):  # nan, inf and 1e30 fail the equality below
+                as_int = np.asarray(arr, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{what} must be integers") from None
         if not np.array_equal(as_int, arr):

@@ -80,15 +80,16 @@ def parse_count_table(path) -> CountTableFile:
         raise ValidationError(f"{path}: line 1: duplicate sample names")
     if not newline:
         raise ValidationError(f"{path}: no category rows")
-    parsed = _parse_rows_fast(body, len(header))
-    if parsed is None:
-        parsed = _parse_rows_slow(path, body.split("\n"), len(header))
+    parsed = _parse_rows(body, len(header))
+    if isinstance(parsed, int):  # refused: the lines up to the failing chunk's end hold the error
+        _raise_first_bad_line(path, body[:parsed].split("\n"), len(header))
     categories, columns = parsed
     return CountTableFile(categories=categories, samples=dict(zip(names, columns)))
 
 
-def _parse_rows_fast(body: str, width: int):
-    """(categories, int64 columns) of a valid table, or None if any check fails.
+def _parse_rows(body: str, width: int):
+    """(categories, int64 columns) of a valid table, else the end of the first
+    chunk that fails a check (len(body) for a repeated category).
 
     The body is parsed in chunks of about _CHUNK characters, each cut at a line
     end, so the per-field strings of one chunk at a time are alive. One tab
@@ -109,22 +110,27 @@ def _parse_rows_fast(body: str, width: int):
         rows = chunk.count("\n") + 1
         fields = chunk.replace("\n", "\t\n\t").split("\t")
         if len(fields) != rows * stride - 1 or fields[width::stride].count("\n") != rows - 1:
-            return None
+            return end
         categories += fields[::stride]
         for k, column in enumerate(columns, 1):
             cells = fields[k::stride]
             digits = "".join(cells)
             lengths = set(map(len, cells))
-            if not (digits.isascii() and digits.isdigit()
-                    and min(lengths) >= 1 and max(lengths) <= _FAST_DIGITS):
-                return None
-            # text mode stops or fails at malformed input, so it runs only after the checks
-            column[row:row + rows] = np.fromstring("\n".join(cells), dtype=np.int64, sep="\n")
+            if not (digits.isascii() and digits.isdigit() and min(lengths) >= 1):
+                return end
+            if max(lengths) > _FAST_DIGITS:  # 19 digits or leading zeros: exact ints
+                # past 19 digits a count is past INT64_MAX, and int() is spared its digit limit
+                values = [int(v or 0) if len(v) <= 19 else INT64_MAX + 1
+                          for v in (c.lstrip("0") for c in cells)]
+                if max(values) > INT64_MAX:
+                    return end
+                column[row:row + rows] = values
+            else:
+                # text mode stops or fails at malformed input, so it runs only after the checks
+                column[row:row + rows] = np.fromstring("\n".join(cells), dtype=np.int64, sep="\n")
         row += rows
         start = end + 1
-    if not _distinct(categories):
-        return None
-    return categories, columns
+    return (categories, columns) if _distinct(categories) else len(body)
 
 
 def _distinct(names: list) -> bool:
@@ -138,44 +144,32 @@ def _distinct(names: list) -> bool:
     return not (hashes[1:] == hashes[:-1]).any() or len(set(names)) == len(names)
 
 
-def _parse_rows_slow(path, lines: list, width: int):
-    """Row-by-row parse that raises on the first bad line, naming it."""
-    categories: list[str] = []
+def _raise_first_bad_line(path, lines: list, width: int) -> None:
+    """Raise the ValidationError naming the first bad line (its width, then a repeated
+    category, then each count) of `lines`, the body from line 2 on of a table that
+    _parse_rows refused. Finding none is an AssertionError."""
     seen: dict[str, int] = {}
-    columns = [[] for _ in range(width - 1)]
     for lineno, line in enumerate(lines, start=2):
         parts = line.split("\t")
         if len(parts) != width:
             raise ValidationError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(parts)}"
-            )
-        cat = parts[0]
-        if cat in seen:
-            raise ValidationError(
-                f"{path}: line {lineno}: duplicate category {cat!r} "
-                f"(first seen on line {seen[cat]})"
-            )
-        seen[cat] = lineno
-        categories.append(cat)
-        for k, raw in enumerate(parts[1:]):
-            columns[k].append(_parse_count(path, lineno, raw))
-    return categories, [np.asarray(col, dtype=np.int64) for col in columns]
-
-
-def _parse_count(path, lineno: int, raw: str) -> int:
-    if raw.isascii() and raw.isdigit():
-        value = int(raw)
-        if value > INT64_MAX:
-            raise ValidationError(
-                f"{path}: line {lineno}: count {raw!r} exceeds the int64 maximum {INT64_MAX}"
-            )
-        return value
-    magnitude = raw[1:]
-    if raw[:1] == "-" and magnitude.isascii() and magnitude.isdigit() and magnitude.strip("0"):
-        raise ValidationError(f"{path}: line {lineno}: negative count {raw!r}")
-    raise ValidationError(
-        f"{path}: line {lineno}: count {raw!r} is not an integer of ASCII digits 0-9"
-    )
+                f"{path}: line {lineno}: expected {width} fields, got {len(parts)}")
+        if parts[0] in seen:
+            raise ValidationError(f"{path}: line {lineno}: duplicate category {parts[0]!r} "
+                                  f"(first seen on line {seen[parts[0]]})")
+        seen[parts[0]] = lineno
+        for raw in parts[1:]:
+            if not (raw.isascii() and raw.isdigit()):
+                magnitude = raw[1:].lstrip("0")
+                if raw[:1] == "-" and magnitude.isascii() and magnitude.isdigit():
+                    raise ValidationError(f"{path}: line {lineno}: negative count {raw!r}")
+                raise ValidationError(
+                    f"{path}: line {lineno}: count {raw!r} is not an integer of ASCII digits 0-9")
+            value = raw.lstrip("0")
+            if len(value) > 19 or int(value or 0) > INT64_MAX:
+                raise ValidationError(f"{path}: line {lineno}: count {raw!r} exceeds "
+                                      f"the int64 maximum {INT64_MAX}")
+    raise AssertionError("the chunked parse refused lines that hold no error")
 
 
 def _round_sig(x: float, digits: int = 9):

@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 from .asymptotics import (_null_z, _thinned, _thm3_z, _thm4_z, chi_square_null_params,
                           divergence_ci, entropy_ci, lemma2i_standardize)
 from .counts import INT64_MAX, CountVector, JointCountTable
-from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum
+from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum, as_prob_vector
 from .errors import DomainError, UsageError, ValidationError
 from .measures import (_cross_power_sum, _distinct, _pearson_chi_square, _plugin, _power_sum,
                        _two_sample_chi_square, cross_power_sum, power_sum)
@@ -199,10 +199,9 @@ def replicate_stream(master_seed: int, r: int) -> np.random.Generator:
 
 def sample_multinomial(p, n: int, stream: np.random.Generator) -> CountVector:
     """One multinomial(n, p) draw as a CountVector."""
-    probs = p.probs if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
     if n < 1:
         raise DomainError("n must be >= 1")
-    return CountVector(stream.multinomial(n, probs))
+    return CountVector(stream.multinomial(n, as_prob_vector(p).probs))
 
 
 def sample_joint(joint: JointDistribution, n: int, stream: np.random.Generator) -> JointCountTable:
@@ -236,6 +235,8 @@ def ks_distance_normal(samples) -> float:
     b = x.size
     if b < 2:
         raise DomainError("need at least 2 samples")
+    if not np.isfinite(x).all():
+        raise DomainError("samples must be finite")
     cdf = ndtr(x)
     lo = np.abs(cdf - np.arange(0, b) / b).max()
     hi = np.abs(cdf - np.arange(1, b + 1) / b).max()
@@ -350,7 +351,11 @@ def _bivariate_statistic(cx: np.ndarray, cy: np.ndarray, n: int, norm: _Normaliz
         return _null_z(_two_sample_chi_square(cx, cy, n, norm.joint.a), norm.mu_n, norm.gamma_n)
     gx, gy, mult = _distinct(cx, cy)
     if norm.statistic == "thm2_divergence":
-        d_hat = math.log(_cross_power_sum(gx / n, gy / n, alpha, mult)) / (alpha - 1.0)
+        s_hat = _cross_power_sum(gx / n, gy / n, alpha, mult)
+        if s_hat == 0.0:  # for alpha in (0, 1) each shared category adds at least 1/n
+            raise DomainError(f"thm2_divergence at n = {n}: a replicate's two samples share "
+                              f"no category (empty shared support)")
+        d_hat = math.log(s_hat) / (alpha - 1.0)
         return math.sqrt(n) * (alpha - 1.0) * (d_hat - norm.value) / norm.cv
     if norm.statistic == "thm4_degenerate_divergence":
         return _thm4_z(gx / n, gy / n, n, alpha, norm.mu_n, norm.gamma_n, mult)

@@ -57,6 +57,14 @@ class TestCountVector:
             CountVector([3, -1])
         assert CountVector([2.0, 0.0]).counts.dtype == np.int64
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e30])
+    def test_floats_off_int64_named_without_a_warning(self, value):
+        # their int64 cast warns; the pointed error must come first
+        with pytest.raises(ValidationError, match="counts must be integers"):
+            CountVector([1.0, value])
+        with pytest.raises(ValidationError, match="cell indices must be integers"):
+            JointCountTable([0.0, value], [0, 1], [1, 2], 2)
+
 
 TOP = 2**63 - 1
 

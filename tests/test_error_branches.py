@@ -9,7 +9,7 @@ from renydiv import (CountVector, DomainError, JointCountTable, JointDistributio
                      ShapeError, SimConfig, UsageError, ValidationError, chi_square_null_params,
                      cli, ld_diagnostic, mixture_distribution, noise_and_signal_w_variance,
                      projection_v_moments, sample_joint, sample_multinomial,
-                     two_sample_chi_square, v_moments_independent)
+                     simulate_statistic, two_sample_chi_square, v_moments_independent)
 from renydiv.asymptotics import _p_value
 from renydiv.io import parse_count_table
 
@@ -138,6 +138,12 @@ _STREAM = np.random.default_rng(0)
     (_mixture(noise_block_fractions=(0.25, 0.25)), UsageError,
      "need matching, non-empty noise block sizes and fractions"),
     (_mixture(noise_block_sizes=(0,)), DomainError, "must lie in [1, 2**31 - 1]"),
+    # n = 2 draws from p and q over 1e5 categories almost never meet
+    (lambda: simulate_statistic(SimConfig(
+        family="bivariate_product", m=100000, beta=0.5, beta2=1.5, n_override=2, B=50,
+        statistic="thm2_divergence")), DomainError,
+     "thm2_divergence at n = 2: a replicate's two samples share no category "
+     "(empty shared support)"),
 ])
 def test_montecarlo_errors(call, error, text):
     with pytest.raises(error, match=re.escape(text)):

@@ -140,7 +140,10 @@ def ref_mc_statistic(statistic, cx, cy, n, norm, alpha):
         h_hat = math.log(ref_power_sum(cx[cx > 0] / n, alpha)) / (1.0 - alpha)
         return math.sqrt(n) * (1.0 / alpha - 1.0) * (h_hat - norm.value) / norm.cv
     if statistic == "thm2_divergence":
-        d_hat = math.log(ref_cross_power_sum(cx / n, cy / n, alpha)) / (alpha - 1.0)
+        s_hat = ref_cross_power_sum(cx / n, cy / n, alpha)
+        if s_hat == 0.0:
+            raise DomainError("the two samples share no category")
+        d_hat = math.log(s_hat) / (alpha - 1.0)
         return math.sqrt(n) * (alpha - 1.0) * (d_hat - norm.value) / norm.cv
     return ref_thm4_z(cx / n, cy / n, n, alpha, norm.mu_n, norm.gamma_n)
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import renydiv
 from renydiv import ValidationError, io, powerlaw_pmf
 from renydiv.cli import load_sim_config, run_cli
+from renydiv.counts import INT64_MAX
 from renydiv.io import (
     CountTableFile,
     NameList,
@@ -272,55 +273,126 @@ category_names = st.lists(
     min_size=1, max_size=15, unique=True)
 
 
+def reference_parse_rows(path, lines: list, width: int):
+    """Row-by-row parse that raises on the first bad line, naming it: the parser
+    every table that failed a chunk check went through before the chunk loop
+    built all count columns, kept verbatim but for its name as the reference."""
+    categories: list[str] = []
+    seen: dict[str, int] = {}
+    columns = [[] for _ in range(width - 1)]
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split("\t")
+        if len(parts) != width:
+            raise ValidationError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(parts)}"
+            )
+        cat = parts[0]
+        if cat in seen:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate category {cat!r} "
+                f"(first seen on line {seen[cat]})"
+            )
+        seen[cat] = lineno
+        categories.append(cat)
+        for k, raw in enumerate(parts[1:]):
+            columns[k].append(reference_parse_count(path, lineno, raw))
+    return categories, [np.asarray(col, dtype=np.int64) for col in columns]
+
+
+def reference_parse_count(path, lineno: int, raw: str) -> int:
+    if raw.isascii() and raw.isdigit():
+        value = int(raw)
+        if value > INT64_MAX:
+            raise ValidationError(
+                f"{path}: line {lineno}: count {raw!r} exceeds the int64 maximum {INT64_MAX}"
+            )
+        return value
+    magnitude = raw[1:]
+    if raw[:1] == "-" and magnitude.isascii() and magnitude.isdigit() and magnitude.strip("0"):
+        raise ValidationError(f"{path}: line {lineno}: negative count {raw!r}")
+    raise ValidationError(
+        f"{path}: line {lineno}: count {raw!r} is not an integer of ASCII digits 0-9"
+    )
+
+
+def write_body(directory, body: str, n_cols: int) -> str:
+    """The path of a table of n_cols samples whose body, the lines after the header,
+    is `body`."""
+    header = "category" + "".join(f"\ts{k}" for k in range(n_cols))
+    return str(write_text(directory / "t.tsv", header + "\n" + body + "\n"))
+
+
+def parse_outcomes(path, body: str, n_cols: int) -> list:
+    """What parse_count_table and the reference make of the table at path: its
+    categories and column values, or the error message."""
+    def chunked():
+        table = parse_count_table(path)
+        return table.categories, table.samples.values()
+
+    outcomes = []
+    for parse in (chunked, lambda: reference_parse_rows(path, body.split("\n"), n_cols + 1)):
+        try:
+            categories, columns = parse()
+        except ValidationError as exc:
+            outcomes.append(str(exc))
+            continue
+        assert all(col.dtype == np.int64 for col in columns)
+        outcomes.append((categories, [col.tolist() for col in columns]))
+    return outcomes
+
+
+# a count as its cells are written: up to 2**63 - 1 and one past it, with up to 22 digits
+# once leading zeros are added
+cell_texts = st.builds(
+    lambda value, width: f"{value:0{width}d}",
+    st.one_of(st.integers(0, 10**18 - 1), st.integers(10**18, 2**63 - 1), st.just(2**63)),
+    st.integers(0, 22))
+
+
 class TestParsePaths:
     @settings(max_examples=60, deadline=None)
     @given(names=category_names, n_cols=st.integers(1, 3), data=st.data())
-    def test_fast_and_row_parsers_agree(self, names, n_cols, data):
+    def test_fast_and_row_parsers_agree(self, names, n_cols, data, tmp_path_factory):
         counts = data.draw(st.lists(
-            st.lists(st.integers(0, 10**18 - 1), min_size=n_cols, max_size=n_cols),
+            st.lists(st.integers(0, 2**63 - 1), min_size=n_cols, max_size=n_cols),
             min_size=len(names), max_size=len(names)))
-        pad = data.draw(st.integers(0, 18))  # leading zeros, up to 18 digits in all
+        pad = data.draw(st.integers(0, 22))  # leading zeros, up to 22 digits in all
         body = "\n".join(name + "".join(f"\t{c:0{pad}d}" for c in row)
                          for name, row in zip(names, counts))
-        fast = io._parse_rows_fast(body, n_cols + 1)
-        slow = io._parse_rows_slow("t.tsv", body.split("\n"), n_cols + 1)
-        assert fast is not None
-        assert fast[0] == slow[0] == names
-        for f, s, k in zip(fast[1], slow[1], range(n_cols)):
-            assert f.dtype == s.dtype == np.int64
-            assert f.tolist() == s.tolist() == [row[k] for row in counts]
+        path = write_body(tmp_path_factory.mktemp("agree"), body, n_cols)
+        new, old = parse_outcomes(path, body, n_cols)
+        assert new == old == (names, [[row[k] for row in counts] for k in range(n_cols)])
 
-    def test_valid_table_never_runs_the_row_parser(self, pair_table, monkeypatch):
+    def test_valid_table_never_runs_the_row_parser(self, pair_table, tmp_path, monkeypatch):
         def fail(*args):
-            raise AssertionError("row-by-row parser ran on a valid table")
-        monkeypatch.setattr(io, "_parse_rows_slow", fail)
+            raise AssertionError("the line checker ran on a valid table")
+        monkeypatch.setattr(io, "_raise_first_bad_line", fail)
         assert parse_count_table(pair_table).samples["x"].size == 165
+        long = write_text(tmp_path / "long.tsv", HEADER + f"a\t1\t{2**63 - 1}\n"
+                          f"b\t{10**18}\t0000000000000000000042\nc\t7\t{'0' * 5000}9\n")
+        assert parse_count_table(long).samples["s2"].tolist() == [2**63 - 1, 42, 9]
 
     @settings(max_examples=150, deadline=None)
     @given(names=category_names, n_cols=st.integers(1, 3), chunk=st.integers(0, 40),
            data=st.data())
-    def test_chunked_parse_matches_the_row_parser(self, names, n_cols, chunk, data):
-        # chunks of a few characters put chunk cuts at every place in a row;
-        # a table with one bad line is None to the fast parser, an error to the slow one
+    def test_chunked_parse_matches_the_row_parser(self, names, n_cols, chunk, data,
+                                                  tmp_path_factory):
+        # chunks of a few characters put chunk cuts at every place in a row; each
+        # table gives the reference's categories and columns, or its error message
         rows = [name + "".join(f"\t{c}" for c in data.draw(
-            st.lists(st.integers(0, 10**18 - 1), min_size=n_cols, max_size=n_cols)))
+            st.lists(cell_texts, min_size=n_cols, max_size=n_cols)))
             for name in names]
         bad_line = data.draw(st.sampled_from([None, "", names[0] + "\t1" * n_cols,
-                                              "x" + "\t1" * (n_cols + 1), "y\t" + "\t1" * n_cols]))
+                                              "x" + "\t1" * (n_cols + 1), "y\t" + "\t1" * n_cols,
+                                              "z" + "\t-7" * n_cols, "w" + "\t1.5" * n_cols]))
         if bad_line is not None:
             rows.insert(data.draw(st.integers(0, len(rows))), bad_line)
         body = "\n".join(rows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(io, "_CHUNK", chunk)
-            fast = io._parse_rows_fast(body, n_cols + 1)
-        try:
-            slow = io._parse_rows_slow("t.tsv", body.split("\n"), n_cols + 1)
-        except ValidationError:
-            assert fast is None
-            return
-        assert fast is not None and fast[0] == slow[0]
-        assert [f.tolist() for f in fast[1]] == [s.tolist() for s in slow[1]]
-        assert all(f.dtype == np.int64 for f in fast[1])
+            path = write_body(tmp_path_factory.mktemp("chunk"), body, n_cols)
+            new, old = parse_outcomes(path, body, n_cols)
+        assert new == old
 
     def test_duplicate_across_chunks_named_by_the_row_parser(self, tmp_path, monkeypatch):
         rows = "".join(f"g{i:03d}\t{i}\t1\n" for i in range(200)) + "g007\t5\t5\n"
@@ -335,6 +407,41 @@ class TestParsePaths:
         assert parse_count_table(pair_table).categories == [f"g{i}" for i in range(165)]
         path = write_text(tmp_path / "dup.tsv", HEADER + "a\t1\t2\nb\t1\t2\na\t3\t4\n")
         with pytest.raises(ValidationError, match=r"line 4: duplicate category 'a'"):
+            parse_count_table(path)
+
+    def test_line_checker_reads_to_the_failing_chunk(self, tmp_path, monkeypatch):
+        # a bad count is found among the lines up to its chunk's end; a repeated
+        # category, known only after the last chunk, among all of them
+        read, check = [], io._raise_first_bad_line
+
+        def counted(path, lines, width):
+            read.append(len(lines))
+            check(path, lines, width)
+        monkeypatch.setattr(io, "_raise_first_bad_line", counted)
+        monkeypatch.setattr(io, "_CHUNK", 24)  # two or three rows a chunk
+        rows = [f"g{i:03d}\t{i}\t1\n" for i in range(200)]
+        bad = write_text(tmp_path / "bad.tsv", HEADER + "".join(rows[:5]) + "g005\t-5\t1\n"
+                         + "".join(rows[6:]))
+        with pytest.raises(ValidationError, match=r"line 7: negative count '-5'"):
+            parse_count_table(bad)
+        assert 6 <= read.pop() <= 9
+        dup = write_text(tmp_path / "dup.tsv", HEADER + "".join(rows) + "g007\t5\t5\n")
+        with pytest.raises(ValidationError, match=r"line 202: duplicate category 'g007'"):
+            parse_count_table(dup)
+        assert read == [201]
+
+    def test_line_checker_fails_on_a_good_body(self):
+        # a table that the chunk loop refused but that holds no bad line is a bug,
+        # never an accepted table
+        with pytest.raises(AssertionError):
+            io._raise_first_bad_line("t.tsv", ["a\t1\t2", "b\t3\t0000000000000000000004"], 3)
+
+    def test_count_past_the_int_digit_limit(self, tmp_path, capsys):
+        # 5000 digits is past INT64_MAX, and past the digits int() converts by default
+        path = write_text(tmp_path / "huge.tsv", HEADER + f"a\t1\t2\nb\t{'1' * 5000}\t2\n")
+        assert run_cli(["entropy", str(path)]) == 2
+        assert "line 3: count '111" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match=r"line 3: count '1+' exceeds the int64 max"):
             parse_count_table(path)
 
 

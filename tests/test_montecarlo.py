@@ -57,6 +57,12 @@ class TestSampling:
         c = sample_multinomial([1.0, 0.0], 50, replicate_stream(0, 1))
         assert c.counts[0] == 50 and c.counts[1] == 0
 
+    @pytest.mark.parametrize("p, total", [([0.2, 0.2], "0.4"), ([0.5, 0.6], "1.1")])
+    def test_probabilities_off_one_refused(self, p, total):
+        # numpy would put the missing mass on the last category, or drop the last entry
+        with pytest.raises(ValidationError, match=f"probabilities sum to {total}"):
+            sample_multinomial(p, 1000, replicate_stream(0, 0))
+
     def test_uniform_concentration(self):
         n = 30000
         c = sample_multinomial(ProbVector.uniform(3), n, replicate_stream(3, 0))
@@ -134,6 +140,11 @@ class TestKSDistance:
     def test_needs_two(self):
         with pytest.raises(DomainError):
             ks_distance_normal([0.0])
+
+    @pytest.mark.parametrize("samples", [[np.nan, 0.0, 1.0], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_needs_finite_samples(self, samples):
+        with pytest.raises(DomainError, match="samples must be finite"):
+            ks_distance_normal(samples)
 
 
 BASE = dict(family="power_law", beta=1.0, m=30, epsilon=1.0, alpha=0.5,
@@ -631,6 +642,36 @@ def _family_config(family, **fields):
 @pytest.mark.parametrize("family", sorted(_FAMILY_CONFIGS))
 def test_each_family_config_runs(family):
     assert np.all(np.isfinite(simulate_statistic(_family_config(family)).samples))
+
+
+def _smallest_n_configs():
+    """A config per (family, statistic) pair that validate() accepts, at m = 1000 (20, the
+    support, for mixture), B = 30 and n_override 1 or 3."""
+    for family, statistic in itertools.product(sorted(_FAMILY_CONFIGS),
+                                               sorted(montecarlo.STATISTICS)):
+        fields = {**_FAMILY_CONFIGS[family], "statistic": statistic}
+        if family == "mixture":
+            fields["noise_block_sizes"] = (10,)  # with signal_m = 10, the support of m = 20
+        if statistic in ("thm4_degenerate_divergence", "lemma2_two_sample"):
+            fields.pop("beta2", None)  # these need equal marginals
+        for n in (1, 3):
+            cfg = SimConfig(family=family, m=20 if family == "mixture" else 1000, n_override=n,
+                            B=30, master_seed=1, **fields)
+            try:
+                cfg.validate()
+            except (UsageError, ValidationError, DomainError):
+                continue
+            yield pytest.param(cfg, id=f"{family}-{statistic}-n{n}")
+
+
+@pytest.mark.parametrize("cfg", list(_smallest_n_configs()))
+def test_simulate_at_the_smallest_n(tmp_path, capsys, cfg):
+    # one or three draws can leave a replicate's statistic undefined: that is a
+    # pointed error (exit 2), never an internal one
+    path = tmp_path / "sim.cfg"
+    path.write_text(_config_lines(cfg))
+    assert run_cli(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) in (0, 2)
+    assert "internal error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family, key", [
