@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _pair_from_tables(path1, path2):
-    """Two named count vectors on one category universe, from 1 or 2 files."""
+    """Two named count vectors on one category universe, from 1 or 2 files, its
+    categories and whether they are JSON-plain."""
     t1 = parse_count_table(path1)
     if path2 is None:
         names = t1.sample_names
@@ -76,14 +77,14 @@ def _pair_from_tables(path1, path2):
             raise RenydivError(
                 "need two sample columns in one file, or two files"
             )
-        return (names[0], t1.count_vector(names[0]),
-                names[1], t1.count_vector(names[1]), t1.categories)
+        return (names[0], t1.count_vector(names[0]), names[1], t1.count_vector(names[1]),
+                t1.categories, t1.plain_names)
     t2 = parse_count_table(path2)
     if t1.categories != t2.categories:
         raise RenydivError("the two tables list different categories")
     n1, n2 = t1.sample_names[0], t2.sample_names[0]
     label2 = n2 if n2 != n1 else f"{n2}_2"
-    return n1, t1.count_vector(n1), label2, t2.count_vector(n2), t1.categories
+    return n1, t1.count_vector(n1), label2, t2.count_vector(n2), t1.categories, t1.plain_names
 
 
 def _emit(write, output) -> None:
@@ -95,7 +96,7 @@ def _emit(write, output) -> None:
         write(sys.stdout)
 
 
-def _decomposition_payload(dec, names) -> dict:
+def _decomposition_payload(dec, names, plain) -> dict:
     # full MixtureDecomposition plus the k_m alias used in tabular summaries
     return {
         "cutoff_k_m": dec.cutoff_k_m,
@@ -108,11 +109,11 @@ def _decomposition_payload(dec, names) -> dict:
                 "size": comp.size,
                 "level": comp.level,
                 "mean_count": comp.mean_count,
-                "categories": NameList(names, comp.categories),
+                "categories": NameList(names, comp.categories, plain),
             }
             for comp in dec.noise_components
         ],
-        "signal_categories": NameList(names, dec.signal_categories),
+        "signal_categories": NameList(names, dec.signal_categories, plain),
     }
 
 
@@ -190,7 +191,7 @@ def _payload(args):
         }
         return {"alpha": args.alpha, "H_alpha": payload}
     if args.command == "divergence":
-        nx, cx, ny, cy, _cats = _pair_from_tables(args.table, args.table2)
+        nx, cx, ny, cy, *_ = _pair_from_tables(args.table, args.table2)
         ci = divergence_ci(cx, cy, args.alpha, args.level)
         return {"alpha": args.alpha, "x": nx, "y": ny, "D_alpha": ci}
     if args.command == "filter-noise":
@@ -200,12 +201,12 @@ def _payload(args):
             name: _decomposition_payload(
                 filter_noise(table.count_vector(name), level=args.noise_level,
                              max_K=args.max_k),
-                names,
+                names, table.plain_names,
             )
             for name in table.sample_names
         }
     if args.command == "test-equality":
-        nx, cx, ny, cy, _cats = _pair_from_tables(args.table, args.table2)
+        nx, cx, ny, cy, *_ = _pair_from_tables(args.table, args.table2)
         rep = equality_test(cx, cy, alpha=args.alpha, mode="independent")
         return {"alpha": args.alpha, "x": nx, "y": ny, "equality": rep}
     if args.command == "test-homogeneity":
@@ -227,7 +228,7 @@ def _payload(args):
             for name in table.sample_names
         }
     # pipeline: argparse admits no other command
-    nx, cx, ny, cy, cats = _pair_from_tables(args.table, args.table2)
+    nx, cx, ny, cy, cats, plain = _pair_from_tables(args.table, args.table2)
     names = np.array(cats, dtype=object)
     cfg = PipelineConfig(
         ci_level=args.level, equality_level=args.equality_level,
@@ -237,7 +238,7 @@ def _payload(args):
     return {
         "alpha": report.alpha,
         "samples": {
-            name: {**_decomposition_payload(dec, names), "n_signal": n_signal,
+            name: {**_decomposition_payload(dec, names, plain), "n_signal": n_signal,
                    "H_alpha": h, "ENC_alpha": enc}
             for name, dec, n_signal, h, enc in zip((nx, ny), report.decompositions,
                                                     report.signal_totals, report.entropies,

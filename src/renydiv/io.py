@@ -15,10 +15,15 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class CountTableFile:
-    """Parsed tab-separated count table: unique category ids, named count columns."""
+    """Parsed tab-separated count table: unique category ids, named count columns.
+
+    `plain_names` says that every category id is printable ASCII without `"`
+    or `\\`, so JSON writes each one as it is between quotes.
+    """
 
     categories: list
     samples: dict  # name -> np.ndarray of int64, insertion-ordered
+    plain_names: bool = False
 
     def count_vector(self, name: str) -> CountVector:
         if name not in self.samples:
@@ -34,7 +39,7 @@ class CountTableFile:
 
 
 _FAST_DIGITS = 18  # any count of at most 18 ASCII digits fits in int64
-# characters per parse chunk: only one chunk's field strings are alive at a time
+# characters per parse chunk: only one chunk's buffers are alive at a time
 _CHUNK = 2**20
 # names per NameList write, JSON or TSV: one join per chunk, so its escaped
 # names never all sit in memory at once
@@ -83,54 +88,94 @@ def parse_count_table(path) -> CountTableFile:
     parsed = _parse_rows(body, len(header))
     if isinstance(parsed, int):  # refused: the lines up to the failing chunk's end hold the error
         _raise_first_bad_line(path, body[:parsed].split("\n"), len(header))
-    categories, columns = parsed
-    return CountTableFile(categories=categories, samples=dict(zip(names, columns)))
+    categories, columns, plain = parsed
+    return CountTableFile(categories=categories, samples=dict(zip(names, columns)),
+                          plain_names=plain)
 
 
 def _parse_rows(body: str, width: int):
-    """(categories, int64 columns) of a valid table, else the end of the first
-    chunk that fails a check (len(body) for a repeated category).
+    """(categories, int64 columns, whether every name is JSON-plain) of a valid
+    table, else the end of the first chunk that fails a check (len(body) for a
+    repeated category).
 
     The body is parsed in chunks of about _CHUNK characters, each cut at a line
-    end, so the per-field strings of one chunk at a time are alive. One tab
-    split covers every row of a chunk: with each line end written as a field
-    of its own, a chunk whose every row has `width` fields has a line end at
-    every (width + 1)-th field and nowhere else.
+    end, so the buffers of one chunk at a time are alive.
     """
     n = body.count("\n") + 1
-    stride = width + 1
-    categories: list[str] = []
+    # filled in place: grown chunk by chunk, the list left heap holes that the later
+    # m-sized arrays did not fit (renydiv pipeline at m = 1e6 on glibc: 186 against 173 MB RSS)
+    categories: list = [None] * n
     columns = [np.empty(n, dtype=np.int64) for _ in range(width - 1)]
+    plain = True
     row = start = 0
     while start <= len(body):
         end = body.find("\n", start + _CHUNK)
         if end < 0:
             end = len(body)
-        chunk = body[start:end]
-        rows = chunk.count("\n") + 1
-        fields = chunk.replace("\n", "\t\n\t").split("\t")
-        if len(fields) != rows * stride - 1 or fields[width::stride].count("\n") != rows - 1:
+        parsed = _parse_chunk(body[start:end].encode(), columns, row)
+        if parsed is None:
             return end
-        categories += fields[::stride]
-        for k, column in enumerate(columns, 1):
-            cells = fields[k::stride]
-            digits = "".join(cells)
-            lengths = set(map(len, cells))
-            if not (digits.isascii() and digits.isdigit() and min(lengths) >= 1):
-                return end
-            if max(lengths) > _FAST_DIGITS:  # 19 digits or leading zeros: exact ints
-                # past 19 digits a count is past INT64_MAX, and int() is spared its digit limit
-                values = [int(v or 0) if len(v) <= 19 else INT64_MAX + 1
-                          for v in (c.lstrip("0") for c in cells)]
-                if max(values) > INT64_MAX:
-                    return end
-                column[row:row + rows] = values
-            else:
-                # text mode stops or fails at malformed input, so it runs only after the checks
-                column[row:row + rows] = np.fromstring("\n".join(cells), dtype=np.int64, sep="\n")
-        row += rows
+        names, names_plain = parsed
+        categories[row:row + len(names)] = names
+        plain = plain and names_plain
+        row += len(names)
         start = end + 1
-    return (categories, columns) if _distinct(categories) else len(body)
+    return (categories, columns, plain) if _distinct(categories) else len(body)
+
+
+def _parse_chunk(text: bytes, columns: list, row: int):
+    """The names of the UTF-8 lines `text` and whether all are JSON-plain, their
+    counts written to `columns` from `row` on; None if a line fails a check.
+
+    numpy finds the line ends and the tabs; each line's name runs from its start
+    to its first tab. The names, with the line ends between them, are gathered
+    by one mask and split into strings at once. Every count cell is read from
+    the bytes left over, the cells after each first tab, so no cell becomes a
+    Python string.
+    """
+    per_line = len(columns)  # cells, and tabs, in each line
+    raw = np.frombuffer(text, dtype=np.uint8)
+    breaks = np.flatnonzero(raw == 10)
+    rows = breaks.size + 1
+    tabs = np.flatnonzero(raw == 9)
+    if tabs.size != rows * per_line:
+        return None
+    tabs = tabs.reshape(rows, per_line)
+    ends = np.append(breaks, raw.size)
+    # with the tab count right, each line holds per_line tabs iff its first one
+    # follows the line before and its last one precedes its own end
+    if not ((tabs[1:, 0] > breaks).all() and (tabs[:, -1] < ends).all()):
+        return None
+    # the characters of each cell: between two tabs, or between a tab and the line end
+    lengths = np.concatenate(((tabs[:, 1:] - tabs[:, :-1]).ravel(), ends - tabs[:, -1])) - 1
+    # the runs of bytes kept as names (each with the line end before it) alternate
+    # with the runs of cells (each after the tab before it)
+    runs = np.column_stack((tabs[:, 0] - np.append(0, breaks), ends - tabs[:, 0]))
+    keep = np.repeat(np.tile([True, False], rows), runs.ravel())
+    names, cells = raw[keep], raw[~keep]
+    shortest, longest = lengths.min(), lengths.max()
+    del breaks, tabs, ends, lengths, runs, keep  # a chunk's largest buffers, done with
+    # np.fromstring skips whitespace and reads signs, so the cells are checked first:
+    # no cell empty, and every byte but the tabs an ASCII digit (below "0" wraps past 9)
+    if shortest < 1 or np.count_nonzero(cells - 48 < 10) != cells.size - rows * per_line:
+        return None
+    # JSON-plain names are printable ASCII but " and \; the only other bytes
+    # among them are the rows - 1 line ends
+    plain = np.count_nonzero(names - 32 > 94) == rows - 1
+    names = names.tobytes()
+    plain = plain and b'"' not in names and b"\\" not in names
+    cells = cells[1:].tobytes()
+    if longest > _FAST_DIGITS:  # 19 digits or leading zeros: exact ints
+        # past 19 digits a count is past INT64_MAX, and int() is spared its digit limit
+        values = [int(v or 0) if len(v) <= 19 else INT64_MAX + 1
+                  for v in (c.lstrip(b"0") for c in cells.split(b"\t"))]
+        if max(values) > INT64_MAX:
+            return None
+    else:
+        values = np.fromstring(cells, dtype=np.int64, sep="\t")
+    for k, column in enumerate(columns):
+        column[row:row + rows] = values[k::per_line]
+    return names.decode().split("\n"), plain
 
 
 def _distinct(names: list) -> bool:
@@ -183,11 +228,14 @@ class NameList:
     """A list of category names: positions `index` into the name table `names`.
 
     `names` is an object array shared by every sample of one count table, so
-    a report lists ~1e6 categories without a per-name copy of them.
+    a report lists ~1e6 categories without a per-name copy of them. `plain`
+    says that every name is JSON-plain (CountTableFile.plain_names), so JSON
+    writes them without looking for a name to escape.
     """
 
     names: np.ndarray  # object array of str
     index: np.ndarray  # int positions into names
+    plain: bool = False
 
 
 def jsonable(obj):
@@ -238,8 +286,9 @@ def _dump(value, newline: str, write) -> None:
 
     A NameList's names are escaped and joined one call per _NAME_CHUNK names,
     instead of element by element in json's pure-Python indenting encoder. A
-    slice whose names need no escaping, which one escape of all of them
-    joined shows, is joined between quotes without escaping each name.
+    slice whose names need no escaping, which the list's `plain` flag or else
+    one escape of all of them joined shows, is joined between quotes without
+    escaping each name.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value:
@@ -252,12 +301,13 @@ def _dump(value, newline: str, write) -> None:
         write(newline + "}")
     elif isinstance(value, NameList):
         if len(value.index):
-            sep, plain = "[" + inner, '",' + inner + '"'
+            sep, between = "[" + inner, '",' + inner + '"'
             for start in range(0, len(value.index), _NAME_CHUNK):
                 names = value.names[value.index[start:start + _NAME_CHUNK]].tolist()
-                flat = "".join(names)
-                if len(encode_basestring_ascii(flat)) == len(flat) + 2:  # only quotes added
-                    write(sep + '"' + plain.join(names) + '"')
+                flat = "" if value.plain else "".join(names)
+                # a plain list, or only quotes added by escaping the slice's names joined
+                if value.plain or len(encode_basestring_ascii(flat)) == len(flat) + 2:
+                    write(sep + '"' + between.join(names) + '"')
                 else:
                     write(sep + ("," + inner).join(map(encode_basestring_ascii, names)))
                 sep = "," + inner

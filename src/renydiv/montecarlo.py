@@ -47,6 +47,15 @@ OPTIONAL_FIELDS = ("beta2", "diag_weight", "noise_block_sizes", "noise_block_fra
 # the most categories a family may have, and the most replicates a run may draw: one
 # float64 array of either is already 16 GB
 M_MAX = 2**31 - 1
+# the most bytes a run may hold at its peak by _check_memory's estimate; a config
+# estimated past it is refused before any array is built
+MEMORY_MAX = 2**32
+# 8-byte arrays of m entries alive at a run's peak, per family: the tracemalloc peak of
+# simulate_statistic, coverage_experiment and bias_experiment at m = 1e5 over every
+# statistic the family takes (5.00, 13.13 and 14.13 arrays), rounded up
+_M_ARRAYS = {"power_law": 5, "uniform": 5, "noise_and_signal": 5, "mixture": 5,
+             "bivariate_product": 14, "bivariate_joint": 15}
+_B_ARRAYS = 6  # 8-byte arrays of B entries at simulate_statistic's peak (6.00 at B = 2e5)
 _INT, _REAL = (numbers.Integral, "an integer"), (numbers.Real, "a finite real number")
 # each numeric SimConfig field, or each entry of a noise_block_* tuple: its kind and the
 # interval [lo, hi] (closed) or (lo, hi) it lies in; validate() reports the first field
@@ -296,11 +305,26 @@ def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: flo
     return ProbVector(np.concatenate(parts))
 
 
+def _check_memory(cfg: SimConfig) -> None:
+    """Refuse a validated config whose run would hold more than MEMORY_MAX bytes at its
+    peak, by the estimate 8 * (_M_ARRAYS[family] * m + _B_ARRAYS * B), naming the key
+    of the larger term."""
+    terms = {"m": 8 * _M_ARRAYS[cfg.family] * cfg.m, "B": 8 * _B_ARRAYS * cfg.B}
+    need = sum(terms.values())
+    if need > MEMORY_MAX:
+        key = max(terms, key=terms.get)
+        raise DomainError(f"config key {key} = {getattr(cfg, key)!r}: a {cfg.family} run "
+                          f"would hold about {need / 2**30:.1f} GiB at its peak, past the "
+                          f"{MEMORY_MAX // 2**30} GiB ceiling")
+
+
 class _Normalizers:
     """Population quantities shared by all replicates of one run; for thm1 and thm2,
-    s_true = S_a(p) or S_a(p, q), value = H_a or D_a, cv = CV(W) or CV(V)."""
+    s_true = S_a(p) or S_a(p, q), value = H_a or D_a, cv = CV(W) or CV(V). Every run
+    builds them, so the run's memory is checked here, before the population is built."""
 
     def __init__(self, cfg: SimConfig):
+        _check_memory(cfg)
         self.statistic = cfg.statistic
         if cfg.statistic in UNIVARIATE_STATISTICS:
             self.p = _population(cfg)

@@ -382,9 +382,15 @@ class TestParsePaths:
         rows = [name + "".join(f"\t{c}" for c in data.draw(
             st.lists(cell_texts, min_size=n_cols, max_size=n_cols)))
             for name in names]
+        # a cell np.fromstring would read or skip, were it not refused first
+        cells = ["1"] * n_cols
+        cells[data.draw(st.integers(0, n_cols - 1))] = data.draw(st.sampled_from(
+            [" 5", "5 ", "+5", "-0", "", "٣", "1_0", "9" * 20]))
         bad_line = data.draw(st.sampled_from([None, "", names[0] + "\t1" * n_cols,
                                               "x" + "\t1" * (n_cols + 1), "y\t" + "\t1" * n_cols,
-                                              "z" + "\t-7" * n_cols, "w" + "\t1.5" * n_cols]))
+                                              "z" + "\t-7" * n_cols, "w" + "\t1.5" * n_cols,
+                                              "\t".join(["v", *cells]),
+                                              "t" + "\t1" * n_cols + "\t"]))
         if bad_line is not None:
             rows.insert(data.draw(st.integers(0, len(rows))), bad_line)
         body = "\n".join(rows)
@@ -435,6 +441,24 @@ class TestParsePaths:
         # never an accepted table
         with pytest.raises(AssertionError):
             io._raise_first_bad_line("t.tsv", ["a\t1\t2", "b\t3\t0000000000000000000004"], 3)
+
+    def test_chunk_memory_does_not_grow_with_the_rows(self, tmp_path, monkeypatch):
+        # a chunk's traced peak, minus what it leaves in the result (its names), is a
+        # few times its own size: its buffers and masks never grow with the table
+        m, path = 300_000, tmp_path / "table.tsv"
+        write_mixture_table(path, m)
+        spent, parse_chunk = [], io._parse_chunk
+
+        def traced(text, columns, row):
+            tracemalloc.reset_peak()
+            parsed = parse_chunk(text, columns, row)
+            held, peak = tracemalloc.get_traced_memory()
+            spent.append(peak - held)
+            return parsed
+        monkeypatch.setattr(io, "_parse_chunk", traced)
+        table, _ = traced_peak(lambda: parse_count_table(path))
+        assert len(table.categories) == m and len(spent) >= 3
+        assert max(spent) <= 4 * io._CHUNK
 
     def test_count_past_the_int_digit_limit(self, tmp_path, capsys):
         # 5000 digits is past INT64_MAX, and past the digits int() converts by default
@@ -601,6 +625,7 @@ class TestEmitter:
         escape = io.encode_basestring_ascii
         monkeypatch.setattr(io, "encode_basestring_ascii",
                             lambda text: calls.append(text) or escape(text))
+        assert parse_count_table(path).plain_names
         assert run_cli(["pipeline", str(path)]) == 0
         keys, slices = 0, 0
 
@@ -612,7 +637,27 @@ class TestEmitter:
             return dict(pairs)
 
         json.loads(capsys.readouterr().out, object_pairs_hook=count)
-        assert slices >= 3 and len(calls) <= keys + slices
+        assert slices >= 3 and len(calls) <= keys
+
+    @pytest.mark.parametrize("odd", ['q"', "b\\s", "\x01", "del\x7f", "é", "🧬"])
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("command", ["pipeline", "filter-noise"])
+    def test_one_odd_name_escapes_the_report(self, tmp_path, capsys, monkeypatch, odd, where,
+                                             command):
+        # one name that json escapes, in the first, a middle or the last parse chunk,
+        # makes the table's names not plain: the report is json's own encoding
+        path = tmp_path / "table.tsv"
+        write_mixture_table(path, 600)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        row = 1 + round(where * 599)
+        lines[row] = odd + "\t7\t7"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        monkeypatch.setattr(io, "_CHUNK", 2000)  # four chunks
+        assert not parse_count_table(path).plain_names
+        assert run_cli([command, str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.dumps(odd) in out
 
     def test_name_list_written_in_bounded_memory(self):
         # the escaped names of a 600k-name list joined at once took ~57 MB

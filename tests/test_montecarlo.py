@@ -3,9 +3,13 @@ import dataclasses
 import itertools
 import math
 import numbers
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +45,7 @@ from renydiv import (
     uniformity_test,
 )
 from renydiv import montecarlo
-from renydiv.cli import run_cli
+from renydiv.cli import load_sim_config, run_cli
 from renydiv.montecarlo import replicate_stream
 
 from dense_joint import dense_pij
@@ -791,6 +795,39 @@ def test_replicate_count_past_one_array_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config key B = 1000000000000000 must lie in [1, 2147483647]" in err
     assert "internal error" not in err
+
+
+def test_run_past_the_memory_ceiling_is_named(tmp_path):
+    # each config passes validate(), yet its arrays would take 16 GB or more; the
+    # child's address space is capped, so a regression ends in a MemoryError (exit 1)
+    # instead of filling the machine
+    configs = {
+        "family = uniform\nm = 2147483647\nB = 1\nstatistic = thm3_uniform_entropy\n":
+            "config key m = 2147483647: a uniform run would hold about 80.0 GiB",
+        "family = power_law\nbeta = 1.0\nm = 2000000000\nB = 1\nstatistic = thm1_entropy\n":
+            "config key m = 2000000000: a power_law run",
+        "family = power_law\nbeta = 1.0\nm = 10\nB = 2147483647\nstatistic = thm1_entropy\n":
+            "config key B = 2147483647: a power_law run",
+    }
+    paths = [tmp_path / f"sim{k}.cfg" for k in range(len(configs))]
+    for path, text in zip(paths, configs):
+        path.write_text(text + "n_override = 10\n")
+        load_sim_config(path).validate()
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))\n"
+            "from renydiv.cli import run_cli\n"
+            "print([run_cli(['simulate', '--config', path]) for path in sys.argv[1:]])\n")
+    src = str(Path(montecarlo.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[2, 2, 2]", out.stderr
+    assert "internal error" not in out.stderr
+    errors = out.stderr.splitlines()
+    assert len(errors) == len(configs)
+    for line, message in zip(errors, configs.values()):
+        assert line.startswith("error: " + message) and line.endswith("past the 4 GiB ceiling")
 
 
 def test_bivariate_product_stream(monkeypatch):
