@@ -68,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _pair_from_tables(path1, path2):
-    """Two named count vectors on one category universe, from 1 or 2 files, its
-    categories and whether they are JSON-plain."""
+    """Two named count vectors on one category universe, from 1 or 2 files, and
+    its categories."""
     t1 = parse_count_table(path1)
     if path2 is None:
         names = t1.sample_names
@@ -78,13 +78,13 @@ def _pair_from_tables(path1, path2):
                 "need two sample columns in one file, or two files"
             )
         return (names[0], t1.count_vector(names[0]), names[1], t1.count_vector(names[1]),
-                t1.categories, t1.plain_names)
+                t1.categories)
     t2 = parse_count_table(path2)
     if t1.categories != t2.categories:
         raise RenydivError("the two tables list different categories")
     n1, n2 = t1.sample_names[0], t2.sample_names[0]
     label2 = n2 if n2 != n1 else f"{n2}_2"
-    return n1, t1.count_vector(n1), label2, t2.count_vector(n2), t1.categories, t1.plain_names
+    return n1, t1.count_vector(n1), label2, t2.count_vector(n2), t1.categories
 
 
 def _emit(write, output) -> None:
@@ -96,7 +96,7 @@ def _emit(write, output) -> None:
         write(sys.stdout)
 
 
-def _decomposition_payload(dec, names, plain) -> dict:
+def _decomposition_payload(dec, names) -> dict:
     # full MixtureDecomposition plus the k_m alias used in tabular summaries
     return {
         "cutoff_k_m": dec.cutoff_k_m,
@@ -109,11 +109,11 @@ def _decomposition_payload(dec, names, plain) -> dict:
                 "size": comp.size,
                 "level": comp.level,
                 "mean_count": comp.mean_count,
-                "categories": NameList(names, comp.categories, plain),
+                "categories": NameList(names, comp.categories),
             }
             for comp in dec.noise_components
         ],
-        "signal_categories": NameList(names, dec.signal_categories, plain),
+        "signal_categories": NameList(names, dec.signal_categories),
     }
 
 
@@ -200,9 +200,7 @@ def _payload(args):
         return {
             name: _decomposition_payload(
                 filter_noise(table.count_vector(name), level=args.noise_level,
-                             max_K=args.max_k),
-                names, table.plain_names,
-            )
+                             max_K=args.max_k), names)
             for name in table.sample_names
         }
     if args.command == "test-equality":
@@ -228,7 +226,7 @@ def _payload(args):
             for name in table.sample_names
         }
     # pipeline: argparse admits no other command
-    nx, cx, ny, cy, cats, plain = _pair_from_tables(args.table, args.table2)
+    nx, cx, ny, cy, cats = _pair_from_tables(args.table, args.table2)
     names = np.array(cats, dtype=object)
     cfg = PipelineConfig(
         ci_level=args.level, equality_level=args.equality_level,
@@ -238,7 +236,7 @@ def _payload(args):
     return {
         "alpha": report.alpha,
         "samples": {
-            name: {**_decomposition_payload(dec, names, plain), "n_signal": n_signal,
+            name: {**_decomposition_payload(dec, names), "n_signal": n_signal,
                    "H_alpha": h, "ENC_alpha": enc}
             for name, dec, n_signal, h, enc in zip((nx, ny), report.decompositions,
                                                     report.signal_totals, report.entropies,

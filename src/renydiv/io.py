@@ -15,15 +15,10 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class CountTableFile:
-    """Parsed tab-separated count table: unique category ids, named count columns.
-
-    `plain_names` says that every category id is printable ASCII without `"`
-    or `\\`, so JSON writes each one as it is between quotes.
-    """
+    """Parsed tab-separated count table: unique category ids, named count columns."""
 
     categories: list
     samples: dict  # name -> np.ndarray of int64, insertion-ordered
-    plain_names: bool = False
 
     def count_vector(self, name: str) -> CountVector:
         if name not in self.samples:
@@ -44,6 +39,8 @@ _CHUNK = 2**20
 # names per NameList write, JSON or TSV: one join per chunk, so its escaped
 # names never all sit in memory at once
 _NAME_CHUNK = 2**14
+# the bytes JSON writes as they are between quotes: printable ASCII but " and \
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
 
 def read_text(path) -> str:
@@ -88,15 +85,13 @@ def parse_count_table(path) -> CountTableFile:
     parsed = _parse_rows(body, len(header))
     if isinstance(parsed, int):  # refused: the lines up to the failing chunk's end hold the error
         _raise_first_bad_line(path, body[:parsed].split("\n"), len(header))
-    categories, columns, plain = parsed
-    return CountTableFile(categories=categories, samples=dict(zip(names, columns)),
-                          plain_names=plain)
+    categories, columns = parsed
+    return CountTableFile(categories=categories, samples=dict(zip(names, columns)))
 
 
 def _parse_rows(body: str, width: int):
-    """(categories, int64 columns, whether every name is JSON-plain) of a valid
-    table, else the end of the first chunk that fails a check (len(body) for a
-    repeated category).
+    """(categories, int64 columns) of a valid table, else the end of the first
+    chunk that fails a check (len(body) for a repeated category).
 
     The body is parsed in chunks of about _CHUNK characters, each cut at a line
     end, so the buffers of one chunk at a time are alive.
@@ -106,26 +101,23 @@ def _parse_rows(body: str, width: int):
     # m-sized arrays did not fit (renydiv pipeline at m = 1e6 on glibc: 186 against 173 MB RSS)
     categories: list = [None] * n
     columns = [np.empty(n, dtype=np.int64) for _ in range(width - 1)]
-    plain = True
     row = start = 0
     while start <= len(body):
         end = body.find("\n", start + _CHUNK)
         if end < 0:
             end = len(body)
-        parsed = _parse_chunk(body[start:end].encode(), columns, row)
-        if parsed is None:
+        names = _parse_chunk(body[start:end].encode(), columns, row)
+        if names is None:
             return end
-        names, names_plain = parsed
         categories[row:row + len(names)] = names
-        plain = plain and names_plain
         row += len(names)
         start = end + 1
-    return (categories, columns, plain) if _distinct(categories) else len(body)
+    return (categories, columns) if _distinct(categories) else len(body)
 
 
 def _parse_chunk(text: bytes, columns: list, row: int):
-    """The names of the UTF-8 lines `text` and whether all are JSON-plain, their
-    counts written to `columns` from `row` on; None if a line fails a check.
+    """The names of the UTF-8 lines `text`, their counts written to `columns`
+    from `row` on; None if a line fails a check.
 
     numpy finds the line ends and the tabs; each line's name runs from its start
     to its first tab. The names, with the line ends between them, are gathered
@@ -159,11 +151,6 @@ def _parse_chunk(text: bytes, columns: list, row: int):
     # no cell empty, and every byte but the tabs an ASCII digit (below "0" wraps past 9)
     if shortest < 1 or np.count_nonzero(cells - 48 < 10) != cells.size - rows * per_line:
         return None
-    # JSON-plain names are printable ASCII but " and \; the only other bytes
-    # among them are the rows - 1 line ends
-    plain = np.count_nonzero(names - 32 > 94) == rows - 1
-    names = names.tobytes()
-    plain = plain and b'"' not in names and b"\\" not in names
     cells = cells[1:].tobytes()
     if longest > _FAST_DIGITS:  # 19 digits or leading zeros: exact ints
         # past 19 digits a count is past INT64_MAX, and int() is spared its digit limit
@@ -175,7 +162,7 @@ def _parse_chunk(text: bytes, columns: list, row: int):
         values = np.fromstring(cells, dtype=np.int64, sep="\t")
     for k, column in enumerate(columns):
         column[row:row + rows] = values[k::per_line]
-    return names.decode().split("\n"), plain
+    return names.tobytes().decode().split("\n")
 
 
 def _distinct(names: list) -> bool:
@@ -228,14 +215,11 @@ class NameList:
     """A list of category names: positions `index` into the name table `names`.
 
     `names` is an object array shared by every sample of one count table, so
-    a report lists ~1e6 categories without a per-name copy of them. `plain`
-    says that every name is JSON-plain (CountTableFile.plain_names), so JSON
-    writes them without looking for a name to escape.
+    a report lists ~1e6 categories without a per-name copy of them.
     """
 
     names: np.ndarray  # object array of str
     index: np.ndarray  # int positions into names
-    plain: bool = False
 
 
 def jsonable(obj):
@@ -284,11 +268,10 @@ def _dump(value, newline: str, write) -> None:
     """Pass the indent=2 JSON of a jsonable value to `write` in pieces;
     `newline` carries its indent.
 
-    A NameList's names are escaped and joined one call per _NAME_CHUNK names,
-    instead of element by element in json's pure-Python indenting encoder. A
-    slice whose names need no escaping, which the list's `plain` flag or else
-    one escape of all of them joined shows, is joined between quotes without
-    escaping each name.
+    A NameList's names are joined one call per _NAME_CHUNK names, instead of
+    element by element in json's pure-Python indenting encoder. The join of a
+    slice is written as it is unless it holds a character JSON escapes; only
+    then is each name of the slice escaped.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value:
@@ -304,10 +287,12 @@ def _dump(value, newline: str, write) -> None:
             sep, between = "[" + inner, '",' + inner + '"'
             for start in range(0, len(value.index), _NAME_CHUNK):
                 names = value.names[value.index[start:start + _NAME_CHUNK]].tolist()
-                flat = "" if value.plain else "".join(names)
-                # a plain list, or only quotes added by escaping the slice's names joined
-                if value.plain or len(encode_basestring_ascii(flat)) == len(flat) + 2:
-                    write(sep + '"' + between.join(names) + '"')
+                text = '"' + between.join(names) + '"'
+                # past the bytes written as they are, only the join's own 2k quotes
+                # and k - 1 line ends are left in a slice of k plain names
+                if (text.isascii() and len(text.encode().translate(None, _PLAIN))
+                        == 3 * len(names) - 1):
+                    write(sep + text)
                 else:
                     write(sep + ("," + inner).join(map(encode_basestring_ascii, names)))
                 sep = "," + inner

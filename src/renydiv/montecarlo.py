@@ -47,9 +47,12 @@ OPTIONAL_FIELDS = ("beta2", "diag_weight", "noise_block_sizes", "noise_block_fra
 # the most categories a family may have, and the most replicates a run may draw: one
 # float64 array of either is already 16 GB
 M_MAX = 2**31 - 1
-# the most bytes a run may hold at its peak by _check_memory's estimate; a config
+# the most bytes a run may hold at its peak by _check_cost's estimate; a config
 # estimated past it is refused before any array is built
 MEMORY_MAX = 2**32
+# the most category draws, B * m, a run may take; at the 40-160 ns a draw took at
+# m = 1e5, whatever n, that is at most about 3 hours on one core
+WORK_MAX = 2**36
 # 8-byte arrays of m entries alive at a run's peak, per family: the tracemalloc peak of
 # simulate_statistic, coverage_experiment and bias_experiment at m = 1e5 over every
 # statistic the family takes (5.00, 13.13 and 14.13 arrays), rounded up
@@ -305,10 +308,10 @@ def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: flo
     return ProbVector(np.concatenate(parts))
 
 
-def _check_memory(cfg: SimConfig) -> None:
+def _check_cost(cfg: SimConfig) -> None:
     """Refuse a validated config whose run would hold more than MEMORY_MAX bytes at its
     peak, by the estimate 8 * (_M_ARRAYS[family] * m + _B_ARRAYS * B), naming the key
-    of the larger term."""
+    of the larger term; then one that would take more than WORK_MAX draws, B * m."""
     terms = {"m": 8 * _M_ARRAYS[cfg.family] * cfg.m, "B": 8 * _B_ARRAYS * cfg.B}
     need = sum(terms.values())
     if need > MEMORY_MAX:
@@ -316,15 +319,19 @@ def _check_memory(cfg: SimConfig) -> None:
         raise DomainError(f"config key {key} = {getattr(cfg, key)!r}: a {cfg.family} run "
                           f"would hold about {need / 2**30:.1f} GiB at its peak, past the "
                           f"{MEMORY_MAX // 2**30} GiB ceiling")
+    if cfg.B * cfg.m > WORK_MAX:
+        raise DomainError(f"config keys B = {cfg.B!r} and m = {cfg.m!r}: a run would draw "
+                          f"B * m = {cfg.B * cfg.m:.3g} categories, past the "
+                          f"{WORK_MAX:.3g} ceiling")
 
 
 class _Normalizers:
     """Population quantities shared by all replicates of one run; for thm1 and thm2,
     s_true = S_a(p) or S_a(p, q), value = H_a or D_a, cv = CV(W) or CV(V). Every run
-    builds them, so the run's memory is checked here, before the population is built."""
+    builds them, so the run's cost is checked here, before the population is built."""
 
     def __init__(self, cfg: SimConfig):
-        _check_memory(cfg)
+        _check_cost(cfg)
         self.statistic = cfg.statistic
         if cfg.statistic in UNIVARIATE_STATISTICS:
             self.p = _population(cfg)

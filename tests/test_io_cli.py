@@ -565,6 +565,16 @@ reports = st.recursive(
 )
 
 
+@pytest.fixture
+def calls(monkeypatch) -> list:
+    """The strings io.encode_basestring_ascii is called on, in order."""
+    calls = []
+    escape = io.encode_basestring_ascii
+    monkeypatch.setattr(io, "encode_basestring_ascii",
+                        lambda text: calls.append(text) or escape(text))
+    return calls
+
+
 def tsv_text(obj) -> str:
     """write_report_tsv's output for obj."""
     sink = stdio.StringIO()
@@ -601,11 +611,12 @@ class TestEmitter:
         assert tsv_text(obj) == reference_tsv(obj)
 
     @pytest.mark.parametrize("odd", ['q"', "b\\s", "tab\t", "\x01", "del\x7f", "é", "🧬",
-                                     "\ud800"])
+                                     "\ud800", "\n", 'x",\n    "y', "\r", "", " ~"])
     @pytest.mark.parametrize("part", [0, 1, 2])
-    def test_escaping_is_decided_per_slice(self, odd, part):
+    def test_escaping_is_decided_per_slice(self, calls, odd, part):
         # three slices of plain names, one odd name in slice `part`; DEL is
-        # ASCII, yet json writes it as \u007f
+        # ASCII, yet json writes it as \u007f. A line end, or a name holding the
+        # join's own separator, must not pass for the join's; "" and " ~" are plain
         size = 2 * io._NAME_CHUNK + 9
         table = np.array([f"g{i}" for i in range(size)] + [odd], dtype=object)
         index = np.arange(size)
@@ -614,18 +625,26 @@ class TestEmitter:
         sink = stdio.StringIO()
         write_report(obj, sink)
         assert sink.getvalue() == json.dumps({"signal": table[index].tolist()}, indent=2)
+        # the key, then each name of the odd slice alone
+        odd_slice = index[part * io._NAME_CHUNK:(part + 1) * io._NAME_CHUNK]
+        assert len(calls) == 1 + (0 if odd in ("", " ~") else len(odd_slice))
         assert tsv_text(obj) == reference_tsv(obj)
 
-    def test_plain_slices_escape_once(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("c", range(0x80))
+    def test_plain_set_one_character_at_a_time(self, calls, c):
+        # one slice of plain names and f"x{c}y": the dict key is the only escape
+        # exactly when c is printable ASCII but " and \
+        names = [f"g{i}" for i in range(5)] + [f"x{chr(c)}y"]
+        obj = {"signal": NameList(np.array(names, dtype=object), np.arange(len(names)))}
+        assert dumps_report(obj) == json.dumps({"signal": names}, indent=2)
+        plain = 0x20 <= c <= 0x7E and chr(c) not in '"\\'
+        assert len(calls) == (1 if plain else 1 + len(names))
+
+    def test_plain_slices_escape_once(self, tmp_path, capsys, calls):
         # a plain-ASCII table: one escape per dict key and per name slice, never
         # one per name
         path = tmp_path / "table.tsv"
         write_mixture_table(path, 3 * io._NAME_CHUNK)
-        calls = []
-        escape = io.encode_basestring_ascii
-        monkeypatch.setattr(io, "encode_basestring_ascii",
-                            lambda text: calls.append(text) or escape(text))
-        assert parse_count_table(path).plain_names
         assert run_cli(["pipeline", str(path)]) == 0
         keys, slices = 0, 0
 
@@ -644,8 +663,8 @@ class TestEmitter:
     @pytest.mark.parametrize("command", ["pipeline", "filter-noise"])
     def test_one_odd_name_escapes_the_report(self, tmp_path, capsys, monkeypatch, odd, where,
                                              command):
-        # one name that json escapes, in the first, a middle or the last parse chunk,
-        # makes the table's names not plain: the report is json's own encoding
+        # one name that json escapes, in the first, a middle or the last parse chunk:
+        # the report is json's own encoding
         path = tmp_path / "table.tsv"
         write_mixture_table(path, 600)
         lines = path.read_text(encoding="utf-8").split("\n")
@@ -653,7 +672,6 @@ class TestEmitter:
         lines[row] = odd + "\t7\t7"
         path.write_text("\n".join(lines), encoding="utf-8")
         monkeypatch.setattr(io, "_CHUNK", 2000)  # four chunks
-        assert not parse_count_table(path).plain_names
         assert run_cli([command, str(path)]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -797,18 +797,11 @@ def test_replicate_count_past_one_array_is_named(tmp_path, capsys):
     assert "internal error" not in err
 
 
-def test_run_past_the_memory_ceiling_is_named(tmp_path):
-    # each config passes validate(), yet its arrays would take 16 GB or more; the
-    # child's address space is capped, so a regression ends in a MemoryError (exit 1)
-    # instead of filling the machine
-    configs = {
-        "family = uniform\nm = 2147483647\nB = 1\nstatistic = thm3_uniform_entropy\n":
-            "config key m = 2147483647: a uniform run would hold about 80.0 GiB",
-        "family = power_law\nbeta = 1.0\nm = 2000000000\nB = 1\nstatistic = thm1_entropy\n":
-            "config key m = 2000000000: a power_law run",
-        "family = power_law\nbeta = 1.0\nm = 10\nB = 2147483647\nstatistic = thm1_entropy\n":
-            "config key B = 2147483647: a power_law run",
-    }
+def _capped_simulate(tmp_path, configs) -> list:
+    """The error lines of `renydiv simulate` on each config text (each valid, with
+    n_override = 10), all run in one child whose address space is capped at 3 GiB,
+    so a run that starts ends in a MemoryError (exit 1) instead of filling the
+    machine. Every run must exit 2 without an internal error."""
     paths = [tmp_path / f"sim{k}.cfg" for k in range(len(configs))]
     for path, text in zip(paths, configs):
         path.write_text(text + "n_override = 10\n")
@@ -822,12 +815,41 @@ def test_run_past_the_memory_ceiling_is_named(tmp_path):
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[2, 2, 2]", out.stderr
+    assert out.stdout.strip() == str([2] * len(configs)), out.stderr
     assert "internal error" not in out.stderr
     errors = out.stderr.splitlines()
     assert len(errors) == len(configs)
-    for line, message in zip(errors, configs.values()):
+    return errors
+
+
+def test_run_past_the_memory_ceiling_is_named(tmp_path):
+    # each config passes validate(), yet its arrays would take 16 GB or more
+    configs = {
+        "family = uniform\nm = 2147483647\nB = 1\nstatistic = thm3_uniform_entropy\n":
+            "config key m = 2147483647: a uniform run would hold about 80.0 GiB",
+        "family = power_law\nbeta = 1.0\nm = 2000000000\nB = 1\nstatistic = thm1_entropy\n":
+            "config key m = 2000000000: a power_law run",
+        "family = power_law\nbeta = 1.0\nm = 10\nB = 2147483647\nstatistic = thm1_entropy\n":
+            "config key B = 2147483647: a power_law run",
+    }
+    for line, message in zip(_capped_simulate(tmp_path, configs), configs.values()):
         assert line.startswith("error: " + message) and line.endswith("past the 4 GiB ceiling")
+
+
+def test_run_past_the_work_ceiling_is_named(tmp_path):
+    # each config passes validate() and fits in memory, yet takes years of draws
+    configs = {
+        "family = uniform\nm = 40000000\nB = 40000000\nstatistic = lemma2_pearson\n":
+            "config keys B = 40000000 and m = 40000000: a run would draw "
+            "B * m = 1.6e+15 categories",
+        "family = power_law\nbeta = 1.0\nm = 262144\nB = 262145\nstatistic = thm1_entropy\n":
+            "config keys B = 262145 and m = 262144: a run would draw B * m = 6.87e+10",
+    }
+    for line, message in zip(_capped_simulate(tmp_path, configs), configs.values()):
+        assert line.startswith("error: " + message) and line.endswith("past the 6.87e+10 ceiling")
+    # the ceiling itself is a run
+    montecarlo._check_cost(SimConfig(family="power_law", beta=1.0, m=2**18, B=2**18,
+                                     statistic="thm1_entropy", n_override=10))
 
 
 def test_bivariate_product_stream(monkeypatch):
