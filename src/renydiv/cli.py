@@ -80,7 +80,7 @@ def _pair_from_tables(path1, path2):
         return (names[0], t1.count_vector(names[0]), names[1], t1.count_vector(names[1]),
                 t1.categories)
     t2 = parse_count_table(path2)
-    if t1.categories != t2.categories:
+    if not np.array_equal(t1.categories, t2.categories):
         raise RenydivError("the two tables list different categories")
     n1, n2 = t1.sample_names[0], t2.sample_names[0]
     label2 = n2 if n2 != n1 else f"{n2}_2"
@@ -175,10 +175,10 @@ def _cmd_simulate(args) -> None:
     cfg = load_sim_config(args.config, seed_override=args.seed,
                           workers_override=args.workers)
     run = simulate_statistic(cfg)
-    lines = ["normal_quantile,sample_quantile"]
-    lines += [f"{a:.9g},{b:.9g}" for a, b in run.qq_pairs]
-    lines.append(f"# ks_distance={run.ks_distance:.9g}")
-    _emit(lambda fh: fh.write("\n".join(lines) + "\n"), args.output)
+    # one row at a time, so the CSV never sits in memory as a whole
+    _emit(lambda fh: np.savetxt(fh, run.qq_pairs, fmt="%.9g", delimiter=",", comments="",
+                                header="normal_quantile,sample_quantile",
+                                footer=f"# ks_distance={run.ks_distance:.9g}"), args.output)
 
 
 def _payload(args):
@@ -196,11 +196,10 @@ def _payload(args):
         return {"alpha": args.alpha, "x": nx, "y": ny, "D_alpha": ci}
     if args.command == "filter-noise":
         table = parse_count_table(args.table)
-        names = np.array(table.categories, dtype=object)  # shared by the samples
         return {
             name: _decomposition_payload(
                 filter_noise(table.count_vector(name), level=args.noise_level,
-                             max_K=args.max_k), names)
+                             max_K=args.max_k), table.categories)
             for name in table.sample_names
         }
     if args.command == "test-equality":
@@ -226,8 +225,7 @@ def _payload(args):
             for name in table.sample_names
         }
     # pipeline: argparse admits no other command
-    nx, cx, ny, cy, cats = _pair_from_tables(args.table, args.table2)
-    names = np.array(cats, dtype=object)
+    nx, cx, ny, cy, names = _pair_from_tables(args.table, args.table2)
     cfg = PipelineConfig(
         ci_level=args.level, equality_level=args.equality_level,
         noise_level=args.noise_level, max_noise_components=args.max_k,

@@ -26,7 +26,7 @@ def _sum(values, mult=None) -> float:
     the sum over the repeated terms in O(values.size * log2(max mult)). A
     scaling that would overflow repeats the terms themselves instead.
 
-    An array is cast to float64; one of _PEEL_MIN to 2**26 floats (with mult,
+    An array is cast to float64; one of _PEEL_MIN floats or more (with mult,
     the scaled terms) is then copied once and split in place by error-free extraction
     (Rump, Ogita and Oishi, "Accurate floating-point summation, Part I", 2008):
     with sigma = 2**(e + bits), |x| < 2**e and n + 1 < 2**bits,
@@ -48,7 +48,7 @@ def _sum(values, mult=None) -> float:
         return math.fsum(values)
     x = np.asarray(values, dtype=float).ravel()
     parts = []
-    if _PEEL_MIN <= x.size < 2**26:
+    if x.size >= _PEEL_MIN:
         bits = (x.size + 1).bit_length()
         x, q = x.copy(), np.empty_like(x)  # the caller's array is never written
         while True:

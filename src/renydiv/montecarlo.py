@@ -425,8 +425,7 @@ def _run_replicates(cfg: SimConfig, value) -> np.ndarray:
         work(range(cfg.B))
         return out
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, chunk)
-                   for chunk in np.array_split(range(cfg.B), workers)]
+        futures = [pool.submit(work, range(k, cfg.B, workers)) for k in range(workers)]
         for fut in futures:
             fut.result()
     return out

@@ -797,24 +797,30 @@ def test_replicate_count_past_one_array_is_named(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def _capped_child(code: str, args=()) -> subprocess.CompletedProcess:
+    """Run the Python `code` with sys.argv[1:] = args in a child whose address space
+    is capped at 3 GiB, so a call that outgrows its bounds ends in a MemoryError
+    instead of filling the machine."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))\n" + code)
+    src = str(Path(montecarlo.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def _capped_simulate(tmp_path, configs) -> list:
     """The error lines of `renydiv simulate` on each config text (each valid, with
-    n_override = 10), all run in one child whose address space is capped at 3 GiB,
-    so a run that starts ends in a MemoryError (exit 1) instead of filling the
-    machine. Every run must exit 2 without an internal error."""
+    n_override = 10), all run in one capped child (_capped_child). Every run must
+    exit 2 without an internal error."""
     paths = [tmp_path / f"sim{k}.cfg" for k in range(len(configs))]
     for path, text in zip(paths, configs):
         path.write_text(text + "n_override = 10\n")
         load_sim_config(path).validate()
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))\n"
-            "from renydiv.cli import run_cli\n"
-            "print([run_cli(['simulate', '--config', path]) for path in sys.argv[1:]])\n")
-    src = str(Path(montecarlo.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = _capped_child("from renydiv.cli import run_cli\n"
+                        "print([run_cli(['simulate', '--config', path])\n"
+                        "       for path in sys.argv[1:]])\n", paths)
     assert out.stdout.strip() == str([2] * len(configs)), out.stderr
     assert "internal error" not in out.stderr
     errors = out.stderr.splitlines()
@@ -850,6 +856,79 @@ def test_run_past_the_work_ceiling_is_named(tmp_path):
     # the ceiling itself is a run
     montecarlo._check_cost(SimConfig(family="power_law", beta=1.0, m=2**18, B=2**18,
                                      statistic="thm1_entropy", n_override=10))
+
+
+def test_sum_past_2_26_floats_stays_bounded():
+    # the univariate families pass the memory check up to m = 2**32 / 40, past 2**26;
+    # a sum of that many floats stays within the estimate's three m-sized arrays
+    out = _capped_child("import numpy as np\nfrom renydiv.distributions import _sum\n"
+                        "print(_sum(np.ones(2**26 + 1)))\n")
+    assert out.stdout.strip() == str(float(2**26 + 1)), out.stderr
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_cli_holds_what_the_estimate_says(tmp_path, workers):
+    # the CSV and the schedule of a run add no array of B entries past _B_ARRAYS
+    B = 20_000
+    path = tmp_path / "sim.cfg"
+    path.write_text(f"family = uniform\nm = 2\nn_override = 4\nB = {B}\n"
+                    f"statistic = lemma2_pearson\nworkers = {workers}\n")
+    tracemalloc.start()
+    try:
+        code = run_cli(["simulate", "--config", str(path), "--output", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 8 * montecarlo._B_ARRAYS * B + 256 * 2**10, peak / B
+
+
+# a value on each edge of the _NUMERIC_FIELDS rows every family reads: n_override,
+# epsilon (in place of n_override), alpha, thinning_tau, master_seed and workers
+_EDGE_VALUES = [("n_override", 1), ("n_override", 2**63 - 1), ("epsilon", 1e308),
+                ("epsilon", -1e308), ("alpha", 5e-324), ("alpha", 0.9999999999999999),
+                ("thinning_tau", 5e-324), ("thinning_tau", 0.9999999999999999),
+                ("master_seed", 2**128), ("workers", 10**9)]
+
+
+def _edge_configs():
+    """Each edge value on a config per (family, statistic) pair that validate() accepts,
+    at m = 2 and 3 (mixture: one noise category, the rest signal), B = 3."""
+    for family, statistic, m in itertools.product(sorted(_FAMILY_CONFIGS),
+                                                  sorted(montecarlo.STATISTICS), (2, 3)):
+        fields = {**_FAMILY_CONFIGS[family], "statistic": statistic}
+        if family == "mixture":
+            fields.update(noise_block_sizes=(1,), signal_m=m - 1)
+        if statistic in ("thm4_degenerate_divergence", "lemma2_two_sample"):
+            fields.pop("beta2", None)  # these need equal marginals
+        cfg = SimConfig(family=family, m=m, n_override=10, B=3, master_seed=1, **fields)
+        try:
+            cfg.validate()
+        except (UsageError, ValidationError, DomainError):
+            continue
+        for name, value in _EDGE_VALUES:
+            yield dataclasses.replace(cfg, **{"n_override": None if name == "epsilon" else 10,
+                                              name: value})
+
+
+def test_simulate_on_every_field_edge(tmp_path):
+    # every accepted pair, on each edge, runs or exits 2 naming what is wrong, in bounded
+    # time and memory: one capped child runs them all
+    configs = list(_edge_configs())
+    paths = [tmp_path / f"sim{k}.cfg" for k in range(len(configs))]
+    for path, cfg in zip(paths, configs):
+        path.write_text(_config_lines(cfg))
+    out = _capped_child("import time\nfrom renydiv.cli import run_cli\n"
+                        "for path in sys.argv[1:]:\n"
+                        "    start = time.perf_counter()\n"
+                        "    code = run_cli(['simulate', '--config', path,\n"
+                        "                    '--output', path + '.csv'])\n"
+                        "    print(code, time.perf_counter() - start)\n", paths)
+    assert "internal error" not in out.stderr
+    runs = [line.split() for line in out.stdout.splitlines()]
+    assert len(runs) == len(configs) >= 200, out.stderr
+    for cfg, (code, seconds) in zip(configs, runs):
+        assert code in ("0", "2") and float(seconds) < 5, (cfg, code, seconds)
 
 
 def test_bivariate_product_stream(monkeypatch):
