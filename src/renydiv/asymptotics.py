@@ -20,13 +20,8 @@ from scipy.special import ndtr, ndtri
 
 from .counts import CountVector, JointCountTable, as_count_vector
 from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
-from .errors import (
-    DegenerateStatisticError,
-    DomainError,
-    ShapeError,
-    UndefinedStatisticError,
-    UsageError,
-)
+from .errors import (REAL, DegenerateStatisticError, DomainError, ShapeError,
+                     UndefinedStatisticError, UsageError, check_number)
 from .measures import (_count, _cross_power_sum, _distinct, _pearson_chi_square, _plugin,
                        _power_sum, _two_sample_chi_square)
 from .projections import (LDReport, _degenerate, _ld_report, _v_moments_cells,
@@ -39,9 +34,7 @@ _THINNING_DRAWS = 100
 
 def normal_quantile(u: float) -> float:
     """Inverse standard normal CDF (scipy.special.ndtri) on (0, 1)."""
-    if not (0.0 < u < 1.0):
-        raise DomainError("quantile level must lie strictly between 0 and 1")
-    return float(ndtri(u))
+    return float(ndtri(check_number("u", u, REAL, 0, 1, closed=False)))
 
 
 @dataclass(frozen=True)
@@ -131,13 +124,12 @@ def _null_params(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarra
         product = 0.5 * (_sum(x) * _sum(y) + _sum(z) ** 2) - _sum(x * y)
     off = ~on_diag
     rows, cols, vals = rows[off], cols[off], vals[off]
-    # each cell's transpose partner, looked up among the cells sorted by key
-    keys = rows * m + cols
-    order = np.argsort(keys)
-    keys = keys[order]
-    partner_keys = cols * m + rows
-    at = np.minimum(np.searchsorted(keys, partner_keys), max(keys.size - 1, 0))
-    partner = np.where(keys[at] == partner_keys, vals[order][at], 0.0)
+    # partner[k]: the value of cell k's transpose, 0 when unlisted; cell at[i] sits where
+    # cell of[i] would sit transposed
+    partner = np.zeros(vals.size)
+    _, at, of = np.intersect1d(rows * m + cols, cols * m + rows, assume_unique=True,
+                               return_indices=True)
+    partner[of] = vals[at]
     mm = marg[rows] * marg[cols]
     cells = _sum((a[rows] * b[cols] + a[cols] * b[rows]) * vals / mm)
     pairs = _sum((vals * vals + vals * partner) / mm)
@@ -217,9 +209,7 @@ def _exp_ci(h: EstimateWithCI) -> EstimateWithCI:
 
 def _z_level(level: float) -> float:
     """The normal quantile of a two-sided confidence level in (0, 1)."""
-    if not (0.0 < level < 1.0):
-        raise DomainError("confidence level must lie in (0, 1)")
-    return normal_quantile(0.5 + level / 2.0)
+    return normal_quantile(0.5 + check_number("level", level, REAL, 0, 1, closed=False) / 2.0)
 
 
 def _effective_n(n1: int, n2: int) -> float:
@@ -359,7 +349,7 @@ def uniformity_test(c, alpha: float, method: str = "thm3") -> TestReport:
                       sidedness="two-sided", m=m, n=n, method=method)
 
 
-def _shrunken_joint_null_params(joint: JointCountTable, alpha: float) -> tuple[float, float]:
+def _shrunken_joint_null_params(joint: JointCountTable) -> tuple[float, float]:
     """Paired-mode (mu_n, gamma_n^2): plug-in joint shrunk toward independence.
 
     Each observed cell is shrunk toward the product of the pooled marginals
@@ -412,7 +402,7 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
     if m_union < 2:
         raise DomainError("need at least 2 observed categories")
     if mode == "paired":
-        mu, gamma_sq = _shrunken_joint_null_params(joint, alpha)
+        mu, gamma_sq = _shrunken_joint_null_params(joint)
     else:
         mu = gamma_sq = float(m_union - 1)
     gamma = math.sqrt(gamma_sq)
@@ -448,9 +438,7 @@ def binomial_thinning(c, tau: float, seed) -> CountVector:
     consumed from `seed` (an int or a numpy Generator), so results are
     reproducible; do not share one Generator across threads.
     """
-    tau = float(tau)
-    if not (0.0 < tau < 1.0):
-        raise DomainError("tau must lie strictly between 0 and 1")
+    tau = check_number("tau", tau, REAL, 0, 1, closed=False)
     cv = as_count_vector(c)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return CountVector(_thinned(rng, cv.counts, tau))

@@ -10,8 +10,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import divergence_ci, entropy_ci, equality_test
 from .errors import RenydivError
-from .io import (NameList, jsonable, parse_count_table, read_text, write_report,
-                 write_report_tsv)
+from .io import NameList, parse_count_table, read_text, write_report, write_report_tsv
 from .montecarlo import SimConfig, simulate_statistic
 from .pipeline import PipelineConfig, diversity_pipeline, filter_noise, homogeneity_test
 from .powerlaw import fit_powerlaw_ls
@@ -182,7 +181,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _payload(args):
-    """The report of a table command, before jsonable."""
+    """The report of a table command, as write_report and write_report_tsv take it."""
     if args.command == "entropy":
         table = parse_count_table(args.table)
         payload = {
@@ -252,7 +251,7 @@ def _dispatch(args) -> None:
     if args.command == "simulate":
         _cmd_simulate(args)
         return
-    report = jsonable(_payload(args))  # before --output is opened, which truncates it
+    report = _payload(args)  # before --output is opened, which truncates it
     # the report as JSON and a final newline, or as TSV, encoded straight into the sink
     write, end = (write_report_tsv, "") if args.format == "tsv" else (write_report, "\n")
     _emit(lambda fh: (write(report, fh), fh.write(end)), args.output)

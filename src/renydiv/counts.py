@@ -1,11 +1,12 @@
 """Observed count vectors and sparse bivariate count tables."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import INTEGER, ValidationError, check_number
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -110,9 +111,7 @@ class JointCountTable:
     n: int = field(init=False)
 
     def __post_init__(self):
-        m = self.m
-        if m < 1:
-            raise ValidationError("m must be >= 1")
+        m = check_number("m", self.m, INTEGER, 1, math.inf)
         rows, cols, counts = _coo_cells(self.rows, self.cols,
                                         _nonnegative_int64(self.counts, "cell counts"), m)
         total = _checked_total(counts)

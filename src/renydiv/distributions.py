@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counts import _coo_cells
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import INTEGER, REAL, ShapeError, ValidationError, check_number
 
 PROB_SUM_TOL = 1e-12
 # smaller arrays go to fsum as a list: from about 800 floats on, extraction's fixed
@@ -67,10 +67,7 @@ def _sum(values, mult=None) -> float:
 
 def check_alpha(alpha: float) -> float:
     """Validate the entropy/divergence exponent, restricted to 0 < alpha < 1."""
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0) or math.isnan(alpha):
-        raise DomainError(f"alpha must satisfy 0 < alpha < 1, got {alpha!r}")
-    return alpha
+    return float(check_number("alpha", alpha, REAL, 0, 1, closed=False))
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,7 @@ class ProbVector:
 
     @classmethod
     def uniform(cls, m: int) -> "ProbVector":
-        if m < 1:
-            raise ValidationError("m must be >= 1")
+        check_number("m", m, INTEGER, 1, math.inf)
         return cls(np.full(m, 1.0 / m))
 
 
@@ -145,9 +141,7 @@ class JointDistribution:
         m = a.size
         if b.size != m:
             raise ShapeError(f"factor sizes differ: {m} vs {b.size}")
-        lam = float(self.product_mass)
-        if not 0.0 <= lam <= 1.0:
-            raise ValidationError(f"product_mass must lie in [0, 1], got {lam!r}")
+        lam = float(check_number("product_mass", self.product_mass, REAL, 0, 1))
         vals = np.asarray(self.vals, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("joint distribution has non-finite entries")
@@ -183,9 +177,7 @@ class JointDistribution:
         p_ij = w * p_i * 1{i=j} + (1-w) * p_i * p_j. Both marginals equal p for any w.
         """
         pv = as_prob_vector(p)
-        w = float(diag_weight)
-        if not (0.0 <= w <= 1.0):
-            raise DomainError("diag_weight must lie in [0, 1]")
+        w = check_number("diag_weight", diag_weight, REAL, 0, 1)
         diag = np.arange(pv.m)
         return cls(pv, pv, 1.0 - w, diag, diag, w * pv.probs)
 

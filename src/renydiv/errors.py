@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a numeric argument."""
+import math
+import numbers
+import sys
+
+# the kinds check_number takes: the abstract class a value must be, and its name
+INTEGER = (numbers.Integral, "an integer")
+REAL = (numbers.Real, "a finite real number")
 
 
 class RenydivError(Exception):
@@ -35,3 +42,19 @@ class UndefinedStatisticError(RenydivError):
 
 class NoSignalError(RenydivError):
     """Noise filtering removed everything; no shared signal support remains."""
+
+
+def check_number(name: str, value, kind, lo, hi, closed: bool = True):
+    """Return `value` if it is of `kind` (INTEGER, or REAL and finite), not a bool, and
+    in [lo, hi] (closed) or (lo, hi). Otherwise raise ValidationError, "{name} must be
+    {what}, got {value!r}", or DomainError, "{name} = {value!r} must lie in [lo, hi]"."""
+    cls, what = kind
+    # an int past the float range is no finite real; a bool is neither kind
+    if (not isinstance(value, cls) or isinstance(value, bool)
+            or cls is numbers.Real and not abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    if not (lo <= value <= hi if closed else lo < value < hi):
+        ends = "[]" if closed else "()"
+        raise DomainError(f"{name} = {value!r} must lie in {ends[0]}{lo}, "
+                          f"{hi}{ends[1] if hi < math.inf else ')'}")
+    return value

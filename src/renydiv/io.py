@@ -110,7 +110,7 @@ def _parse_rows(body: str, width: int):
         categories[row:row + len(names)] = names
         row += len(names)
         start = end + 1
-    return (categories, columns) if _distinct(categories) else len(body)
+    return (categories, columns) if _all_different(categories) else len(body)
 
 
 def _parse_chunk(text: bytes, columns: list, row: int):
@@ -163,7 +163,7 @@ def _parse_chunk(text: bytes, columns: list, row: int):
     return names.tobytes().decode().split("\n")
 
 
-def _distinct(names) -> bool:
+def _all_different(names) -> bool:
     """Whether the strings `names` are all different.
 
     Sorted 64-bit hashes (8 bytes a name) settle it unless two hashes are

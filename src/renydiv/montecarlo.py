@@ -10,9 +10,7 @@ plug-in intervals practice requires.
 from __future__ import annotations
 
 import math
-import numbers
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,7 +21,7 @@ from .asymptotics import (_null_z, _thinned, _thm3_z, _thm4_z, chi_square_null_p
                           divergence_ci, entropy_ci, lemma2i_standardize)
 from .counts import INT64_MAX, CountVector, JointCountTable
 from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum, as_prob_vector
-from .errors import DomainError, UsageError, ValidationError
+from .errors import INTEGER, REAL, DomainError, UsageError, ValidationError, check_number
 from .measures import (_cross_power_sum, _distinct, _pearson_chi_square, _plugin, _power_sum,
                        _two_sample_chi_square, cross_power_sum, power_sum)
 from .powerlaw import powerlaw_pmf
@@ -59,30 +57,34 @@ WORK_MAX = 2**36
 _M_ARRAYS = {"power_law": 5, "uniform": 5, "noise_and_signal": 5, "mixture": 5,
              "bivariate_product": 14, "bivariate_joint": 15}
 _B_ARRAYS = 6  # 8-byte arrays of B entries at simulate_statistic's peak (6.00 at B = 2e5)
-_INT, _REAL = (numbers.Integral, "an integer"), (numbers.Real, "a finite real number")
 # each numeric SimConfig field, or each entry of a noise_block_* tuple: its kind and the
 # interval [lo, hi] (closed) or (lo, hi) it lies in; validate() reports the first field
 # off its row in this order. A mixture's m = sum(noise_block_sizes) + signal_m leaves
 # each of its parts at most M_MAX - 1.
 _NUMERIC_FIELDS = {
-    "p0": (_REAL, 0, 1, False),
-    "diag_weight": (_REAL, 0, 1, True),
-    "B": (_INT, 1, M_MAX, True),
-    "m": (_INT, 2, M_MAX, True),
-    "workers": (_INT, 1, math.inf, True),
-    "master_seed": (_INT, 0, math.inf, True),
-    "alpha": (_REAL, 0, 1, False),
-    "thinning_tau": (_REAL, 0, 1, False),
-    "noise_block_fractions": (_REAL, 0, 1, True),
-    "signal_fraction": (_REAL, 0, 1, True),
-    "signal_beta": (_REAL, 0, math.inf, False),
-    "signal_m": (_INT, 1, M_MAX - 1, True),
-    "noise_block_sizes": (_INT, 1, M_MAX - 1, True),
-    "beta": (_REAL, 0, math.inf, False),
-    "beta2": (_REAL, 0, math.inf, False),
-    "epsilon": (_REAL, -math.inf, math.inf, False),
-    "n_override": (_INT, 1, INT64_MAX, True),
+    "p0": (REAL, 0, 1, False),
+    "diag_weight": (REAL, 0, 1, True),
+    "B": (INTEGER, 1, M_MAX, True),
+    "m": (INTEGER, 2, M_MAX, True),
+    "workers": (INTEGER, 1, math.inf, True),
+    "master_seed": (INTEGER, 0, math.inf, True),
+    "alpha": (REAL, 0, 1, False),
+    "thinning_tau": (REAL, 0, 1, False),
+    "noise_block_fractions": (REAL, 0, 1, True),
+    "signal_fraction": (REAL, 0, 1, True),
+    "signal_beta": (REAL, 0, math.inf, False),
+    "signal_m": (INTEGER, 1, M_MAX - 1, True),
+    "noise_block_sizes": (INTEGER, 1, M_MAX - 1, True),
+    "beta": (REAL, 0, math.inf, False),
+    "beta2": (REAL, 0, math.inf, False),
+    "epsilon": (REAL, -math.inf, math.inf, False),
+    "n_override": (INTEGER, 1, INT64_MAX, True),
 }
+
+
+def _check_field(name: str, value, prefix: str = ""):
+    """check_number of `value` on the _NUMERIC_FIELDS row of `name`, named prefix + name."""
+    return check_number(prefix + name, value, *_NUMERIC_FIELDS[name])
 
 
 @dataclass(frozen=True)
@@ -125,12 +127,7 @@ class SimConfig:
     def n(self) -> int:
         """The sample size, from 1 to 2**63 - 1 (the most a multinomial draw takes)."""
         if self.n_override is not None:
-            if self.n_override < 1:
-                raise DomainError("n_override must be >= 1")
-            if self.n_override > INT64_MAX:
-                raise DomainError(f"config key n_override = {self.n_override!r} exceeds "
-                                  f"2**63 - 1")
-            return int(self.n_override)
+            return int(_check_field("n_override", self.n_override, "config key "))
         if self.epsilon is None:
             raise UsageError("either epsilon or n_override must be set")
         try:
@@ -145,20 +142,13 @@ class SimConfig:
         return n
 
     def validate(self) -> None:
-        for name, ((kind, what), lo, hi, closed) in _NUMERIC_FIELDS.items():
+        for name in _NUMERIC_FIELDS:
             value = getattr(self, name)
             if value is None and SimConfig.__dataclass_fields__[name].default is None:
                 continue
             items = value if isinstance(value, tuple) and name.startswith("noise_") else (value,)
-            # an int past the float range is no finite real; a bool is neither kind
-            if not all(isinstance(v, kind) and not isinstance(v, bool)
-                       and (kind is numbers.Integral or abs(v) <= sys.float_info.max)
-                       for v in items):
-                raise ValidationError(f"config key {name} must be {what}, got {value!r}")
-            if not all(lo <= v <= hi if closed else lo < v < hi for v in items):
-                ends = "[]" if closed else "()"
-                raise DomainError(f"config key {name} = {value!r} must lie in {ends[0]}{lo}, "
-                                  f"{hi}{ends[1] if hi < math.inf else ')'}")
+            for v in items:
+                _check_field(name, v, "config key ")
         if self.family not in FAMILY_FIELDS:
             raise UsageError(f"unknown family {self.family!r}")
         unread = set().union(*FAMILY_FIELDS.values()) - set(FAMILY_FIELDS[self.family])
@@ -211,8 +201,7 @@ def replicate_stream(master_seed: int, r: int) -> np.random.Generator:
 
 def sample_multinomial(p, n: int, stream: np.random.Generator) -> CountVector:
     """One multinomial(n, p) draw as a CountVector."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    check_number("n", n, INTEGER, 1, INT64_MAX)
     return CountVector(stream.multinomial(n, as_prob_vector(p).probs))
 
 
@@ -225,8 +214,7 @@ def sample_joint(joint: JointDistribution, n: int, stream: np.random.Generator) 
     inverse-CDF draws from b (Devroye 1986, ch. III). The other n - N are one
     multinomial draw over the cells. One np.unique of the cell keys gives the table.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    check_number("n", n, INTEGER, 1, INT64_MAX)
     m, lam, vals = joint.m, joint.product_mass, joint.vals
     cell_mass = _sum(vals)
     n_product = int(stream.binomial(n, lam / (lam + cell_mass)))
@@ -293,13 +281,12 @@ def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: flo
         noise_block_sizes = (noise_block_sizes,)
     if np.isscalar(noise_block_fractions):
         noise_block_fractions = (noise_block_fractions,)
-    sizes = tuple(int(s) for s in noise_block_sizes)
-    fracs = tuple(float(f) for f in noise_block_fractions)
+    sizes = [_check_field("noise_block_sizes", s) for s in noise_block_sizes]
+    fracs = [_check_field("noise_block_fractions", f) for f in noise_block_fractions]
     if len(sizes) != len(fracs) or not sizes:
         raise UsageError("need matching, non-empty noise block sizes and fractions")
-    if not all(1 <= s <= M_MAX for s in (*sizes, signal_m)):
-        raise DomainError(f"noise block sizes {sizes} and signal_m = {signal_m} "
-                          f"must lie in [1, 2**31 - 1]")
+    _check_field("signal_m", signal_m)
+    _check_field("signal_fraction", signal_fraction)
     total = _sum(fracs) + signal_fraction
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise DomainError(f"mixture masses sum to {total!r}, expected 1 within {PROB_SUM_TOL}")

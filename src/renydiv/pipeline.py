@@ -26,7 +26,7 @@ from .asymptotics import (
 )
 from .counts import CountVector, as_count_vector
 from .distributions import _sum, check_alpha
-from .errors import DomainError, NoSignalError, UsageError
+from .errors import INTEGER, REAL, NoSignalError, UsageError, check_number
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,8 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
     noise in ascending order, ties by category index, and every component is
     a slice of it.
     """
-    if not (0.0 < level < 1.0):
-        raise DomainError("significance level must lie in (0, 1)")
-    if max_K < 1:
-        raise DomainError("max_K must be >= 1")
+    check_number("level", level, REAL, 0, 1, closed=False)
+    check_number("max_K", max_K, INTEGER, 1, math.inf)
     cv = as_count_vector(c)
     counts = cv.counts
     n = cv.n
@@ -167,8 +165,7 @@ def diversity_pipeline(cx, cy, alpha: float = 0.5,
     omission).
     """
     cfg = config or PipelineConfig()
-    if not (0.0 < cfg.equality_level < 1.0):
-        raise DomainError(f"equality_level must lie in (0, 1), got {cfg.equality_level!r}")
+    check_number("equality_level", cfg.equality_level, REAL, 0, 1, closed=False)
     alpha = check_alpha(alpha)
     cvx = as_count_vector(cx)
     cvy = as_count_vector(cy)

@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counts import CountVector
 from .distributions import ProbVector, _sum
-from .errors import DomainError
+from .errors import INTEGER, REAL, DomainError, check_number
 
 
 @dataclass(frozen=True)
@@ -41,20 +40,21 @@ def powerlaw_pmf(beta: float, m: int) -> ProbVector:
 
 
 def powerlaw_model(beta: float, m: int) -> PowerLawModel:
-    if beta <= 0:
-        raise DomainError("beta must be > 0")
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-        raise DomainError(f"m must be an integer >= 1, got {m}")
+    check_number("beta", beta, REAL, 0, math.inf, closed=False)
+    check_number("m", m, INTEGER, 1, math.inf)
     i = np.arange(1, m + 1, dtype=float)
     h = _sum(i ** (-float(beta)))
     return PowerLawModel(beta=float(beta), m=int(m), h_norm=h)
 
 
 def _positive_sorted_counts(c) -> np.ndarray:
-    if isinstance(c, CountVector):
-        arr = np.asarray(c.counts, dtype=float)
-    else:
-        arr = np.asarray(c, dtype=float)
+    """The positive counts of c in descending order; a negative or non-finite count is a
+    DomainError that names the first one."""
+    arr = np.asarray(c.counts if isinstance(c, CountVector) else c, dtype=float)
+    bad = np.flatnonzero(~((arr >= 0) & (arr < math.inf)))
+    if bad.size:
+        raise DomainError(f"count {float(arr[bad[0]])!r} at index {bad[0]} must be finite "
+                          f"and >= 0")
     arr = arr[arr > 0]
     return np.sort(arr)[::-1]
 
@@ -65,7 +65,8 @@ def fit_powerlaw_ls(c) -> FitResult:
     Ordinary least squares of log(count of the rank-i category) on log(i)
     over all positive-count ranks; beta_hat = -slope, std_error the usual
     OLS slope standard error. Counts may be real-valued (the fit is scale
-    invariant; the intercept absorbs any positive factor).
+    invariant; the intercept absorbs any positive factor); zeros are skipped,
+    and a negative or non-finite count is a DomainError.
     """
     counts = _positive_sorted_counts(c)
     k = counts.size

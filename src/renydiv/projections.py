@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .counts import INT64_MAX
 from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
-from .errors import DomainError, ShapeError
+from .errors import INTEGER, REAL, DomainError, ShapeError, check_number
 from .measures import _masked, _power_sum, cross_power_sum
 
 # Desk-scale advisory thresholds for the asymptotic o(.) conditions: a finite-n
@@ -126,10 +127,8 @@ def noise_and_signal_w_variance(p0: float, m: int, alpha: float) -> float:
     pure-noise (uniform) model with Var W = 0.
     """
     alpha = check_alpha(alpha)
-    if not (0.0 < p0 < 1.0):
-        raise DomainError("p0 must lie strictly between 0 and 1")
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    check_number("p0", p0, REAL, 0, 1, closed=False)
+    check_number("m", m, INTEGER, 1, math.inf)
     a = m ** (1.0 - alpha) * (1.0 - p0) ** alpha * math.sqrt(p0 / (1.0 - p0))
     b = p0**alpha * math.sqrt((1.0 - p0) / p0)
     return alpha * alpha * (a - b) ** 2
@@ -226,8 +225,7 @@ def ld_diagnostic(p, q, n: int, alpha: float) -> LDReport:
     support size and the minimum mass.
     """
     alpha = check_alpha(alpha)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    check_number("n", n, INTEGER, 1, INT64_MAX)
     pv = as_prob_vector(p)
     if np.any(pv.probs <= 0):
         raise DomainError("ld_diagnostic requires strictly positive masses")

@@ -370,7 +370,7 @@ class TestEqualityTest:
             rejections += rep.p_value < 0.05
         assert 0.02 <= rejections / B <= 0.09
         table = sample_joint(joint, 20000, replicate_stream(909, 0))
-        mu_hat, gsq_hat = _shrunken_joint_null_params(table, 0.5)
+        mu_hat, gsq_hat = _shrunken_joint_null_params(table)
         assert mu_hat == pytest.approx(mu_pop, rel=0.10)
         assert gsq_hat == pytest.approx(gsq_pop, rel=0.15)
 

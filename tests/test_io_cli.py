@@ -904,7 +904,7 @@ class TestCli:
         ("B", "abc", "'abc'"), ("B", "2.5", "2.5"), ("B", "true", "True"),
         ("m", "abc", "'abc'"), ("m", "1e3", "1000.0"), ("alpha", "abc", "'abc'"),
         ("alpha", "nan", "nan"), ("epsilon", "abc", "'abc'"), ("epsilon", "inf", "inf"),
-        ("master_seed", "-1", "-1"), ("noise_block_sizes", "10, x", "(10, 'x')"),
+        ("master_seed", "-1", "-1"), ("noise_block_sizes", "10, x", "'x'"),
         # n past 2**63 - 1, derived (m = 40) or given
         ("epsilon", "100", "100"), ("epsilon", "1000000", "1000000"),
         ("n_override", "10000000000000000000000", "10000000000000000000000"),
@@ -966,7 +966,7 @@ class TestCli:
     @pytest.mark.parametrize("fractions, signal_fraction, signal_beta, key, shown", [
         # masses that sum to 1 with a negative block and a signal past 1
         ("-0.5", "1.5", "1.0", "noise_block_fractions", "-0.5"),
-        ("0.5, -0.1", "0.6", "1.0", "noise_block_fractions", "(0.5, -0.1)"),
+        ("0.5, -0.1", "0.6", "1.0", "noise_block_fractions", "-0.1"),
         ("0, 0", "1.2", "1.0", "signal_fraction", "1.2"),
         ("0.6, 0.6", "-0.2", "1.0", "signal_fraction", "-0.2"),
         ("0.2, 0.2", "0.6", "-3", "signal_beta", "-3"),

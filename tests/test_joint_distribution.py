@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from renydiv import JointDistribution, ShapeError, ValidationError
+from renydiv import DomainError, JointDistribution, ShapeError, ValidationError
 
 from dense_joint import dense_pij
 
@@ -66,7 +66,9 @@ class TestValidation:
         (dict(product_mass=0.5, rows=[0, 1], cols=[0], vals=[0.5]), "one length"),
     ])
     def test_bad_cells_rejected(self, kwargs, message):
-        with pytest.raises(ValidationError, match=message):
+        # product_mass is a scalar argument: off [0, 1] it is a DomainError
+        error = DomainError if message == "product_mass" else ValidationError
+        with pytest.raises(error, match=message):
             JointDistribution(P, Q, **kwargs)
 
     def test_factor_sizes_must_match(self):

@@ -73,7 +73,8 @@ class TestPowerSum:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.3, float("nan")])
     def test_alpha_domain(self, alpha):
-        with pytest.raises(DomainError):
+        # nan is no finite real number, so it fails the kind check before the range
+        with pytest.raises(ValidationError if math.isnan(alpha) else DomainError):
             power_sum([0.5, 0.5], alpha)
 
 

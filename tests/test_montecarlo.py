@@ -581,7 +581,8 @@ class TestMixtureFamily:
                                  noise_block_sizes=(10,), noise_block_fractions=(0.5 + 5e-10,))
 
     def test_non_integer_signal_m_named(self):
-        with pytest.raises(DomainError, match=re.escape("m must be an integer >= 1, got 3.5")):
+        with pytest.raises(ValidationError,
+                           match=re.escape("signal_m must be an integer, got 3.5")):
             mixture_distribution(signal_beta=1.0, signal_m=3.5, signal_fraction=0.5,
                                  noise_block_sizes=(4,), noise_block_fractions=(0.5,))
 

@@ -10,6 +10,7 @@ from renydiv import (
     NoSignalError,
     PipelineConfig,
     UsageError,
+    ValidationError,
     diversity_pipeline,
     filter_noise,
     homogeneity_test,
@@ -176,7 +177,12 @@ class TestDiversityPipeline:
         cy = rng.multinomial(N_TABLE, powerlaw_pmf(0.97, 165).probs)
         diversity_pipeline(cx, cy, alpha=0.5)
         monkeypatch.setattr(pipeline, "filter_noise", None)
-        with pytest.raises(DomainError, match=rf"equality_level must lie in \(0, 1\), got {level!r}"):
+        # nan is no finite real number, so it fails the kind check before the range
+        error, text = (
+            (ValidationError, f"equality_level must be a finite real number, got {level!r}")
+            if math.isnan(level) else
+            (DomainError, rf"equality_level = {level!r} must lie in \(0, 1\)"))
+        with pytest.raises(error, match=text):
             diversity_pipeline(cx, cy, alpha=0.5, config=PipelineConfig(equality_level=level))
 
     def test_null_rejection_rate(self):

@@ -7,6 +7,7 @@ import pytest
 
 from renydiv import (
     DomainError,
+    ValidationError,
     fit_powerlaw_ls,
     power_sum,
     powerlaw_model,
@@ -46,7 +47,7 @@ class TestPmf:
     @pytest.mark.parametrize("build", [powerlaw_pmf, powerlaw_model])
     def test_non_integer_m_named(self, build, m):
         # a fractional m would normalize over ceil(m) ranks but build the pmf over floor(m)
-        with pytest.raises(DomainError, match=re.escape(f"m must be an integer >= 1, got {m}")):
+        with pytest.raises(ValidationError, match=re.escape(f"m must be an integer, got {m!r}")):
             build(1.0, m)
 
     def test_numpy_integer_m(self):
@@ -134,3 +135,16 @@ class TestQQ:
     def test_empty_counts(self):
         model = powerlaw_model(1.0, 10)
         assert powerlaw_qq(np.zeros(5), model) == []
+
+
+@pytest.mark.parametrize("bad", [-3.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [fit_powerlaw_ls,
+                                  lambda c: powerlaw_qq(c, powerlaw_model(1.0, 4))])
+def test_negative_or_non_finite_count_named(call, bad):
+    # such a count used to be dropped (or to give nan) without a word
+    with pytest.raises(DomainError, match=re.escape(f"count {bad!r} at index 1 must be")):
+        call([5.0, bad, 2.0, 1.0])
+
+
+def test_zero_counts_skipped():
+    assert fit_powerlaw_ls([5.0, 0.0, 2.0, 1.0]) == fit_powerlaw_ls([5.0, 2.0, 1.0])
