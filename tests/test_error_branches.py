@@ -132,10 +132,15 @@ _STREAM = np.random.default_rng(0)
      "config key n_override = 9223372036854775808 must lie in [1, 9223372036854775807]"),
     (lambda: _power_law("thm2_divergence", n_override=20).validate(), UsageError,
      "thm2_divergence needs a bivariate family"),
-    (lambda: sample_multinomial(ProbVector.uniform(3), 0, _STREAM), DomainError,
-     "n = 0 must lie in [1, 9223372036854775807]"),
-    (lambda: sample_joint(JointDistribution.product([0.5, 0.5], [0.5, 0.5]), 0, _STREAM),
-     DomainError, "n = 0 must lie in [1, 9223372036854775807]"),
+    # both samplers raise the same text; these two cases keep the ids they had
+    # under the earlier "n must be >= 1" wording (pytest numbers them _0, _1)
+    pytest.param(lambda: sample_multinomial(ProbVector.uniform(3), 0, _STREAM), DomainError,
+                 "n = 0 must lie in [1, 9223372036854775807]",
+                 id="<lambda>-DomainError-n must be >= 1"),
+    pytest.param(lambda: sample_joint(JointDistribution.product([0.5, 0.5], [0.5, 0.5]), 0,
+                                      _STREAM),
+                 DomainError, "n = 0 must lie in [1, 9223372036854775807]",
+                 id="<lambda>-DomainError-n must be >= 1"),
     (_mixture(signal_beta=None), UsageError, "mixture family requires signal_beta"),
     (_mixture(noise_block_fractions=(0.25, 0.25)), UsageError,
      "need matching, non-empty noise block sizes and fractions"),
