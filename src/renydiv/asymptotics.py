@@ -207,9 +207,15 @@ def _exp_ci(h: EstimateWithCI) -> EstimateWithCI:
     )
 
 
-def _z_level(level: float) -> float:
-    """The normal quantile of a two-sided confidence level in (0, 1)."""
-    return normal_quantile(0.5 + check_number("level", level, REAL, 0, 1, closed=False) / 2.0)
+def _z_level(level: float, two_sided: bool = True) -> float:
+    """The normal quantile at 0.5 + level / 2 (a two-sided confidence level) or 1 - level (a
+    one-sided significance level); a level that puts it at 1 after rounding is a DomainError."""
+    check_number("level", level, REAL, 0, 1, closed=False)
+    u, at = (0.5 + level / 2.0, "0.5 + level / 2") if two_sided else (1.0 - level, "1 - level")
+    if u == 1.0:
+        raise DomainError(f"level = {level!r}: the normal quantile at {at} rounds to 1, an "
+                          f"infinite z; take a level farther from {int(two_sided)}")
+    return float(ndtri(u))
 
 
 def _effective_n(n1: int, n2: int) -> float:
@@ -291,6 +297,26 @@ def generalized_binomial(a: float, k: int) -> float:
 def lemma2i_standardize(x2: float, m: int) -> float:
     """Lemma 2(i): the Pearson statistic standardized as (X^2 - m) / sqrt(2m)."""
     return (x2 - m) / math.sqrt(2.0 * m)
+
+
+def _thm1_z(counts: np.ndarray, n: int, alpha: float, h: float, cv: float) -> float:
+    """Theorem 1: sqrt(n) (1/a - 1) (H_a(phat) - h) / cv of n draws, normalized by the
+    true entropy h = H_a(p) and cv = CV(W)."""
+    phat, mult, _ = _plugin(counts, n)
+    h_hat = math.log(_power_sum(phat, alpha, mult)) / (1.0 - alpha)
+    return math.sqrt(n) * (1.0 / alpha - 1.0) * (h_hat - h) / cv
+
+
+def _thm2_z(cx: np.ndarray, cy: np.ndarray, n: int, alpha: float, d: float, cv: float) -> float:
+    """Theorem 2: sqrt(n) (a - 1) (D_a(phat, qhat) - d) / cv of two samples of n draws,
+    normalized by the true divergence d = D_a(p, q) and cv = CV(V)."""
+    gx, gy, mult = _distinct(cx, cy)
+    s_hat = _cross_power_sum(gx / n, gy / n, alpha, mult)
+    if s_hat == 0.0:  # for alpha in (0, 1) each shared category adds at least 1/n
+        raise DomainError(f"thm2_divergence at n = {n}: a replicate's two samples share "
+                          f"no category (empty shared support)")
+    d_hat = math.log(s_hat) / (alpha - 1.0)
+    return math.sqrt(n) * (alpha - 1.0) * (d_hat - d) / cv
 
 
 def _thm3_z(counts: np.ndarray, n: int, alpha: float) -> tuple[float, float, float]:

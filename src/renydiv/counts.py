@@ -1,12 +1,11 @@
 """Observed count vectors and sparse bivariate count tables."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import INTEGER, ValidationError, check_number
+from .errors import INTEGER, M_MAX, ValidationError, check_number
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -111,7 +110,7 @@ class JointCountTable:
     n: int = field(init=False)
 
     def __post_init__(self):
-        m = check_number("m", self.m, INTEGER, 1, math.inf)
+        m = check_number("m", self.m, INTEGER, 1, M_MAX)
         rows, cols, counts = _coo_cells(self.rows, self.cols,
                                         _nonnegative_int64(self.counts, "cell counts"), m)
         total = _checked_total(counts)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counts import _coo_cells
-from .errors import INTEGER, REAL, ShapeError, ValidationError, check_number
+from .errors import INTEGER, M_MAX, REAL, ShapeError, ValidationError, check_number
 
 PROB_SUM_TOL = 1e-12
 # smaller arrays go to fsum as a list: from about 800 floats on, extraction's fixed
@@ -103,7 +103,7 @@ class ProbVector:
 
     @classmethod
     def uniform(cls, m: int) -> "ProbVector":
-        check_number("m", m, INTEGER, 1, math.inf)
+        check_number("m", m, INTEGER, 1, M_MAX)
         return cls(np.full(m, 1.0 / m))
 
 

@@ -13,53 +13,70 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .asymptotics import (_null_z, _thinned, _thm3_z, _thm4_z, chi_square_null_params,
-                          divergence_ci, entropy_ci, lemma2i_standardize)
+from .asymptotics import (_null_z, _thinned, _thm1_z, _thm2_z, _thm3_z, _thm4_z,
+                          chi_square_null_params, divergence_ci, entropy_ci, lemma2i_standardize)
 from .counts import INT64_MAX, CountVector, JointCountTable
 from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum, as_prob_vector
-from .errors import INTEGER, REAL, DomainError, UsageError, ValidationError, check_number
+from .errors import (INTEGER, M_MAX, REAL, DomainError, UsageError, ValidationError,
+                     check_number)
 from .measures import (_cross_power_sum, _distinct, _pearson_chi_square, _plugin, _power_sum,
                        _two_sample_chi_square, cross_power_sum, power_sum)
 from .powerlaw import powerlaw_pmf
 from .projections import _degenerate, projection_w_moments, v_moments_independent
 
-UNIVARIATE_STATISTICS = {"thm1_entropy", "thm3_uniform_entropy", "lemma2_pearson"}
-BIVARIATE_STATISTICS = {"thm2_divergence", "thm4_degenerate_divergence", "lemma2_two_sample"}
-STATISTICS = UNIVARIATE_STATISTICS | BIVARIATE_STATISTICS
-# the family fields each family reads; validate() rejects any other one that is set
-FAMILY_FIELDS = {
-    "power_law": ("beta",),
-    "uniform": (),
-    "noise_and_signal": ("p0",),
-    "mixture": ("signal_beta", "signal_m", "signal_fraction", "noise_block_sizes",
-                "noise_block_fractions"),
-    "bivariate_product": ("beta", "beta2"),
-    "bivariate_joint": ("beta", "diag_weight"),
+
+class _Family(NamedTuple):
+    fields: tuple  # the family fields it reads; validate() rejects any other one that is set
+    bivariate: bool
+    m_arrays: int  # 8-byte arrays of m entries alive at a run's peak, for _check_cost
+    population: Callable  # the population of a validated config
+
+
+def _bivariate_product(cfg) -> JointDistribution:
+    p = powerlaw_pmf(cfg.beta, cfg.m)
+    return JointDistribution.product(p, p if cfg.beta2 is None else powerlaw_pmf(cfg.beta2, cfg.m))
+
+
+# one row per family; m_arrays is the tracemalloc peak of simulate_statistic,
+# coverage_experiment and bias_experiment at m = 1e5 over every statistic the family
+# takes (5.00, 13.13 and 14.13 arrays), rounded up
+FAMILIES = {
+    "power_law": _Family(("beta",), False, 5, lambda c: powerlaw_pmf(c.beta, c.m)),
+    "uniform": _Family((), False, 5, lambda c: ProbVector.uniform(c.m)),
+    "noise_and_signal": _Family(("p0",), False, 5, lambda c: ProbVector(
+        np.concatenate([[c.p0], np.full(c.m - 1, (1.0 - c.p0) / (c.m - 1))]))),
+    "mixture": _Family(
+        ("signal_beta", "signal_m", "signal_fraction", "noise_block_sizes",
+         "noise_block_fractions"), False, 5,
+        lambda c: mixture_distribution(c.signal_beta, c.signal_m, c.signal_fraction,
+                                       c.noise_block_sizes, c.noise_block_fractions)),
+    "bivariate_product": _Family(("beta", "beta2"), True, 14, _bivariate_product),
+    "bivariate_joint": _Family(
+        ("beta", "diag_weight"), True, 15,
+        lambda c: JointDistribution.diagonal_mix(powerlaw_pmf(c.beta, c.m), c.diag_weight or 0.0)),
 }
 # the family fields a family may leave unset; validate() requires its others
 OPTIONAL_FIELDS = ("beta2", "diag_weight", "noise_block_sizes", "noise_block_fractions")
-# the most categories a family may have, and the most replicates a run may draw: one
-# float64 array of either is already 16 GB
-M_MAX = 2**31 - 1
+# each statistic, and whether it needs a bivariate family; _statistic builds its kernel
+STATISTICS = {"thm1_entropy": False, "thm3_uniform_entropy": False, "lemma2_pearson": False,
+              "thm2_divergence": True, "thm4_degenerate_divergence": True,
+              "lemma2_two_sample": True}
 # the most bytes a run may hold at its peak by _check_cost's estimate; a config
 # estimated past it is refused before any array is built
 MEMORY_MAX = 2**32
 # the most category draws, B * m, a run may take; at the 40-160 ns a draw took at
 # m = 1e5, whatever n, that is at most about 3 hours on one core
 WORK_MAX = 2**36
-# 8-byte arrays of m entries alive at a run's peak, per family: the tracemalloc peak of
-# simulate_statistic, coverage_experiment and bias_experiment at m = 1e5 over every
-# statistic the family takes (5.00, 13.13 and 14.13 arrays), rounded up
-_M_ARRAYS = {"power_law": 5, "uniform": 5, "noise_and_signal": 5, "mixture": 5,
-             "bivariate_product": 14, "bivariate_joint": 15}
 _B_ARRAYS = 6  # 8-byte arrays of B entries at simulate_statistic's peak (6.00 at B = 2e5)
 # each numeric SimConfig field, or each entry of a noise_block_* tuple: its kind and the
 # interval [lo, hi] (closed) or (lo, hi) it lies in; validate() reports the first field
-# off its row in this order. A mixture's m = sum(noise_block_sizes) + signal_m leaves
+# off its row in this order. m and B stop at M_MAX, the most categories (or replicates)
+# one float64 array may have; a mixture's m = sum(noise_block_sizes) + signal_m leaves
 # each of its parts at most M_MAX - 1.
 _NUMERIC_FIELDS = {
     "p0": (REAL, 0, 1, False),
@@ -99,7 +116,7 @@ class SimConfig:
     bivariate_product uses beta for p and beta2 for q (q = p when beta2 is
     None); bivariate_joint puts diag_weight extra mass on the diagonal of
     the power-law product (equal marginals for any weight). A family field
-    that the family does not read (FAMILY_FIELDS) must stay unset, and one
+    that the family does not read (its FAMILIES row) must stay unset, and one
     it reads must be set unless it is in OPTIONAL_FIELDS. Each numeric field
     lies in the interval its _NUMERIC_FIELDS row gives.
     """
@@ -149,24 +166,23 @@ class SimConfig:
             items = value if isinstance(value, tuple) and name.startswith("noise_") else (value,)
             for v in items:
                 _check_field(name, v, "config key ")
-        if self.family not in FAMILY_FIELDS:
+        family = FAMILIES.get(self.family)
+        if family is None:
             raise UsageError(f"unknown family {self.family!r}")
-        unread = set().union(*FAMILY_FIELDS.values()) - set(FAMILY_FIELDS[self.family])
+        unread = {name for row in FAMILIES.values() for name in row.fields} - set(family.fields)
         for name in sorted(unread):
             value = getattr(self, name)
             if value != SimConfig.__dataclass_fields__[name].default:
                 raise ValidationError(f"config key {name} = {value!r} is not read by the "
                                       f"{self.family} family")
-        for name in FAMILY_FIELDS[self.family]:
+        for name in family.fields:
             if name not in OPTIONAL_FIELDS and getattr(self, name) is None:
                 raise UsageError(f"the {self.family} family requires config key {name}")
         if self.statistic not in STATISTICS:
             raise UsageError(f"unknown statistic {self.statistic!r}")
-        bivariate_family = self.family in {"bivariate_product", "bivariate_joint"}
-        if self.statistic in BIVARIATE_STATISTICS and not bivariate_family:
-            raise UsageError(f"{self.statistic} needs a bivariate family")
-        if self.statistic in UNIVARIATE_STATISTICS and bivariate_family:
-            raise UsageError(f"{self.statistic} needs a univariate family")
+        if STATISTICS[self.statistic] != family.bivariate:
+            kind = "univariate" if family.bivariate else "bivariate"
+            raise UsageError(f"{self.statistic} needs a {kind} family")
         if self.statistic == "thm3_uniform_entropy" and self.family != "uniform":
             raise UsageError("thm3_uniform_entropy is defined for the uniform family")
         if (self.statistic in {"thm4_degenerate_divergence", "lemma2_two_sample"}
@@ -243,30 +259,6 @@ def ks_distance_normal(samples) -> float:
     return float(max(lo, hi))
 
 
-def _population(cfg: SimConfig):
-    """The population of a validated config: a ProbVector for a univariate family, a
-    JointDistribution for a bivariate one."""
-    if cfg.family == "power_law":
-        return powerlaw_pmf(cfg.beta, cfg.m)
-    if cfg.family == "uniform":
-        return ProbVector.uniform(cfg.m)
-    if cfg.family == "noise_and_signal":
-        probs = np.full(cfg.m, (1.0 - cfg.p0) / (cfg.m - 1))
-        probs[0] = cfg.p0
-        return ProbVector(probs)
-    if cfg.family == "mixture":
-        return mixture_distribution(
-            signal_beta=cfg.signal_beta, signal_m=cfg.signal_m,
-            signal_fraction=cfg.signal_fraction,
-            noise_block_sizes=cfg.noise_block_sizes,
-            noise_block_fractions=cfg.noise_block_fractions,
-        )
-    p = powerlaw_pmf(cfg.beta, cfg.m)
-    if cfg.family == "bivariate_joint":
-        return JointDistribution.diagonal_mix(p, cfg.diag_weight or 0.0)
-    return JointDistribution.product(p, p if cfg.beta2 is None else powerlaw_pmf(cfg.beta2, cfg.m))
-
-
 def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: float,
                          noise_block_sizes, noise_block_fractions) -> ProbVector:
     """Signal-plus-uniform-blocks mixture on disjoint supports.
@@ -296,10 +288,10 @@ def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: flo
 
 
 def _check_cost(cfg: SimConfig) -> None:
-    """Refuse a validated config whose run would hold more than MEMORY_MAX bytes at its
-    peak, by the estimate 8 * (_M_ARRAYS[family] * m + _B_ARRAYS * B), naming the key
-    of the larger term; then one that would take more than WORK_MAX draws, B * m."""
-    terms = {"m": 8 * _M_ARRAYS[cfg.family] * cfg.m, "B": 8 * _B_ARRAYS * cfg.B}
+    """Refuse a validated config whose run would hold more than MEMORY_MAX bytes at its peak,
+    by the estimate 8 * (m_arrays * m + _B_ARRAYS * B) with its family's m_arrays, naming
+    the key of the larger term; then one that would take more than WORK_MAX draws, B * m."""
+    terms = {"m": 8 * FAMILIES[cfg.family].m_arrays * cfg.m, "B": 8 * _B_ARRAYS * cfg.B}
     need = sum(terms.values())
     if need > MEMORY_MAX:
         key = max(terms, key=terms.get)
@@ -312,90 +304,78 @@ def _check_cost(cfg: SimConfig) -> None:
                           f"{WORK_MAX:.3g} ceiling")
 
 
-class _Normalizers:
-    """Population quantities shared by all replicates of one run; for thm1 and thm2,
-    s_true = S_a(p) or S_a(p, q), value = H_a or D_a, cv = CV(W) or CV(V). Every run
-    builds them, so the run's cost is checked here, before the population is built."""
-
-    def __init__(self, cfg: SimConfig):
-        _check_cost(cfg)
-        self.statistic = cfg.statistic
-        if cfg.statistic in UNIVARIATE_STATISTICS:
-            self.p = _population(cfg)
-            if cfg.statistic == "thm1_entropy":
-                w = projection_w_moments(self.p, cfg.alpha)
-                if _degenerate(w):
-                    raise UsageError(
-                        "thm1_entropy is degenerate for a uniform population; "
-                        "use thm3_uniform_entropy"
-                    )
-                self.s_true = power_sum(self.p, cfg.alpha)
-                self.value = math.log(self.s_true) / (1.0 - cfg.alpha)
-                self.cv = w.cv
-        else:
-            self.joint = _population(cfg)
-            p, q = self.joint.a, self.joint.b
-            if cfg.statistic == "thm2_divergence":
-                v = v_moments_independent(p, q, cfg.alpha)
-                if _degenerate(v):
-                    raise UsageError(
-                        "thm2_divergence is degenerate for equal marginals; "
-                        "use thm4_degenerate_divergence"
-                    )
-                self.s_true = float(cross_power_sum(p, q, cfg.alpha))
-                self.value = math.log(self.s_true) / (cfg.alpha - 1.0)
-                self.cv = v.cv
-            else:
-                self.mu_n, gamma_sq = chi_square_null_params(self.joint)
-                self.gamma_n = math.sqrt(gamma_sq)
-
-
-def _univariate_statistic(counts: np.ndarray, n: int, norm: _Normalizers,
-                          m: int, alpha: float) -> float:
-    if norm.statistic == "thm1_entropy":
-        phat, mult, _ = _plugin(counts, n)
-        h_hat = math.log(_power_sum(phat, alpha, mult)) / (1.0 - alpha)
-        return math.sqrt(n) * (1.0 / alpha - 1.0) * (h_hat - norm.value) / norm.cv
-    if norm.statistic == "lemma2_pearson":
-        return lemma2i_standardize(_pearson_chi_square(counts, n, norm.p.probs), m)
-    if norm.statistic == "thm3_uniform_entropy":
-        return _thm3_z(counts, n, alpha)[0]
-    raise AssertionError(norm.statistic)
-
-
-def _bivariate_statistic(cx: np.ndarray, cy: np.ndarray, n: int, norm: _Normalizers,
-                         m: int, alpha: float) -> float:
-    if norm.statistic == "lemma2_two_sample":
-        return _null_z(_two_sample_chi_square(cx, cy, n, norm.joint.a), norm.mu_n, norm.gamma_n)
-    gx, gy, mult = _distinct(cx, cy)
-    if norm.statistic == "thm2_divergence":
-        s_hat = _cross_power_sum(gx / n, gy / n, alpha, mult)
-        if s_hat == 0.0:  # for alpha in (0, 1) each shared category adds at least 1/n
-            raise DomainError(f"thm2_divergence at n = {n}: a replicate's two samples share "
-                              f"no category (empty shared support)")
-        d_hat = math.log(s_hat) / (alpha - 1.0)
-        return math.sqrt(n) * (alpha - 1.0) * (d_hat - norm.value) / norm.cv
-    if norm.statistic == "thm4_degenerate_divergence":
-        return _thm4_z(gx / n, gy / n, n, alpha, norm.mu_n, norm.gamma_n, mult)
-    raise AssertionError(norm.statistic)
-
-
-def _replicate_counts(cfg: SimConfig, norm: _Normalizers, n: int, r: int):
-    """The one draw rule: replicate r's sample size and counts, (c,) or (cx, cy), from
+def _replicate_counts(cfg: SimConfig, population, n: int, r: int):
+    """The one draw rule: replicate r's counts and sample size, (c, n) or (cx, cy, n), from
     the stream (master_seed, r). Under thinning_tau the size itself is Binomial(n, tau),
     the Theorem 5 regime, by the rule binomial_thinning applies to an empty draw."""
     rng = replicate_stream(cfg.master_seed, r)
     if cfg.thinning_tau is not None:
         n = int(_thinned(rng, n, cfg.thinning_tau))
-    if cfg.statistic in UNIVARIATE_STATISTICS:
-        return n, (rng.multinomial(n, norm.p.probs),)
+    if isinstance(population, ProbVector):
+        return rng.multinomial(n, population.probs), n
     # each pair is a shared (i, i) with probability w, else an independent (i, j): the
     # marginals of the m x m multinomial, in O(m). At w = 0 (the product family) the
     # binomial and the empty multinomial take nothing from the stream.
     n_diag = int(rng.binomial(n, cfg.diag_weight or 0.0))
-    shared = rng.multinomial(n_diag, norm.joint.a)
-    return n, (shared + rng.multinomial(n - n_diag, norm.joint.a),
-               shared + rng.multinomial(n - n_diag, norm.joint.b))
+    shared = rng.multinomial(n_diag, population.a)
+    return (shared + rng.multinomial(n - n_diag, population.a),
+            shared + rng.multinomial(n - n_diag, population.b), n)
+
+
+def _statistic(cfg: SimConfig, population):
+    """The replicate kernel of a validated config's statistic, bound to the true
+    normalizers computed once from its population: (z, s_true, value), z(r) the normalized
+    statistic of replicate r, and for thm1 and thm2 s_true = S_a(p) or S_a(p, q) and
+    value = H_a or D_a (else None). A degenerate pairing raises UsageError."""
+    n, alpha, statistic = cfg.n(), cfg.alpha, cfg.statistic
+    if statistic == "thm1_entropy":
+        w = projection_w_moments(population, alpha)
+        if _degenerate(w):
+            raise UsageError("thm1_entropy is degenerate for a uniform population; "
+                             "use thm3_uniform_entropy")
+        s_true = power_sum(population, alpha)
+        h, cv = math.log(s_true) / (1.0 - alpha), w.cv
+        return (lambda r: _thm1_z(*_replicate_counts(cfg, population, n, r), alpha, h, cv),
+                s_true, h)
+    if statistic == "thm2_divergence":
+        v = v_moments_independent(population.a, population.b, alpha)
+        if _degenerate(v):
+            raise UsageError("thm2_divergence is degenerate for equal marginals; "
+                             "use thm4_degenerate_divergence")
+        s_true = float(cross_power_sum(population.a, population.b, alpha))
+        d, cv = math.log(s_true) / (alpha - 1.0), v.cv
+        return (lambda r: _thm2_z(*_replicate_counts(cfg, population, n, r), alpha, d, cv),
+                s_true, d)
+    if statistic == "thm3_uniform_entropy":
+        return (lambda r: _thm3_z(*_replicate_counts(cfg, population, n, r), alpha)[0],
+                None, None)
+    if statistic == "lemma2_pearson":
+        return (lambda r: lemma2i_standardize(_pearson_chi_square(
+            *_replicate_counts(cfg, population, n, r), population.probs), cfg.m), None, None)
+    mu, gamma_sq = chi_square_null_params(population)
+    gamma = math.sqrt(gamma_sq)
+    if statistic == "lemma2_two_sample":
+        return (lambda r: _null_z(_two_sample_chi_square(
+            *_replicate_counts(cfg, population, n, r), population.a), mu, gamma), None, None)
+
+    def thm4(r):
+        cx, cy, n_rep = _replicate_counts(cfg, population, n, r)
+        gx, gy, mult = _distinct(cx, cy)
+        return _thm4_z(gx / n_rep, gy / n_rep, n_rep, alpha, mu, gamma, mult)
+
+    return thm4, None, None
+
+
+def _setup(cfg: SimConfig, experiment: str | None = None):
+    """The one setup of every run: validate cfg, gate an experiment to thm1 and thm2,
+    check the run's cost, then build the population and its statistic. Returns
+    (population, z, s_true, value), the last three those of _statistic."""
+    cfg.validate()
+    if experiment and cfg.statistic not in {"thm1_entropy", "thm2_divergence"}:
+        raise UsageError(f"{experiment} is defined for thm1_entropy and thm2_divergence")
+    _check_cost(cfg)
+    population = FAMILIES[cfg.family].population(cfg)
+    return population, *_statistic(cfg, population)
 
 
 def _run_replicates(cfg: SimConfig, value) -> np.ndarray:
@@ -426,17 +406,7 @@ def simulate_statistic(cfg: SimConfig) -> SimRun:
     raise before any sampling; thm3 with n <= m raises the undefined-statistic
     error the theorem's centering forces.
     """
-    cfg.validate()
-    n = cfg.n()
-    norm = _Normalizers(cfg)
-    statistic = (_univariate_statistic if cfg.statistic in UNIVARIATE_STATISTICS
-                 else _bivariate_statistic)
-
-    def value(r):
-        n_rep, counts = _replicate_counts(cfg, norm, n, r)
-        return statistic(*counts, n_rep, norm, cfg.m, cfg.alpha)
-
-    samples = _run_replicates(cfg, value)
+    samples = _run_replicates(cfg, _setup(cfg)[1])
     ks = ks_distance_normal(samples)
     sorted_samples = np.sort(samples)
     grid = (np.arange(1, cfg.B + 1) - 0.5) / cfg.B
@@ -444,22 +414,15 @@ def simulate_statistic(cfg: SimConfig) -> SimRun:
     return SimRun(samples=samples, ks_distance=ks, qq_pairs=qq, config_echo=cfg)
 
 
-def _experiment_normalizers(cfg: SimConfig, what: str) -> _Normalizers:
-    cfg.validate()
-    if cfg.statistic not in {"thm1_entropy", "thm2_divergence"}:
-        raise UsageError(f"{what} is defined for thm1_entropy and thm2_divergence")
-    return _Normalizers(cfg)
-
-
 def coverage_experiment(cfg: SimConfig, level: float) -> float:
     """Fraction of replicates whose plug-in CI covers the true H_a or D_a."""
-    norm = _experiment_normalizers(cfg, "coverage")
+    population, _, _, value = _setup(cfg, "coverage")
     n = cfg.n()
     interval = entropy_ci if cfg.statistic == "thm1_entropy" else divergence_ci
 
     def covers(r):
-        ci = interval(*_replicate_counts(cfg, norm, n, r)[1], cfg.alpha, level)
-        return ci.lower <= norm.value <= ci.upper
+        ci = interval(*_replicate_counts(cfg, population, n, r)[:-1], cfg.alpha, level)
+        return ci.lower <= value <= ci.upper
 
     return float(_run_replicates(cfg, covers).mean())
 
@@ -470,15 +433,16 @@ def bias_experiment(cfg: SimConfig) -> float:
     Jensen's inequality forces the true value to be <= 0; the estimate should
     sit at or below zero up to Monte Carlo noise.
     """
-    norm = _experiment_normalizers(cfg, "bias")
+    population, _, s_true, _ = _setup(cfg, "bias")
     n = cfg.n()
 
     def ratio(r):
-        n_rep, counts = _replicate_counts(cfg, norm, n, r)
+        draw = _replicate_counts(cfg, population, n, r)
         if cfg.statistic == "thm1_entropy":
-            phat, mult, _ = _plugin(*counts, n_rep)
-            return _power_sum(phat, cfg.alpha, mult) / norm.s_true
-        gx, gy, mult = _distinct(*counts)
-        return _cross_power_sum(gx / n_rep, gy / n_rep, cfg.alpha, mult) / norm.s_true
+            phat, mult, _ = _plugin(*draw)
+            return _power_sum(phat, cfg.alpha, mult) / s_true
+        cx, cy, n_rep = draw
+        gx, gy, mult = _distinct(cx, cy)
+        return _cross_power_sum(gx / n_rep, gy / n_rep, cfg.alpha, mult) / s_true
 
     return float(_run_replicates(cfg, ratio).mean() - 1.0)

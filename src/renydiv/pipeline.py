@@ -19,10 +19,10 @@ from .asymptotics import (
     EstimateWithCI,
     TestReport,
     _exp_ci,
+    _z_level,
     divergence_ci,
     entropy_ci,
     equality_test,
-    normal_quantile,
 )
 from .counts import CountVector, as_count_vector
 from .distributions import _sum, check_alpha
@@ -97,7 +97,7 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
     noise in ascending order, ties by category index, and every component is
     a slice of it.
     """
-    check_number("level", level, REAL, 0, 1, closed=False)
+    zcrit = _z_level(level, two_sided=False)
     check_number("max_K", max_K, INTEGER, 1, math.inf)
     cv = as_count_vector(c)
     counts = cv.counts
@@ -108,7 +108,6 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
     # values: the distinct positive counts; size[j]: categories below the j-th of them
     values = distinct[skip:].tolist()
     size = [0, *np.cumsum(mult[skip:]).tolist()]
-    zcrit = normal_quantile(1.0 - level)
 
     blocks: list[tuple[int, int, int]] = []  # closed components: strata [a, b) and their sum of c
     a = s = q = 0  # the open block starts at stratum a and has sums s of c, q of c^2

@@ -8,7 +8,7 @@ import numpy as np
 
 from .counts import CountVector
 from .distributions import ProbVector, _sum
-from .errors import INTEGER, REAL, DomainError, check_number
+from .errors import INTEGER, M_MAX, REAL, DomainError, check_number
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def powerlaw_pmf(beta: float, m: int) -> ProbVector:
 
 def powerlaw_model(beta: float, m: int) -> PowerLawModel:
     check_number("beta", beta, REAL, 0, math.inf, closed=False)
-    check_number("m", m, INTEGER, 1, math.inf)
+    check_number("m", m, INTEGER, 1, M_MAX)
     i = np.arange(1, m + 1, dtype=float)
     h = _sum(i ** (-float(beta)))
     return PowerLawModel(beta=float(beta), m=int(m), h_norm=h)

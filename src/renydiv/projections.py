@@ -9,6 +9,7 @@ degenerate directions (uniform p for W; p = q for V).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,14 +125,18 @@ def noise_and_signal_w_variance(p0: float, m: int, alpha: float) -> float:
 
     The model puts mass p0 on one signal point and spreads 1 - p0 uniformly
     over m noise points, so W has a two-point law. p0 = 0 degenerates to the
-    pure-noise (uniform) model with Var W = 0.
+    pure-noise (uniform) model with Var W = 0. m runs up to the float range, as Var W does.
     """
     alpha = check_alpha(alpha)
     check_number("p0", p0, REAL, 0, 1, closed=False)
-    check_number("m", m, INTEGER, 1, math.inf)
+    check_number("m", m, INTEGER, 1, sys.float_info.max)
     a = m ** (1.0 - alpha) * (1.0 - p0) ** alpha * math.sqrt(p0 / (1.0 - p0))
     b = p0**alpha * math.sqrt((1.0 - p0) / p0)
-    return alpha * alpha * (a - b) ** 2
+    try:
+        return alpha * alpha * (a - b) ** 2
+    except OverflowError:
+        raise DomainError(f"m = {m!r}: Var W at p0 = {p0!r} and alpha = {alpha!r} exceeds "
+                          f"the float range") from None
 
 
 def projection_v_moments(joint: JointDistribution, alpha: float) -> ProjectionMoments:

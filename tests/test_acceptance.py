@@ -296,12 +296,12 @@ def test_criterion_11_bias_direction():
 
 
 def _bias_ratios(cfg: SimConfig) -> np.ndarray:
-    from renydiv.montecarlo import _population
+    from renydiv.montecarlo import FAMILIES
 
     n = cfg.n()
     out = np.empty(cfg.B)
     if cfg.statistic == "thm1_entropy":
-        p = _population(cfg)
+        p = FAMILIES[cfg.family].population(cfg)
         s_true = math.fsum(np.power(p.probs, cfg.alpha).tolist())
         for r in range(cfg.B):
             rng = replicate_stream(cfg.master_seed, r)
@@ -309,7 +309,7 @@ def _bias_ratios(cfg: SimConfig) -> np.ndarray:
             pos = pos[pos > 0] / n
             out[r] = math.fsum(np.power(pos, cfg.alpha).tolist()) / s_true
     else:
-        joint = _population(cfg)
+        joint = FAMILIES[cfg.family].population(cfg)
         p, q = joint.a, joint.b
         s_true = float(cross_power_sum(p, q, cfg.alpha))
         for r in range(cfg.B):

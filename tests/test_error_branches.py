@@ -4,13 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from renydiv import (CountVector, DomainError, JointCountTable, JointDistribution, ProbVector,
                      ShapeError, SimConfig, UsageError, ValidationError, chi_square_null_params,
-                     cli, ld_diagnostic, mixture_distribution, noise_and_signal_w_variance,
-                     projection_v_moments, sample_joint, sample_multinomial,
-                     simulate_statistic, two_sample_chi_square, v_moments_independent)
-from renydiv.asymptotics import _p_value
+                     cli, entropy_ci, filter_noise, hill_ci, divergence_ci,
+                     ld_diagnostic, mixture_distribution, noise_and_signal_w_variance,
+                     powerlaw_model, powerlaw_pmf, projection_v_moments, sample_joint,
+                     sample_multinomial, simulate_statistic, two_sample_chi_square,
+                     v_moments_independent)
+from renydiv.asymptotics import _p_value, _z_level
 from renydiv.io import parse_count_table
 
 POWER_LAW = ("family = power_law\nbeta = 1.0\nm = 10\nn_override = 20\nB = 5\n"
@@ -90,7 +93,9 @@ def test_asymptotics_errors(call, error, text):
     (lambda: CountVector([[1, 2], [3, 4]]), "count vector must be 1-D"),
     (lambda: CountVector(np.array(["1", "two"])), "counts must be integers"),
     (lambda: CountVector([0, 0]), "total count n must be >= 1"),
-    (lambda: JointCountTable([], [], [], 0), "m = 0 must lie in [1, inf)"),
+    # the size cases keep the ids they had while m had no upper bound
+    pytest.param(lambda: JointCountTable([], [], [], 0), "m = 0 must lie in [1, 2147483647]",
+                 id="<lambda>-m = 0 must lie in [1, inf)"),
     (lambda: JointCountTable.from_dense([[1, 2, 3], [4, 5, 6]]), "must be square"),
 ])
 def test_counts_errors(call, text):
@@ -102,7 +107,8 @@ def test_counts_errors(call, text):
 @pytest.mark.parametrize("call, error, text", [
     (lambda: ProbVector([[0.5, 0.5]]), ValidationError, "must be 1-D and non-empty"),
     (lambda: ProbVector([0.5, np.nan]), ValidationError, "non-finite entries"),
-    (lambda: ProbVector.uniform(0), DomainError, "m = 0 must lie in [1, inf)"),
+    pytest.param(lambda: ProbVector.uniform(0), DomainError, "m = 0 must lie in [1, 2147483647]",
+                 id="<lambda>-DomainError-m = 0 must lie in [1, inf)"),
     (lambda: JointDistribution.diagonal_mix([0.5, 0.5], 1.5), DomainError,
      "diag_weight = 1.5 must lie in [0, 1]"),
 ])
@@ -161,7 +167,9 @@ def test_montecarlo_errors(call, error, text):
 @pytest.mark.parametrize("call, error, text", [
     (lambda: noise_and_signal_w_variance(1.0, 10, 0.5), DomainError,
      "p0 = 1.0 must lie in (0, 1)"),
-    (lambda: noise_and_signal_w_variance(0.5, 0, 0.5), DomainError, "m = 0 must lie in [1, inf)"),
+    pytest.param(lambda: noise_and_signal_w_variance(0.5, 0, 0.5), DomainError,
+                 "m = 0 must lie in [1, 1.7976931348623157e+308]",
+                 id="<lambda>-DomainError-m = 0 must lie in [1, inf)"),
     (lambda: projection_v_moments(ProbVector([0.5, 0.5]), 0.5), ShapeError,
      "projection_v_moments expects a JointDistribution"),
     (lambda: v_moments_independent([0.5, 0.5], [0.2, 0.3, 0.5], 0.5), ShapeError,
@@ -172,3 +180,52 @@ def test_montecarlo_errors(call, error, text):
 def test_projections_errors(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
         call()
+
+
+# sizes past M_MAX = 2**31 - 1 (past the float range for the closed form), and levels
+# whose normal quantile's probability rounds to 1: each a DomainError naming the argument
+@pytest.mark.parametrize("call, text", [
+    (lambda: JointCountTable([2**31, 0], [5, 5], [1, 1], m=2**33),
+     "m = 8589934592 must lie in [1, 2147483647]"),
+    (lambda: JointCountTable([0], [1], [2], m=2**70), f"m = {2**70} must lie in [1, 2147483647]"),
+    (lambda: JointCountTable([0], [1], [2], m=2**31), "m = 2147483648 must lie in [1, 2147483647]"),
+    (lambda: ProbVector.uniform(2**70), f"m = {2**70} must lie in [1, 2147483647]"),
+    (lambda: powerlaw_pmf(1.0, 2**70), f"m = {2**70} must lie in [1, 2147483647]"),
+    (lambda: powerlaw_model(1.0, 2**31), "m = 2147483648 must lie in [1, 2147483647]"),
+    (lambda: noise_and_signal_w_variance(0.5, 10**400, 0.5),
+     f"m = {10**400} must lie in [1, 1.7976931348623157e+308]"),
+    (lambda: noise_and_signal_w_variance(0.5, 10**300, 0.01),
+     f"m = {10**300}: Var W at p0 = 0.5 and alpha = 0.01 exceeds the float range"),
+    (lambda: entropy_ci([3, 1, 2, 5], 0.5, 0.9999999999999999),
+     "level = 0.9999999999999999: the normal quantile at 0.5 + level / 2 rounds to 1"),
+    (lambda: hill_ci([3, 1, 2, 5], 0.5, 0.9999999999999999),
+     "level = 0.9999999999999999: the normal quantile at 0.5 + level / 2 rounds to 1"),
+    (lambda: divergence_ci([3, 1, 2, 5], [1, 2, 3, 4], 0.5, 0.9999999999999999),
+     "level = 0.9999999999999999: the normal quantile at 0.5 + level / 2 rounds to 1"),
+    (lambda: filter_noise([1, 2, 3], level=5e-324),
+     "level = 5e-324: the normal quantile at 1 - level rounds to 1"),
+    (lambda: filter_noise([1, 2, 3], level=2.0**-54),
+     "level = 5.551115123125783e-17: the normal quantile at 1 - level rounds to 1"),
+])
+def test_size_and_level_bounds(call, text):
+    with pytest.raises(DomainError, match=re.escape(text)):
+        call()
+
+
+@pytest.mark.parametrize("level, two_sided, u", [
+    (0.95, True, 0.975), (1 - 2.0**-52, True, 1 - 2.0**-53),
+    (0.01, False, 0.99), (2.0**-53, False, 1 - 2.0**-53)])
+def test_level_quantile_bits(level, two_sided, u):
+    # the check adds nothing to the quantile: ndtri of 0.5 + level / 2 or 1 - level,
+    # also on the last levels before the rounding edge
+    assert _z_level(level, two_sided) == float(ndtri(u))
+
+
+@pytest.mark.parametrize("flag, value", [("--level", "0.9999999999999999"),
+                                         ("--noise-level", "5e-324")])
+def test_cli_level_error_names_the_level(tmp_path, capsys, flag, value):
+    table = _write(tmp_path, "t.tsv", "id\tx\na\t3\nb\t1\nc\t2\nd\t5\n")
+    command = "entropy" if flag == "--level" else "filter-noise"
+    assert cli.run_cli([command, table, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"error: level = {value}: the normal quantile at " in err and "u = " not in err

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 from renydiv import (CountVector, asymptotics, divergence_ci, entropy_ci, equality_test,
                      hill_ci, measures, powerlaw_pmf, projections, uniformity_test)
 from renydiv.asymptotics import (EstimateWithCI, _effective_n, _exp_ci, _null_z,
-                                 _p_value, generalized_binomial, lemma2i_standardize,
-                                 normal_quantile)
+                                 _p_value, _thm1_z, _thm2_z, _thm4_z, generalized_binomial,
+                                 lemma2i_standardize, normal_quantile)
 from renydiv.distributions import _PEEL_MIN, _sum
 from renydiv.errors import DegenerateStatisticError, DomainError, UndefinedStatisticError
 from renydiv.measures import _GROUP_MIN
-from renydiv.montecarlo import _bivariate_statistic, _univariate_statistic
 from renydiv.projections import _degenerate, _ld_report, _moments, _w_moments
 
 
@@ -149,10 +148,12 @@ def ref_mc_statistic(statistic, cx, cy, n, norm, alpha):
 
 
 def mc_statistic(statistic, cx, cy, n, norm, alpha):
-    norm = SimpleNamespace(statistic=statistic, **vars(norm))
     if statistic == "thm1_entropy":
-        return _univariate_statistic(cx, n, norm, cx.size, alpha)
-    return _bivariate_statistic(cx, cy, n, norm, cx.size, alpha)
+        return _thm1_z(cx, n, alpha, norm.value, norm.cv)
+    if statistic == "thm2_divergence":
+        return _thm2_z(cx, cy, n, alpha, norm.value, norm.cv)
+    gx, gy, mult = measures._distinct(cx, cy)  # the harness's thm4 kernel
+    return _thm4_z(gx / n, gy / n, n, alpha, norm.mu_n, norm.gamma_n, mult)
 
 
 def _outcome(fn, *args):

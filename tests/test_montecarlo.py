@@ -342,24 +342,20 @@ class TestBivariateJointSampler:
     CFG = dict(family="bivariate_joint", beta=1.0, alpha=0.5,
                statistic="thm4_degenerate_divergence")
 
-    def draws(self, monkeypatch, **fields):
-        """(cx, cy) of every replicate of a run, stacked by replicate."""
-        draws = []
-
-        def record(cx, cy, *args):
-            draws.append((cx, cy))
-            return 0.0
-
-        monkeypatch.setattr(montecarlo, "_bivariate_statistic", record)
-        simulate_statistic(SimConfig(**self.CFG, **fields))
-        xy = np.array(draws, dtype=float)
+    def draws(self, **fields):
+        """(cx, cy) of every replicate of a run, stacked by replicate, by the one draw
+        rule its replicates use."""
+        cfg = SimConfig(**self.CFG, **fields)
+        population = montecarlo.FAMILIES[cfg.family].population(cfg)
+        xy = np.array([montecarlo._replicate_counts(cfg, population, cfg.n(), r)[:2]
+                       for r in range(cfg.B)], dtype=float)
         return xy[:, 0], xy[:, 1]
 
     @pytest.mark.parametrize("w", [0.3, 1.0])
-    def test_cross_moments_match_the_joint(self, monkeypatch, w):
+    def test_cross_moments_match_the_joint(self, w):
         # E cx_i cy_j = n p_ij + n (n - 1) p_i p_j for n cells drawn from p_ij
         m, n, B = 6, 40, 12_000
-        cx, cy = self.draws(monkeypatch, m=m, n_override=n, diag_weight=w, B=B, master_seed=41)
+        cx, cy = self.draws(m=m, n_override=n, diag_weight=w, B=B, master_seed=41)
         p = powerlaw_pmf(1.0, m).probs
         pij = dense_pij(JointDistribution.diagonal_mix(p, w))
         products = (cx[:, :, None] * cy[:, None, :]).reshape(B, m * m)
@@ -368,7 +364,7 @@ class TestBivariateJointSampler:
             se = values.std(axis=0, ddof=1) / math.sqrt(B)
             assert np.all(np.abs(values.mean(axis=0) - expected) <= 4 * se + 1e-12)
 
-    def test_law_matches_the_joint_multinomial(self, monkeypatch):
+    def test_law_matches_the_joint_multinomial(self):
         # at m = 2, n = 3 the pair (cx_0, cy_0) takes 16 values whose exact
         # probabilities follow from the 20 ways to put 3 draws in the 4 cells
         n, B, w = 3, 20_000, 0.3
@@ -378,18 +374,23 @@ class TestBivariateJointSampler:
             if sum(cells) == n:
                 coef = math.factorial(n) / math.prod(math.factorial(k) for k in cells)
                 exact[cells[0] + cells[1], cells[0] + cells[2]] += coef * math.prod(pij ** cells)
-        cx, cy = self.draws(monkeypatch, m=2, n_override=n, diag_weight=w, B=B, master_seed=42)
+        cx, cy = self.draws(m=2, n_override=n, diag_weight=w, B=B, master_seed=42)
         seen = np.zeros((n + 1, n + 1))
         np.add.at(seen, (cx[:, 0].astype(int), cy[:, 0].astype(int)), 1)
         x2 = float((((seen - B * exact) ** 2) / (B * exact)).sum())
         assert chdtrc(exact.size - 1, x2) > 1e-3, x2
 
-    def test_normalizers_match_chi_square_null_params(self):
+    def test_normalizers_match_chi_square_null_params(self, monkeypatch):
+        # thm4 standardizes each replicate by the (mu_n, gamma_n) it is handed
         cfg = SimConfig(m=50, n_override=1000, diag_weight=0.3, B=1, **self.CFG)
-        norm = montecarlo._Normalizers(cfg)
+        norms = []
+        monkeypatch.setattr(montecarlo, "_thm4_z",
+                            lambda *args: norms.append(args[4:6]) or 0.0)
+        montecarlo._setup(cfg)[1](0)  # the run's replicate 0
+        (mu_n, gamma_n), = norms
         mu, gsq = chi_square_null_params(JointDistribution.diagonal_mix(powerlaw_pmf(1.0, 50), 0.3))
-        assert norm.mu_n == pytest.approx(mu, rel=1e-12)
-        assert norm.gamma_n == pytest.approx(math.sqrt(gsq), rel=1e-12)
+        assert mu_n == pytest.approx(mu, rel=1e-12)
+        assert gamma_n == pytest.approx(math.sqrt(gsq), rel=1e-12)
 
     def test_workers_give_identical_samples(self):
         cfg = SimConfig(m=40, epsilon=1.0, diag_weight=0.3, B=30, master_seed=3, **self.CFG)
@@ -649,6 +650,45 @@ def test_each_family_config_runs(family):
     assert np.all(np.isfinite(simulate_statistic(_family_config(family)).samples))
 
 
+def test_family_table_fields():
+    # every field a FAMILIES row reads is a SimConfig field with a _NUMERIC_FIELDS row,
+    # and every optional field is read by some family
+    config_fields = {f.name for f in dataclasses.fields(SimConfig)}
+    read = {name for row in montecarlo.FAMILIES.values() for name in row.fields}
+    assert read <= config_fields & set(montecarlo._NUMERIC_FIELDS)
+    assert set(montecarlo.OPTIONAL_FIELDS) <= read
+    assert set(_FAMILY_CONFIGS) == set(montecarlo.FAMILIES)
+
+
+# a family each statistic runs on
+_STATISTIC_FAMILY = {"thm1_entropy": "power_law", "thm3_uniform_entropy": "uniform",
+                     "lemma2_pearson": "uniform", "thm2_divergence": "bivariate_product",
+                     "thm4_degenerate_divergence": "bivariate_joint",
+                     "lemma2_two_sample": "bivariate_joint"}
+
+
+@pytest.mark.parametrize("statistic", sorted(montecarlo.STATISTICS))
+def test_each_statistic_has_a_kernel(statistic):
+    cfg = _family_config(_STATISTIC_FAMILY[statistic], statistic=statistic)
+    _, z, s_true, value = montecarlo._setup(cfg)
+    assert math.isfinite(z(0))
+    experiment = statistic in ("thm1_entropy", "thm2_divergence")
+    assert (s_true is not None, value is not None) == (experiment, experiment)
+
+
+@pytest.mark.parametrize("family, statistic", itertools.product(
+    sorted(montecarlo.FAMILIES), sorted(montecarlo.STATISTICS)))
+def test_statistic_family_check_matches_the_row(family, statistic):
+    bivariate = montecarlo.STATISTICS[statistic]
+    text = f"{statistic} needs a {'bivariate' if bivariate else 'univariate'} family"
+    try:
+        _family_config(family, statistic=statistic).validate()
+        message = ""
+    except UsageError as exc:
+        message = str(exc)
+    assert (message == text) == (bivariate != montecarlo.FAMILIES[family].bivariate)
+
+
 def _smallest_n_configs():
     """A config per (family, statistic) pair that validate() accepts, at m = 1000 (20, the
     support, for mixture), B = 30 and n_override 1 or 3."""
@@ -734,7 +774,7 @@ def _config_lines(cfg) -> str:
 # a family that reads each numeric field; every other field is read by power_law
 _FIELD_FAMILY = {"p0": "noise_and_signal", "diag_weight": "bivariate_joint",
                  "beta2": "bivariate_product",
-                 **{name: "mixture" for name in montecarlo.FAMILY_FIELDS["mixture"]}}
+                 **{name: "mixture" for name in montecarlo.FAMILIES["mixture"].fields}}
 
 
 def _bound_config(name, value):
@@ -936,14 +976,15 @@ def test_bivariate_product_stream(monkeypatch):
     # at w = 0 the shared-diagonal draw takes nothing from the stream: replicate r
     # of a product run is multinomial(n, p) and then multinomial(n, q) from (seed, r)
     draws = []
-    monkeypatch.setattr(montecarlo, "_bivariate_statistic",
-                        lambda cx, cy, *args: draws.append((cx, cy)) or 0.0)
+    draw = montecarlo._replicate_counts
+    monkeypatch.setattr(montecarlo, "_replicate_counts",
+                        lambda *args: draws.append(draw(*args)) or draws[-1])
     simulate_statistic(SimConfig(family="bivariate_product", beta=1.0, beta2=0.5, m=25,
                                  n_override=300, B=4, master_seed=9,
                                  statistic="thm2_divergence"))
     p, q = powerlaw_pmf(1.0, 25).probs, powerlaw_pmf(0.5, 25).probs
     assert len(draws) == 4
-    for r, (cx, cy) in enumerate(draws):
+    for r, (cx, cy, _) in enumerate(draws):
         rng = replicate_stream(9, r)
         assert np.array_equal(cx, rng.multinomial(300, p))
         assert np.array_equal(cy, rng.multinomial(300, q))
