@@ -8,11 +8,10 @@ from scipy.special import ndtri
 
 from renydiv import (CountVector, DomainError, JointCountTable, JointDistribution, ProbVector,
                      ShapeError, SimConfig, UsageError, ValidationError, chi_square_null_params,
-                     cli, entropy_ci, filter_noise, hill_ci, divergence_ci,
-                     ld_diagnostic, mixture_distribution, noise_and_signal_w_variance,
-                     powerlaw_model, powerlaw_pmf, projection_v_moments, sample_joint,
-                     sample_multinomial, simulate_statistic, two_sample_chi_square,
-                     v_moments_independent)
+                     cli, divergence_ci, entropy_ci, filter_noise, hill_ci, ld_diagnostic,
+                     mixture_distribution, noise_and_signal_w_variance, powerlaw_model,
+                     powerlaw_pmf, projection_v_moments, sample_joint, sample_multinomial,
+                     simulate_statistic, two_sample_chi_square, v_moments_independent)
 from renydiv.asymptotics import _p_value, _z_level
 from renydiv.io import parse_count_table
 
