@@ -74,23 +74,6 @@ from .projections import (
     v_moments_independent,
 )
 
-__all__ = [
-    "EstimateWithCI", "TestReport", "binomial_thinning", "chi_square_null_params",
-    "divergence_ci", "entropy_ci", "equality_test", "hill_ci", "normal_quantile",
-    "pearson_chi_square", "two_sample_chi_square", "uniformity_test",
-    "CountVector", "JointCountTable", "JointDistribution", "ProbVector", "check_alpha",
-    "DegenerateStatisticError", "DomainError", "NoSignalError", "RenydivError",
-    "ShapeError", "UndefinedStatisticError", "UsageError", "ValidationError",
-    "cross_power_sum", "hill_number", "power_sum", "renyi_divergence",
-    "renyi_entropy", "tsallis_entropy",
-    "SimConfig", "SimRun", "bias_experiment", "coverage_experiment",
-    "ks_distance_normal", "mixture_distribution", "sample_joint",
-    "sample_multinomial", "simulate_statistic",
-    "MixtureDecomposition", "PipelineConfig", "PipelineReport",
-    "diversity_pipeline", "filter_noise", "homogeneity_test",
-    "FitResult", "PowerLawModel", "fit_powerlaw_ls", "powerlaw_model",
-    "powerlaw_pmf", "powerlaw_qq",
-    "LDReport", "ProjectionMoments", "bhattacharyya_v_variance", "ld_diagnostic",
-    "noise_and_signal_w_variance", "projection_v_moments", "projection_w_moments",
-    "v_moments_independent",
-]
+# every name imported above but the underscore names and the submodules
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, type(measures))]

@@ -286,14 +286,6 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
     )
 
 
-def generalized_binomial(a: float, k: int) -> float:
-    """binom(a, k) = a (a-1) ... (a-k+1) / k! for real a."""
-    out = 1.0
-    for i in range(k):
-        out *= (a - i) / (i + 1)
-    return out
-
-
 def lemma2i_standardize(x2: float, m: int) -> float:
     """Lemma 2(i): the Pearson statistic standardized as (X^2 - m) / sqrt(2m)."""
     return (x2 - m) / math.sqrt(2.0 * m)
@@ -328,7 +320,7 @@ def _thm3_z(counts: np.ndarray, n: int, alpha: float) -> tuple[float, float, flo
         raise UndefinedStatisticError(
             f"normalized entropy statistic undefined for n <= m (n={n}, m={m})"
         )
-    center = math.log(m) + math.log1p(generalized_binomial(alpha, 2) * m / n) / (1.0 - alpha)
+    center = math.log(m) + math.log1p(alpha * (alpha - 1.0) / 2.0 * m / n) / (1.0 - alpha)
     sd = alpha * math.sqrt(m / 2.0)
     phat, mult, _ = _plugin(counts, n)
     h_hat = math.log(_power_sum(phat, alpha, mult)) / (1.0 - alpha)

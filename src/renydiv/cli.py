@@ -180,27 +180,24 @@ def _cmd_simulate(args) -> None:
                                 footer=f"# ks_distance={run.ks_distance:.9g}"), args.output)
 
 
+def _per_column(path, fn) -> dict:
+    """fn(counts, categories) of each sample column of the table at path, by column name."""
+    table = parse_count_table(path)
+    return {name: fn(table.count_vector(name), table.categories) for name in table.sample_names}
+
+
 def _payload(args):
     """The report of a table command, as write_report and write_report_tsv take it."""
     if args.command == "entropy":
-        table = parse_count_table(args.table)
-        payload = {
-            name: entropy_ci(table.count_vector(name), args.alpha, args.level)
-            for name in table.sample_names
-        }
-        return {"alpha": args.alpha, "H_alpha": payload}
+        return {"alpha": args.alpha, "H_alpha": _per_column(
+            args.table, lambda c, _: entropy_ci(c, args.alpha, args.level))}
     if args.command == "divergence":
         nx, cx, ny, cy, *_ = _pair_from_tables(args.table, args.table2)
         ci = divergence_ci(cx, cy, args.alpha, args.level)
         return {"alpha": args.alpha, "x": nx, "y": ny, "D_alpha": ci}
     if args.command == "filter-noise":
-        table = parse_count_table(args.table)
-        return {
-            name: _decomposition_payload(
-                filter_noise(table.count_vector(name), level=args.noise_level,
-                             max_K=args.max_k), table.categories)
-            for name in table.sample_names
-        }
+        return _per_column(args.table, lambda c, names: _decomposition_payload(
+            filter_noise(c, level=args.noise_level, max_K=args.max_k), names))
     if args.command == "test-equality":
         nx, cx, ny, cy, *_ = _pair_from_tables(args.table, args.table2)
         rep = equality_test(cx, cy, alpha=args.alpha, mode="independent")
@@ -218,11 +215,7 @@ def _payload(args):
         return {"alpha": args.alpha, "pairs": [names[i:i + 2] for i in range(0, len(names), 2)],
                 "homogeneity": rep}
     if args.command == "fit-powerlaw":
-        table = parse_count_table(args.table)
-        return {
-            name: fit_powerlaw_ls(table.count_vector(name))
-            for name in table.sample_names
-        }
+        return _per_column(args.table, lambda c, _: fit_powerlaw_ls(c))
     # pipeline: argparse admits no other command
     nx, cx, ny, cy, names = _pair_from_tables(args.table, args.table2)
     cfg = PipelineConfig(
@@ -258,7 +251,8 @@ def _dispatch(args) -> None:
 
 
 def run_cli(argv) -> int:
-    """Dispatch a CLI invocation; 0 on success, 2 on validation error, 1 on bug."""
+    """Dispatch a CLI invocation; 0 on success, 2 on validation error or out of memory,
+    1 on bug."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -268,6 +262,11 @@ def run_cli(argv) -> int:
         _dispatch(args)
     except (RenydivError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an input too big for this machine, not a bug
+        inputs = [vars(args).get(key) for key in ("table", "table2", "config")]
+        sizes = " and ".join(f"{path} ({os.path.getsize(path)} bytes)" for path in inputs if path)
+        print(f"error: {args.command} ran out of memory on {sizes}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

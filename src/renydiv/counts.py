@@ -29,6 +29,14 @@ def _nonnegative_int64(values, what: str) -> np.ndarray:
     return arr
 
 
+def _freeze(obj, **fields) -> None:
+    """Set each field of the frozen dataclass obj, an array one read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 def _checked_total(counts: np.ndarray) -> int:
     """Exact sum of non-negative int64 counts, rejecting one past the int64 maximum.
 
@@ -76,9 +84,7 @@ class CountVector:
         total = _checked_total(arr)
         if total < 1:
             raise ValidationError("total count n must be >= 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "n", total)
+        _freeze(self, counts=arr, n=total)
 
     @property
     def m(self) -> int:
@@ -116,10 +122,7 @@ class JointCountTable:
         total = _checked_total(counts)
         if total < 1:
             raise ValidationError("total count n must be >= 1")
-        for name, arr in (("rows", rows), ("cols", cols), ("counts", counts)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n", total)
+        _freeze(self, rows=rows, cols=cols, counts=counts, n=total)
 
     def row_counts(self) -> np.ndarray:
         out = np.zeros(self.m, dtype=np.int64)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import _coo_cells
+from .counts import _coo_cells, _freeze
 from .errors import INTEGER, M_MAX, REAL, ShapeError, ValidationError, check_number
 
 PROB_SUM_TOL = 1e-12
@@ -93,9 +93,7 @@ class ProbVector:
             raise ValidationError(
                 f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        _freeze(self, probs=arr.copy())
 
     @property
     def m(self) -> int:
@@ -155,11 +153,8 @@ class JointDistribution:
             )
         row = lam * a * _sum(b) + np.bincount(rows, vals, minlength=m)
         col = lam * b * _sum(a) + np.bincount(cols, vals, minlength=m)
-        object.__setattr__(self, "product_mass", lam)
-        for name, arr in (("a", a), ("b", b), ("rows", rows), ("cols", cols), ("vals", vals),
-                          ("row", row), ("col", col)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, product_mass=lam, a=a, b=b, rows=rows, cols=cols, vals=vals, row=row,
+                col=col)
 
     @property
     def m(self) -> int:

@@ -324,10 +324,11 @@ def _replicate_counts(cfg: SimConfig, population, n: int, r: int):
 
 def _statistic(cfg: SimConfig, population):
     """The replicate kernel of a validated config's statistic, bound to the true
-    normalizers computed once from its population: (z, s_true, value), z(r) the normalized
-    statistic of replicate r, and for thm1 and thm2 s_true = S_a(p) or S_a(p, q) and
-    value = H_a or D_a (else None). A degenerate pairing raises UsageError."""
-    n, alpha, statistic = cfg.n(), cfg.alpha, cfg.statistic
+    normalizers computed once from its population: (z, s_true, value), z(draw) the
+    normalized statistic of a replicate's draw, (c, n) or (cx, cy, n), and for thm1 and
+    thm2 s_true = S_a(p) or S_a(p, q) and value = H_a or D_a (else None). A degenerate
+    pairing raises UsageError."""
+    alpha, statistic = cfg.alpha, cfg.statistic
     if statistic == "thm1_entropy":
         w = projection_w_moments(population, alpha)
         if _degenerate(w):
@@ -335,8 +336,7 @@ def _statistic(cfg: SimConfig, population):
                              "use thm3_uniform_entropy")
         s_true = power_sum(population, alpha)
         h, cv = math.log(s_true) / (1.0 - alpha), w.cv
-        return (lambda r: _thm1_z(*_replicate_counts(cfg, population, n, r), alpha, h, cv),
-                s_true, h)
+        return lambda draw: _thm1_z(*draw, alpha, h, cv), s_true, h
     if statistic == "thm2_divergence":
         v = v_moments_independent(population.a, population.b, alpha)
         if _degenerate(v):
@@ -344,24 +344,22 @@ def _statistic(cfg: SimConfig, population):
                              "use thm4_degenerate_divergence")
         s_true = float(cross_power_sum(population.a, population.b, alpha))
         d, cv = math.log(s_true) / (alpha - 1.0), v.cv
-        return (lambda r: _thm2_z(*_replicate_counts(cfg, population, n, r), alpha, d, cv),
-                s_true, d)
+        return lambda draw: _thm2_z(*draw, alpha, d, cv), s_true, d
     if statistic == "thm3_uniform_entropy":
-        return (lambda r: _thm3_z(*_replicate_counts(cfg, population, n, r), alpha)[0],
-                None, None)
+        return lambda draw: _thm3_z(*draw, alpha)[0], None, None
     if statistic == "lemma2_pearson":
-        return (lambda r: lemma2i_standardize(_pearson_chi_square(
-            *_replicate_counts(cfg, population, n, r), population.probs), cfg.m), None, None)
+        return (lambda draw: lemma2i_standardize(_pearson_chi_square(*draw, population.probs),
+                                                 cfg.m), None, None)
     mu, gamma_sq = chi_square_null_params(population)
     gamma = math.sqrt(gamma_sq)
     if statistic == "lemma2_two_sample":
-        return (lambda r: _null_z(_two_sample_chi_square(
-            *_replicate_counts(cfg, population, n, r), population.a), mu, gamma), None, None)
+        return (lambda draw: _null_z(_two_sample_chi_square(*draw, population.a), mu, gamma),
+                None, None)
 
-    def thm4(r):
-        cx, cy, n_rep = _replicate_counts(cfg, population, n, r)
+    def thm4(draw):
+        cx, cy, n = draw
         gx, gy, mult = _distinct(cx, cy)
-        return _thm4_z(gx / n_rep, gy / n_rep, n_rep, alpha, mu, gamma, mult)
+        return _thm4_z(gx / n, gy / n, n, alpha, mu, gamma, mult)
 
     return thm4, None, None
 
@@ -378,13 +376,14 @@ def _setup(cfg: SimConfig, experiment: str | None = None):
     return population, *_statistic(cfg, population)
 
 
-def _run_replicates(cfg: SimConfig, value) -> np.ndarray:
-    """The one replicate loop: value(r) for r < B, serial or on a thread pool."""
-    out = np.empty(cfg.B)
+def _run_replicates(cfg: SimConfig, population, kernel) -> np.ndarray:
+    """The one replicate loop, and the one caller of the draw rule: kernel(draw) for the
+    draw _replicate_counts(cfg, population, n, r) of each r < B, serial or on a thread pool."""
+    n, out = cfg.n(), np.empty(cfg.B)
 
     def work(rs):
         for r in rs:
-            out[r] = value(r)
+            out[r] = kernel(_replicate_counts(cfg, population, n, r))
 
     # replicates are bit-identical across worker counts, so the cap changes no output
     workers = min(cfg.workers, cfg.B, os.cpu_count() or 1)
@@ -406,7 +405,8 @@ def simulate_statistic(cfg: SimConfig) -> SimRun:
     raise before any sampling; thm3 with n <= m raises the undefined-statistic
     error the theorem's centering forces.
     """
-    samples = _run_replicates(cfg, _setup(cfg)[1])
+    population, z, _, _ = _setup(cfg)
+    samples = _run_replicates(cfg, population, z)
     ks = ks_distance_normal(samples)
     sorted_samples = np.sort(samples)
     grid = (np.arange(1, cfg.B + 1) - 0.5) / cfg.B
@@ -417,14 +417,13 @@ def simulate_statistic(cfg: SimConfig) -> SimRun:
 def coverage_experiment(cfg: SimConfig, level: float) -> float:
     """Fraction of replicates whose plug-in CI covers the true H_a or D_a."""
     population, _, _, value = _setup(cfg, "coverage")
-    n = cfg.n()
     interval = entropy_ci if cfg.statistic == "thm1_entropy" else divergence_ci
 
-    def covers(r):
-        ci = interval(*_replicate_counts(cfg, population, n, r)[:-1], cfg.alpha, level)
+    def covers(draw):
+        ci = interval(*draw[:-1], cfg.alpha, level)
         return ci.lower <= value <= ci.upper
 
-    return float(_run_replicates(cfg, covers).mean())
+    return float(_run_replicates(cfg, population, covers).mean())
 
 
 def bias_experiment(cfg: SimConfig) -> float:
@@ -434,15 +433,13 @@ def bias_experiment(cfg: SimConfig) -> float:
     sit at or below zero up to Monte Carlo noise.
     """
     population, _, s_true, _ = _setup(cfg, "bias")
-    n = cfg.n()
 
-    def ratio(r):
-        draw = _replicate_counts(cfg, population, n, r)
+    def ratio(draw):
         if cfg.statistic == "thm1_entropy":
             phat, mult, _ = _plugin(*draw)
             return _power_sum(phat, cfg.alpha, mult) / s_true
-        cx, cy, n_rep = draw
+        cx, cy, n = draw
         gx, gy, mult = _distinct(cx, cy)
-        return _cross_power_sum(gx / n_rep, gy / n_rep, cfg.alpha, mult) / s_true
+        return _cross_power_sum(gx / n, gy / n, cfg.alpha, mult) / s_true
 
-    return float(_run_replicates(cfg, ratio).mean() - 1.0)
+    return float(_run_replicates(cfg, population, ratio).mean() - 1.0)

@@ -30,7 +30,6 @@ from renydiv import (
     two_sample_chi_square,
     uniformity_test,
 )
-from renydiv.asymptotics import generalized_binomial
 from renydiv.projections import _v_ratio_sum
 
 from dense_joint import dense_pij
@@ -272,13 +271,6 @@ class TestDivergenceCI:
 
 
 class TestUniformityTest:
-    def test_generalized_binomial(self):
-        assert generalized_binomial(0.5, 2) == pytest.approx(-0.125, abs=1e-15)
-        # centering constant at m=100, n=1e5: 1 - 0.125 * 1e-3
-        assert 1 + generalized_binomial(0.5, 2) * 100 / 1e5 == pytest.approx(
-            0.999875, abs=1e-12
-        )
-
     def test_thm3_undefined_for_small_n(self):
         c = np.ones(100, dtype=int)
         with pytest.raises(UndefinedStatisticError):

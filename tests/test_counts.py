@@ -1,8 +1,11 @@
 """Count vectors and sparse joint count tables: validation and marginals."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from renydiv import CountVector, JointCountTable, ValidationError
+from renydiv import (CountVector, JointCountTable, JointDistribution, ProbVector,
+                     ValidationError)
 
 
 class TestJointCountTable:
@@ -94,3 +97,35 @@ def test_equality_and_hash_are_identity(make):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+# each data type, the caller's arrays (and scalars) it is built from, and its array fields
+_DATA_TYPES = {
+    "CountVector": (CountVector, dict(counts=[3, 0, 2]), {"counts"}),
+    "ProbVector": (ProbVector, dict(probs=[0.25, 0.75]), {"probs"}),
+    "JointCountTable": (JointCountTable, dict(rows=[0, 1], cols=[1, 0], counts=[2, 5], m=2),
+                        {"rows", "cols", "counts"}),
+    "JointDistribution": (JointDistribution,
+                          dict(a=[0.5, 0.5], b=[0.25, 0.75], product_mass=0.5, rows=[0, 1],
+                               cols=[1, 1], vals=[0.2, 0.3]),
+                          {"a", "b", "rows", "cols", "vals", "row", "col"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DATA_TYPES))
+def test_arrays_are_read_only_and_owned(name):
+    cls, fields, array_fields = _DATA_TYPES[name]
+    given = {key: value if key in ("m", "product_mass") else np.array(value)
+             for key, value in fields.items()}
+    obj = cls(**given)
+    held = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+            if isinstance(getattr(obj, f.name), np.ndarray)}
+    assert set(held) == array_fields
+    assert not any(arr.flags.writeable for arr in held.values())
+    before = {key: arr.copy() for key, arr in held.items()}
+    for arr in given.values():
+        if isinstance(arr, np.ndarray):
+            assert arr.flags.writeable  # the caller's array stays the caller's
+            arr += 1
+    for key, arr in held.items():
+        assert np.array_equal(arr, before[key]), key

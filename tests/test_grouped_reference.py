@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from renydiv import (CountVector, asymptotics, divergence_ci, entropy_ci, equality_test,
                      hill_ci, measures, powerlaw_pmf, projections, uniformity_test)
 from renydiv.asymptotics import (EstimateWithCI, _effective_n, _exp_ci, _null_z,
-                                 _p_value, _thm1_z, _thm2_z, _thm4_z, generalized_binomial,
-                                 lemma2i_standardize, normal_quantile)
+                                 _p_value, _thm1_z, _thm2_z, _thm4_z, lemma2i_standardize,
+                                 normal_quantile)
 from renydiv.distributions import _PEEL_MIN, _sum
 from renydiv.errors import DegenerateStatisticError, DomainError, UndefinedStatisticError
 from renydiv.measures import _GROUP_MIN
@@ -112,7 +112,7 @@ def ref_thm3_z(counts, n, alpha):
     m = counts.size
     if n <= m:
         raise UndefinedStatisticError("n <= m")
-    center = math.log(m) + math.log1p(generalized_binomial(alpha, 2) * m / n) / (1.0 - alpha)
+    center = math.log(m) + math.log1p(alpha * (alpha - 1.0) / 2.0 * m / n) / (1.0 - alpha)
     sd = alpha * math.sqrt(m / 2.0)
     h_hat = math.log(ref_power_sum(counts[counts > 0] / n, alpha)) / (1.0 - alpha)
     return n * (h_hat - center) / sd, center, sd

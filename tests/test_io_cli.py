@@ -1119,3 +1119,39 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_out_of_memory_exits_2_naming_the_inputs(tmp_path, monkeypatch, capsys):
+    # a command that runs out of memory met an input too big for the machine, not a bug
+    x, y = tmp_path / "x.tsv", tmp_path / "y.tsv"
+    x.write_text("id\tx\na\t1\n")
+    y.write_text("id\ty\na\t22\n")
+
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(renydiv.cli, "_payload", exhausted)
+    assert run_cli(["pipeline", str(x), str(y)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: pipeline ran out of memory on {x} (9 bytes) and {y} (10 bytes)\n"
+    assert "internal error" not in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_pipeline_past_the_address_space_exits_2(tmp_path):
+    # the child may map only 16 MiB past what it holds once imported, and parsing the
+    # 6 MB table of 5e5 rows peaks at about 49 MiB: the run ends in a MemoryError
+    path = tmp_path / "big.tsv"
+    write_mixture_table(path, 500_000)
+    code = ("import resource, sys\n"
+            "from renydiv.cli import run_cli\n"
+            "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (held + 2**24, held + 2**24))\n"
+            "print(run_cli(['pipeline', sys.argv[1], '--output', sys.argv[1] + '.json']))\n")
+    src = str(Path(renydiv.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.stdout.strip() == "2", out.stderr
+    assert out.stderr == (f"error: pipeline ran out of memory on {path} "
+                          f"({path.stat().st_size} bytes)\n")

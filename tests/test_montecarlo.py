@@ -386,7 +386,8 @@ class TestBivariateJointSampler:
         norms = []
         monkeypatch.setattr(montecarlo, "_thm4_z",
                             lambda *args: norms.append(args[4:6]) or 0.0)
-        montecarlo._setup(cfg)[1](0)  # the run's replicate 0
+        population, z, _, _ = montecarlo._setup(cfg)
+        z(montecarlo._replicate_counts(cfg, population, cfg.n(), 0))  # the run's replicate 0
         (mu_n, gamma_n), = norms
         mu, gsq = chi_square_null_params(JointDistribution.diagonal_mix(powerlaw_pmf(1.0, 50), 0.3))
         assert mu_n == pytest.approx(mu, rel=1e-12)
@@ -670,8 +671,8 @@ _STATISTIC_FAMILY = {"thm1_entropy": "power_law", "thm3_uniform_entropy": "unifo
 @pytest.mark.parametrize("statistic", sorted(montecarlo.STATISTICS))
 def test_each_statistic_has_a_kernel(statistic):
     cfg = _family_config(_STATISTIC_FAMILY[statistic], statistic=statistic)
-    _, z, s_true, value = montecarlo._setup(cfg)
-    assert math.isfinite(z(0))
+    population, z, s_true, value = montecarlo._setup(cfg)
+    assert math.isfinite(z(montecarlo._replicate_counts(cfg, population, cfg.n(), 0)))
     experiment = statistic in ("thm1_entropy", "thm2_divergence")
     assert (s_true is not None, value is not None) == (experiment, experiment)
 
