@@ -100,8 +100,8 @@ def _null_params(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarra
                  vals: np.ndarray, marg: np.ndarray) -> tuple[float, float]:
     """mu_n and gamma_n^2 of an equal-marginal joint s_ij = a_i b_j + v_ij, in O(m + cells).
 
-    v is listed on its cells (rows, cols, vals), each cell at most once and
-    diagonal cells allowed; the marginal `marg` is given explicitly. With
+    v is listed on its cells (rows, cols, vals) in row-major order, each cell at
+    most once and diagonal cells allowed; the marginal `marg` is given explicitly. With
     x = a^2 / marg, y = b^2 / marg and z = a b / marg, the product part's
     off-diagonal sum of (a_i b_j + a_j b_i)^2 / (4 marg_i marg_j) is
     [sum x sum y + (sum z)^2 - 2 sum x y] / 2, which is (sum x)^2 - sum x^2
@@ -124,12 +124,16 @@ def _null_params(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarra
         product = 0.5 * (_sum(x) * _sum(y) + _sum(z) ** 2) - _sum(x * y)
     off = ~on_diag
     rows, cols, vals = rows[off], cols[off], vals[off]
-    # partner[k]: the value of cell k's transpose, 0 when unlisted; cell at[i] sits where
-    # cell of[i] would sit transposed
+    # partner[k]: the value of cell k's transpose, 0 when unlisted. The cells are in
+    # row-major order, so a stable sort by column lists their transposed keys ascending
+    # (a radix sort for m <= 65536), and one searchsorted of them finds each in the keys.
+    keys = rows * m + cols
+    of = np.argsort(cols.astype(np.min_scalar_type(m - 1)), kind="stable")
+    needles = (cols * m + rows)[of]
+    at = np.minimum(np.searchsorted(keys, needles), keys.size - 1)
+    hit = keys[at] == needles
     partner = np.zeros(vals.size)
-    _, at, of = np.intersect1d(rows * m + cols, cols * m + rows, assume_unique=True,
-                               return_indices=True)
-    partner[of] = vals[at]
+    partner[of[hit]] = vals[at[hit]]
     mm = marg[rows] * marg[cols]
     cells = _sum((a[rows] * b[cols] + a[cols] * b[rows]) * vals / mm)
     pairs = _sum((vals * vals + vals * partner) / mm)

@@ -2,18 +2,20 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import divergence_ci, entropy_ci, equality_test
+from .asymptotics import EstimateWithCI, divergence_ci, entropy_ci, equality_test
 from .errors import RenydivError
 from .io import NameList, parse_count_table, read_text, write_report, write_report_tsv
 from .montecarlo import SimConfig, simulate_statistic
 from .pipeline import PipelineConfig, diversity_pipeline, filter_noise, homogeneity_test
 from .powerlaw import fit_powerlaw_ls
+from .projections import ADVISORY_MARGINAL, ADVISORY_PASS
 
 ENV_SEED = "RENYDIV_SEED"
 
@@ -240,6 +242,23 @@ def _payload(args):
     }
 
 
+def _warn_ld_failures(report, key: str = "") -> None:
+    """One stderr line for each interval in the report whose LD advisory reads "fail"."""
+    if isinstance(report, dict):
+        for name, value in report.items():
+            _warn_ld_failures(value, f"{key}.{name}" if key else str(name))
+    elif isinstance(report, EstimateWithCI) and report.ld is not None:
+        for condition in [c for c, label in report.ld.advisories.items() if label == "fail"]:
+            kind = condition.removesuffix("_clt")  # entropy or divergence
+            quotient = getattr(report.ld, f"{kind}_condition")
+            if not math.isfinite(quotient):  # the label then reads the degenerate-regime one
+                quotient = getattr(report.ld, f"degenerate_{kind}_condition")
+            hint = "; near p = q use the equality test" if kind == "divergence" else ""
+            print(f"warning: {key}: {condition} fail, quotient {quotient:.3g} >= "
+                  f"{ADVISORY_MARGINAL} (pass below {ADVISORY_PASS}): the interval may not "
+                  f"cover{hint}", file=sys.stderr)
+
+
 def _dispatch(args) -> None:
     if args.command == "simulate":
         _cmd_simulate(args)
@@ -248,6 +267,7 @@ def _dispatch(args) -> None:
     # the report as JSON and a final newline, or as TSV, encoded straight into the sink
     write, end = (write_report_tsv, "") if args.format == "tsv" else (write_report, "\n")
     _emit(lambda fh: (write(report, fh), fh.write(end)), args.output)
+    _warn_ld_failures(report)
 
 
 def run_cli(argv) -> int:

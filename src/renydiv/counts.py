@@ -52,8 +52,9 @@ def _checked_total(counts: np.ndarray) -> int:
 
 
 def _coo_cells(rows, cols, values: np.ndarray, m: int):
-    """(rows, cols, values) of COO cells on an m x m grid as new arrays: int64
-    indices in 0..m-1, cells whose value is 0 dropped, a cell listed twice an error."""
+    """(rows, cols, values) of COO cells on an m x m grid as new arrays in row-major
+    order: int64 indices in 0..m-1, cells whose value is 0 dropped, a cell listed
+    twice an error. Cells already in that order are checked in one pass, not sorted."""
     rows = _nonnegative_int64(rows, "cell indices")
     cols = _nonnegative_int64(cols, "cell indices")
     if not (rows.ndim == cols.ndim == values.ndim == 1
@@ -63,9 +64,13 @@ def _coo_cells(rows, cols, values: np.ndarray, m: int):
         raise ValidationError(f"cell index outside 0..{m - 1}")
     keep = values > 0
     rows, cols, values = rows[keep], cols[keep], values[keep]
-    flat = np.sort(rows * m + cols)
-    if np.any(flat[1:] == flat[:-1]):
-        raise ValidationError("duplicate cells in the joint table")
+    flat = rows * m + cols
+    if not np.all(flat[1:] > flat[:-1]):
+        order = np.argsort(flat)
+        flat = flat[order]
+        if np.any(flat[1:] == flat[:-1]):
+            raise ValidationError("duplicate cells in the joint table")
+        rows, cols, values = rows[order], cols[order], values[order]
     return rows, cols, values
 
 
@@ -105,8 +110,9 @@ def as_count_vector(c) -> CountVector:
 class JointCountTable:
     """Sparse bivariate counts over m x m categories, as COO arrays.
 
-    Cell (rows[k], cols[k]) holds counts[k]; each occupied cell appears once
-    and zero cells are dropped. The three arrays are read-only int64.
+    Cell (rows[k], cols[k]) holds counts[k]; each occupied cell appears once,
+    zero cells are dropped, and the cells are stored in row-major order (cells
+    given in another order are reordered). The three arrays are read-only int64.
     """
 
     rows: np.ndarray

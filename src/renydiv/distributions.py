@@ -118,7 +118,8 @@ class JointDistribution:
     p_ij = product_mass * a_i b_j, plus vals[k] on each listed cell (rows[k], cols[k]).
 
     a and b are probability vectors of one size m. Each cell is listed at
-    most once and cells of value 0 are dropped; product_mass plus the cell
+    most once, cells of value 0 are dropped, and the cells are stored in
+    row-major order (reordered if given otherwise); product_mass plus the cell
     values sum to 1 within PROB_SUM_TOL. product(p, q) has no cells,
     diagonal_mix(p, w) is (1 - w) p x p plus m diagonal cells, and
     from_dense(matrix) puts all of a matrix's mass in cells. The marginals

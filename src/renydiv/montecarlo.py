@@ -221,26 +221,56 @@ def sample_multinomial(p, n: int, stream: np.random.Generator) -> CountVector:
     return CountVector(stream.multinomial(n, as_prob_vector(p).probs))
 
 
+_GUIDE_PASSES = 8  # vectorized steps of _inverse_cdf before its stragglers take a binary search
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") for a non-decreasing cdf ending at 1.0 and u in
+    [0, 1), by indexed search (Chen & Asau 1974; Devroye 1986, sec. III.2.4).
+
+    guide[j] counts the cdf steps <= (j - 1) / K, K = 4 min(m, n) + 1 for n draws, so
+    a draw that starts at guide[int(u K)] starts at or below its answer even when u K
+    rounds up. It steps up while cdf[col] <= u, under 2m / K steps on average whatever
+    the masses (< 0.5 for n >= m); draws still walking after _GUIDE_PASSES steps take
+    np.searchsorted. The guide never outgrows the draws.
+    """
+    k = 4 * min(cdf.size, u.size) + 1
+    guide = np.searchsorted(cdf, np.arange(-1, k) / k, side="right")
+    col = guide[(u * k).astype(np.intp)]
+    walking = np.flatnonzero(cdf[col] <= u)
+    for _ in range(_GUIDE_PASSES):
+        if not walking.size:
+            return col
+        col[walking] += 1
+        walking = walking[cdf[col[walking]] <= u[walking]]
+    col[walking] = np.searchsorted(cdf, u[walking], side="right")
+    return col
+
+
 def sample_joint(joint: JointDistribution, n: int, stream: np.random.Generator) -> JointCountTable:
     """One multinomial draw of n pairs over the m x m cells of a bivariate distribution,
     in O(m + n log n) time and O(m + n) memory.
 
     N ~ Binomial(n, product_mass / total mass) pairs fall in the product part:
     their rows are one multinomial(N, a) draw and their columns N independent
-    inverse-CDF draws from b (Devroye 1986, ch. III). The other n - N are one
-    multinomial draw over the cells. One np.unique of the cell keys gives the table.
+    inverse-CDF draws from b (Devroye 1986, ch. III), each found by the indexed
+    search of _inverse_cdf in O(1) expected steps. The other n - N are one
+    multinomial draw over the cells. One np.unique of the cell keys, 4-byte ones
+    while m * m <= 2**32, gives the table, its cells in row-major order.
     """
     check_number("n", n, INTEGER, 1, INT64_MAX)
     m, lam, vals = joint.m, joint.product_mass, joint.vals
     cell_mass = _sum(vals)
     n_product = int(stream.binomial(n, lam / (lam + cell_mass)))
-    keys = np.repeat(np.arange(0, m * m, m), stream.multinomial(n_product, joint.a))
+    key = np.uint32 if m * m <= 2**32 else np.int64  # half the bytes for np.unique to sort
+    keys = np.repeat(np.arange(0, m * m, m, dtype=key), stream.multinomial(n_product, joint.a))
     cdf = np.cumsum(joint.b)
     cdf /= cdf[-1]  # so every uniform draw in [0, 1) falls below the last step
-    keys += np.searchsorted(cdf, stream.random(n_product), side="right")
+    keys += _inverse_cdf(cdf, stream.random(n_product)).astype(key, copy=False)
     if vals.size:
         per_cell = stream.multinomial(n - n_product, vals / cell_mass)
-        keys = np.concatenate([keys, np.repeat(joint.rows * m + joint.cols, per_cell)])
+        cells = (joint.rows * m + joint.cols).astype(key, copy=False)
+        keys = np.concatenate([keys, np.repeat(cells, per_cell)])
     keys, counts = np.unique(keys, return_counts=True)
     return JointCountTable(keys // m, keys % m, counts, m)
 

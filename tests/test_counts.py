@@ -35,6 +35,24 @@ class TestJointCountTable:
         with pytest.raises(ValidationError, match="duplicate"):
             JointCountTable(rows=[0, 1, 0], cols=[1, 1, 1], counts=[2, 3, 4], m=2)
 
+    @pytest.mark.parametrize("rows, cols", [([0, 1, 0], [1, 1, 1]), ([0, 0, 1], [1, 1, 1])],
+                             ids=["unsorted", "row_major"])
+    def test_duplicate_cell_message_in_any_order(self, rows, cols):
+        with pytest.raises(ValidationError, match="^duplicate cells in the joint table$"):
+            JointCountTable(rows=rows, cols=cols, counts=[2, 3, 4], m=2)
+
+    def test_cells_stored_in_row_major_order(self):
+        rng = np.random.default_rng(11)
+        m = 9
+        flat = np.sort(rng.choice(m * m, 40, replace=False))
+        counts = rng.integers(1, 100, flat.size)
+        shuffled = rng.permutation(flat.size)
+        t = JointCountTable(flat[shuffled] // m, flat[shuffled] % m, counts[shuffled], m)
+        assert t.rows.tolist() == (flat // m).tolist()
+        assert t.cols.tolist() == (flat % m).tolist()
+        assert t.counts.tolist() == counts.tolist()
+        assert np.array_equal(t.row_counts(), np.bincount(flat // m, counts, m))
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValidationError, match="one length"):
             JointCountTable(rows=[0, 1], cols=[1], counts=[2, 3], m=2)

@@ -1,5 +1,6 @@
 """Count-table parsing, report serialization, and the CLI contract."""
 import dataclasses
+import hashlib
 import io as stdio
 import json
 import math
@@ -1155,3 +1156,47 @@ def test_pipeline_past_the_address_space_exits_2(tmp_path):
     assert out.stdout.strip() == "2", out.stderr
     assert out.stderr == (f"error: pipeline ran out of memory on {path} "
                           f"({path.stat().st_size} bytes)\n")
+
+
+def test_failing_ld_advisories_warn_on_stderr(tmp_path, capsys):
+    # every interval of the pinned pipeline report fails its entropy CLT check, and D_alpha
+    # its divergence check too; stdout keeps its pinned bytes
+    from test_cli_pins import PINS, write_pin_table
+
+    path = tmp_path / "table.tsv"
+    write_pin_table(path)
+    capsys.readouterr()
+    assert run_cli(["pipeline", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == PINS[("pipeline", "json")]
+    lines = captured.err.splitlines()
+    keys = ["samples.x.H_alpha", "samples.x.ENC_alpha", "samples.y.H_alpha",
+            "samples.y.ENC_alpha", "D_alpha", "D_alpha"]
+    assert [line.split(": ")[1] for line in lines] == keys
+    assert all(line.startswith("warning: ") for line in lines)
+    report = json.loads(captured.out)
+    for line, key in zip(lines, keys):
+        est = report
+        for part in key.split("."):
+            est = est[part]
+        condition = line.split(": ")[2].split()[0]
+        assert est["ld"]["advisories"][condition] == "fail"
+        quotient = est["ld"][condition.removesuffix("_clt") + "_condition"]
+        assert f"{condition} fail, quotient {quotient:.3g} >= 0.5 (pass below 0.1)" in line
+    assert lines[-1].startswith("warning: D_alpha: divergence_clt fail")
+    assert lines[-1].endswith("the interval may not cover; near p = q use the equality test")
+    assert "equality test" not in lines[0]
+
+
+@pytest.mark.parametrize("command", ["pipeline", "entropy", "divergence"])
+def test_passing_ld_advisories_leave_stderr_empty(tmp_path, capsys, command):
+    rng = np.random.default_rng(5)
+    cx = rng.multinomial(10**6, [0.3, 0.25, 0.2, 0.15, 0.1])
+    cy = rng.multinomial(10**6, [0.1, 0.15, 0.2, 0.25, 0.3])
+    path = tmp_path / "table.tsv"
+    write_table(path, ["category", "x", "y"], [[f"k{i}", cx[i], cy[i]] for i in range(5)])
+    capsys.readouterr()
+    assert run_cli([command, str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert '"advisories"' in captured.out and '"fail"' not in captured.out

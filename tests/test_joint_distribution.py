@@ -46,6 +46,16 @@ class TestRepresentation:
         assert np.allclose(joint.row, mat.sum(axis=1), rtol=0, atol=1e-16)
         assert np.allclose(joint.col, mat.sum(axis=0), rtol=0, atol=1e-16)
 
+    def test_cells_stored_in_row_major_order(self):
+        rows, cols, vals = [2, 0, 1, 0], [0, 2, 1, 0], [0.1, 0.2, 0.0, 0.3]
+        joint = JointDistribution(P, Q, 0.4, rows, cols, vals)
+        assert (joint.rows.tolist(), joint.cols.tolist(), joint.vals.tolist()) == (
+            [0, 0, 2], [0, 2, 0], [0.3, 0.2, 0.1])
+        mat = 0.4 * np.outer(P, Q)
+        mat[rows, cols] += vals
+        assert np.allclose(joint.row, mat.sum(axis=1), rtol=0, atol=1e-16)
+        assert np.allclose(joint.col, mat.sum(axis=0), rtol=0, atol=1e-16)
+
     def test_arrays_are_one_dimensional_and_read_only(self):
         joint = JointDistribution.diagonal_mix(P, 0.4)
         for arr in (joint.a, joint.b, joint.rows, joint.cols, joint.vals, joint.row, joint.col):
@@ -70,6 +80,12 @@ class TestValidation:
         error = DomainError if message == "product_mass" else ValidationError
         with pytest.raises(error, match=message):
             JointDistribution(P, Q, **kwargs)
+
+    @pytest.mark.parametrize("rows, cols", [([0, 0, 1], [1, 1, 2]), ([1, 0, 1], [2, 1, 2])],
+                             ids=["row_major", "unsorted"])
+    def test_duplicate_cell_message_in_any_order(self, rows, cols):
+        with pytest.raises(ValidationError, match="^duplicate cells in the joint table$"):
+            JointDistribution(P, Q, 0.5, rows, cols, [0.2, 0.1, 0.2])
 
     def test_factor_sizes_must_match(self):
         with pytest.raises(ShapeError):

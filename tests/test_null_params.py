@@ -56,7 +56,8 @@ def assert_matches(got, pij, marg):
     assert abs(got[1] - ref[1]) <= 1e-12 * scale
 
 
-TABLE_KINDS = ("sparse", "diagonal", "single_row", "transposed_pairs", "diagonal_mix")
+TABLE_KINDS = ("sparse", "diagonal", "single_row", "transposed_pairs", "shuffled",
+               "diagonal_mix")
 
 
 def random_table(kind: str, m: int, rng: np.random.Generator) -> JointCountTable:
@@ -70,9 +71,11 @@ def random_table(kind: str, m: int, rng: np.random.Generator) -> JointCountTable
         cols = rows
     elif kind == "single_row":
         rows = np.full(k, rng.integers(0, m))
-    elif kind == "transposed_pairs":
+    elif kind in ("transposed_pairs", "shuffled"):
         rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
     flat = np.unique(rows * m + cols)
+    if kind == "shuffled":  # the table stores them in row-major order again
+        flat = rng.permutation(flat)
     counts = rng.integers(1, int(rng.choice([3, 100, 10**6])), flat.size)
     return JointCountTable(flat // m, flat % m, counts, m)
 
