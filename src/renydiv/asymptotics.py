@@ -62,14 +62,6 @@ class TestReport:
     method: str
 
 
-def _p_value(z: float, sidedness: str) -> float:
-    if sidedness == "upper":
-        return float(ndtr(-z))
-    if sidedness == "two-sided":
-        return 2.0 * float(ndtr(-abs(z)))
-    raise UsageError(f"unknown sidedness {sidedness!r}")
-
-
 def pearson_chi_square(c, p) -> float:
     """X^2 = n * sum (phat_i - p_i)^2 / p_i against a fully specified p > 0."""
     cv = as_count_vector(c)
@@ -222,12 +214,6 @@ def _z_level(level: float, two_sided: bool = True) -> float:
     return float(ndtri(u))
 
 
-def _effective_n(n1: int, n2: int) -> float:
-    # harmonic-mean effective size; equals n when totals match (the theorem's
-    # setting samples one bivariate array, so equal totals are the base case)
-    return 2.0 * n1 * n2 / (n1 + n2)
-
-
 def _samples(cx, cy, joint: JointCountTable | None,
              what: str) -> tuple[CountVector, CountVector, float]:
     """(cvx, cvy, n_eff) of a two-sample call: the count vectors cx and cy with their
@@ -241,7 +227,9 @@ def _samples(cx, cy, joint: JointCountTable | None,
     cvx, cvy = as_count_vector(cx), as_count_vector(cy)
     if cvx.m != cvy.m:
         raise ShapeError(f"category counts differ: {cvx.m} vs {cvy.m}")
-    return cvx, cvy, _effective_n(cvx.n, cvy.n)
+    # harmonic-mean effective size; equals n when totals match (the theorem's
+    # setting samples one bivariate array, so equal totals are the base case)
+    return cvx, cvy, 2.0 * cvx.n * cvy.n / (cvx.n + cvy.n)
 
 
 def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
@@ -367,22 +355,20 @@ def uniformity_test(c, alpha: float, method: str = "thm3") -> TestReport:
         mean = n * center
     else:
         raise UsageError(f"unknown uniformity method {method!r}")
-    return TestReport(statistic=z, null_mean=mean, null_sd=sd, p_value=_p_value(z, "two-sided"),
+    return TestReport(statistic=z, null_mean=mean, null_sd=sd, p_value=2.0 * float(ndtr(-abs(z))),
                       sidedness="two-sided", m=m, n=n, method=method)
 
 
-def _shrunken_joint_null_params(joint: JointCountTable) -> tuple[float, float]:
+def _shrunken_joint_null_params(joint: JointCountTable, row, col) -> tuple[float, float]:
     """Paired-mode (mu_n, gamma_n^2): plug-in joint shrunk toward independence.
 
     Each observed cell is shrunk toward the product of the pooled marginals
     with weight 1/(1 + n_ij); unobserved cells take the product value. The
-    pooled marginal r = (phat + qhat)/2 stands in for the common marginal the
-    population formulas assume.
+    pooled marginal r = (row + col)/2n of the joint's marginal counts stands in
+    for the common marginal the population formulas assume.
     """
     n = joint.n
-    phat = joint.row_counts() / n
-    qhat = joint.col_counts() / n
-    r = 0.5 * (phat + qhat)
+    r = 0.5 * (row / n + col / n)
     keep = r > 0
     pos = np.cumsum(keep) - 1  # category -> index among the kept ones
     rm = r[keep]
@@ -424,14 +410,14 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
     if m_union < 2:
         raise DomainError("need at least 2 observed categories")
     if mode == "paired":
-        mu, gamma_sq = _shrunken_joint_null_params(joint)
+        mu, gamma_sq = _shrunken_joint_null_params(joint, cvx.counts, cvy.counts)
     else:
         mu = gamma_sq = float(m_union - 1)
     gamma = math.sqrt(gamma_sq)
     z = _thm4_z(gx / cvx.n, gy / cvy.n, n_eff, alpha, mu, gamma, mult)
     return TestReport(
         statistic=z, null_mean=mu, null_sd=math.sqrt(2.0) * gamma,
-        p_value=_p_value(z, "upper"), sidedness="upper",
+        p_value=float(ndtr(-z)), sidedness="upper",
         m=m_union, n=int(round(n_eff)), method="thm4",
     )
 

@@ -11,16 +11,21 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _nonnegative_int64(values, what: str) -> np.ndarray:
-    """values as a new int64 array, rejecting non-integer or negative entries."""
+    """values as a new int64 array, rejecting non-integer, negative or too large entries."""
     arr = np.asarray(values)
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype == np.uint64 or not np.issubdtype(arr.dtype, np.integer):
         try:
             with np.errstate(invalid="ignore"):  # nan, inf and 1e30 fail the equality below
-                as_int = np.asarray(arr, dtype=np.int64)
+                as_int = np.asarray(arr, dtype=np.int64)  # a uint64 past INT64_MAX wraps
         except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"{what} must be integers") from None
-        if not np.array_equal(as_int, arr):
-            raise ValidationError(f"{what} must be integers")
+            as_int = None
+        if as_int is None or not np.array_equal(as_int, arr):
+            try:  # 2**63 compares exactly with a float or an int of any width
+                first = arr[(arr >= 2**63) & (arr < np.inf)][0]
+            except (TypeError, IndexError):  # a string, or nothing past INT64_MAX
+                raise ValidationError(f"{what} must be integers") from None
+            raise ValidationError(f"{what} must be integers: {first} exceeds the int64 maximum "
+                                  f"{INT64_MAX}")
         arr = as_int
     else:
         arr = arr.astype(np.int64)
@@ -38,7 +43,7 @@ def _freeze(obj, **fields) -> None:
 
 
 def _checked_total(counts: np.ndarray) -> int:
-    """Exact sum of non-negative int64 counts, rejecting one past the int64 maximum.
+    """Exact sum of non-negative int64 counts, rejecting a sum below 1 or past INT64_MAX.
 
     The int64 sum cannot wrap while max * size <= INT64_MAX; only past that
     bound is the sum taken in Python ints.
@@ -47,8 +52,11 @@ def _checked_total(counts: np.ndarray) -> int:
         total = sum(counts.tolist())
         if total > INT64_MAX:
             raise ValidationError(f"total count {total} exceeds the int64 maximum {INT64_MAX}")
-        return total
-    return int(counts.sum())
+    else:
+        total = int(counts.sum())
+    if total < 1:
+        raise ValidationError("total count n must be >= 1")
+    return total
 
 
 def _coo_cells(rows, cols, values: np.ndarray, m: int):
@@ -86,10 +94,7 @@ class CountVector:
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("count vector must be 1-D and non-empty")
         arr = _nonnegative_int64(arr, "counts")
-        total = _checked_total(arr)
-        if total < 1:
-            raise ValidationError("total count n must be >= 1")
-        _freeze(self, counts=arr, n=total)
+        _freeze(self, counts=arr, n=_checked_total(arr))
 
     @property
     def m(self) -> int:
@@ -125,10 +130,7 @@ class JointCountTable:
         m = check_number("m", self.m, INTEGER, 1, M_MAX)
         rows, cols, counts = _coo_cells(self.rows, self.cols,
                                         _nonnegative_int64(self.counts, "cell counts"), m)
-        total = _checked_total(counts)
-        if total < 1:
-            raise ValidationError("total count n must be >= 1")
-        _freeze(self, rows=rows, cols=cols, counts=counts, n=total)
+        _freeze(self, rows=rows, cols=cols, counts=counts, n=_checked_total(counts))
 
     def row_counts(self) -> np.ndarray:
         out = np.zeros(self.m, dtype=np.int64)

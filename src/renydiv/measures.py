@@ -89,6 +89,14 @@ def _plugin(counts: np.ndarray, n: int):
     return vals[pos] / n, _masked(mult, pos), _count(pos, mult)
 
 
+def _prob_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """The masses of two probability vectors over one set of categories."""
+    pv, qv = as_prob_vector(p), as_prob_vector(q)
+    if pv.m != qv.m:
+        raise ShapeError(f"category counts differ: {pv.m} vs {qv.m}")
+    return pv.probs, qv.probs
+
+
 def _power_sum(x: np.ndarray, e: float, mult=None) -> float:
     """sum_i x_i^e, term i taken mult[i] times; x must be positive wherever e <= 0."""
     return _sum(np.power(x, e), mult)
@@ -130,11 +138,7 @@ def cross_power_sum(p, q, alpha: float) -> CrossPowerSum:
     Symmetric in (p, q) at a = 1/2 (the Bhattacharyya coefficient).
     """
     alpha = check_alpha(alpha)
-    pv = as_prob_vector(p)
-    qv = as_prob_vector(q)
-    if pv.m != qv.m:
-        raise ShapeError(f"category counts differ: {pv.m} vs {qv.m}")
-    pp, qq = pv.probs, qv.probs
+    pp, qq = _prob_pair(p, q)
     lost = _sum(pp[(pp > 0) & (qq == 0)])
     return CrossPowerSum(_cross_power_sum(pp, qq, alpha), p_mass_on_null_support=lost)
 
@@ -165,5 +169,4 @@ def tsallis_entropy(p, alpha: float) -> float:
 
 def hill_number(p, alpha: float) -> float:
     """Effective number of classes: S_a(p)^(1/(1-a)) = exp(H_a(p)), in [1, m]."""
-    alpha = check_alpha(alpha)
     return math.exp(renyi_entropy(p, alpha))

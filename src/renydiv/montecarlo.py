@@ -277,13 +277,15 @@ def sample_joint(joint: JointDistribution, n: int, stream: np.random.Generator) 
 
 def ks_distance_normal(samples) -> float:
     """sup-norm distance between the empirical CDF and the standard normal CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError(f"samples must be 1-D, got shape {x.shape}")
     b = x.size
     if b < 2:
         raise DomainError("need at least 2 samples")
     if not np.isfinite(x).all():
         raise DomainError("samples must be finite")
-    cdf = ndtr(x)
+    cdf = ndtr(np.sort(x))
     lo = np.abs(cdf - np.arange(0, b) / b).max()
     hi = np.abs(cdf - np.arange(1, b + 1) / b).max()
     return float(max(lo, hi))

@@ -23,6 +23,7 @@ from .asymptotics import (
     divergence_ci,
     entropy_ci,
     equality_test,
+    lemma2i_standardize,
 )
 from .counts import CountVector, as_count_vector
 from .distributions import _sum, check_alpha
@@ -79,16 +80,17 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
 
     Count values are scanned ascending. Each value's categories are absorbed
     into the current candidate block, which is then tested for uniformity
-    with the standardized Pearson statistic against N(0, 1), one-sided upper
-    at significance `level` (overdispersion means the block mixes levels; a
-    partially absorbed block is top-truncated and underdispersed by
-    construction, so a lower tail would misfire). On rejection the current
-    block is closed as a noise component and a new one starts at the
-    rejecting value; if rejection hits while the current block still holds a
-    single count value, that block cannot be certified uniform and filtering
-    stops there, leaving it and everything above as signal. Filtering also
-    stops once max_K components are closed. Zero-count categories carry no
-    observations and belong to neither side.
+    with Lemma 2(i)'s standardized Pearson statistic (X^2 - mb) / sqrt(2 mb),
+    lemma2i_standardize as in uniformity_test(method="lemma2i"), against
+    N(0, 1), one-sided upper at significance `level` (overdispersion means
+    the block mixes levels; a partially absorbed block is top-truncated and
+    underdispersed by construction, so a lower tail would misfire). On
+    rejection the current block is closed as a noise component and a new
+    one starts at the rejecting value; if rejection hits while the current
+    block still holds a single count value, that block cannot be certified
+    uniform and filtering stops there, leaving it and everything above as
+    signal. Filtering also stops once max_K components are closed.
+    Zero-count categories carry no observations and belong to neither side.
 
     The strata are the distinct positive counts and their multiplicities,
     so each candidate's statistic comes in O(1) from exact integer sums of c
@@ -115,7 +117,7 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
         k = size[j + 1] - size[j]
         mb, s_j, q_j = size[j + 1] - size[a], s + k * v, q + k * v * v
         x2 = (mb * q_j - s_j * s_j) / s_j  # sum (c - mean)^2 / mean, exactly
-        if (x2 - mb) / math.sqrt(2.0 * mb) <= zcrit:
+        if lemma2i_standardize(x2, mb) <= zcrit:
             s, q = s_j, q_j
             continue
         if j - a <= 1:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .counts import CountVector
 from .distributions import ProbVector, _sum
-from .errors import INTEGER, M_MAX, REAL, DomainError, check_number
+from .errors import INTEGER, M_MAX, REAL, DomainError, ShapeError, ValidationError, check_number
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,8 @@ def _positive_sorted_counts(c) -> np.ndarray:
     """The positive counts of c in descending order; a negative or non-finite count is a
     DomainError that names the first one."""
     arr = np.asarray(c.counts if isinstance(c, CountVector) else c, dtype=float)
+    if arr.ndim != 1:
+        raise ValidationError(f"counts must be 1-D, got shape {arr.shape}")
     bad = np.flatnonzero(~((arr >= 0) & (arr < math.inf)))
     if bad.size:
         raise DomainError(f"count {float(arr[bad[0]])!r} at index {bad[0]} must be finite "
@@ -92,6 +94,8 @@ def powerlaw_qq(c, model: PowerLawModel) -> list[tuple[float, float]]:
     the diagonal up to sampling error; an exponent mismatch shows as
     systematic curvature. Empty counts give an empty sequence.
     """
+    if not isinstance(model, PowerLawModel):
+        raise ShapeError("powerlaw_qq expects a PowerLawModel")
     counts = _positive_sorted_counts(c)
     if counts.size == 0:
         return []

@@ -17,7 +17,7 @@ import numpy as np
 from .counts import INT64_MAX
 from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
 from .errors import INTEGER, REAL, DomainError, ShapeError, check_number
-from .measures import _masked, _power_sum, cross_power_sum
+from .measures import _masked, _power_sum, _prob_pair, cross_power_sum
 
 # Desk-scale advisory thresholds for the asymptotic o(.) conditions: a finite-n
 # quotient below 0.1 reads "pass", below 0.5 "marginal", otherwise "fail".
@@ -171,11 +171,7 @@ def v_moments_independent(p, q, alpha: float) -> ProjectionMoments:
     vanishes use the 0^a = 0 convention of the power sums.
     """
     alpha = check_alpha(alpha)
-    pv = as_prob_vector(p)
-    qv = as_prob_vector(q)
-    if pv.m != qv.m:
-        raise ShapeError(f"category counts differ: {pv.m} vs {qv.m}")
-    return _v_moments_independent(pv.probs, qv.probs, alpha)
+    return _v_moments_independent(*_prob_pair(p, q), alpha)
 
 
 def bhattacharyya_v_variance(p, q) -> float:
@@ -231,25 +227,16 @@ def ld_diagnostic(p, q, n: int, alpha: float) -> LDReport:
     """
     alpha = check_alpha(alpha)
     check_number("n", n, INTEGER, 1, INT64_MAX)
-    pv = as_prob_vector(p)
-    if np.any(pv.probs <= 0):
+    p, q = (as_prob_vector(p).probs, None) if q is None else _prob_pair(p, q)
+    p_star = float(p.min()) if q is None else min(float(p.min()), float(q.min()))
+    if p_star <= 0:
         raise DomainError("ld_diagnostic requires strictly positive masses")
-    qv = None
-    if q is not None:
-        qv = as_prob_vector(q)
-        if qv.m != pv.m:
-            raise ShapeError(f"category counts differ: {pv.m} vs {qv.m}")
-        if np.any(qv.probs <= 0):
-            raise DomainError("ld_diagnostic requires strictly positive masses")
-
-    probs = pv.probs
-    w = _w_moments(_power_sum(probs, alpha), _power_sum(probs, 2.0 * alpha - 1.0), alpha)
-    sum_p_am1 = _power_sum(probs, alpha - 1.0)
-    if qv is None:
-        return _ld_report(pv.m, n, float(probs.min()), w, sum_p_am1)
-    p_star = min(float(probs.min()), float(qv.probs.min()))
-    v = _v_moments_independent(probs, qv.probs, alpha)
-    return _ld_report(pv.m, n, p_star, w, sum_p_am1, v, _v_ratio_sum(probs, qv.probs, alpha))
+    w = _w_moments(_power_sum(p, alpha), _power_sum(p, 2.0 * alpha - 1.0), alpha)
+    sum_p_am1 = _power_sum(p, alpha - 1.0)
+    if q is None:
+        return _ld_report(p.size, n, p_star, w, sum_p_am1)
+    v = _v_moments_independent(p, q, alpha)
+    return _ld_report(p.size, n, p_star, w, sum_p_am1, v, _v_ratio_sum(p, q, alpha))
 
 
 def _ld_report(m: int, n: int, p_star: float, w: ProjectionMoments, sum_p_am1: float,

@@ -339,6 +339,17 @@ class TestEqualityTest:
         # smoothed null parameters should sit near the independent-case m - 1
         assert rep.null_mean == pytest.approx(29, rel=0.25)
 
+    def test_paired_mode_counts_each_marginal_once(self, monkeypatch):
+        calls = {"row_counts": 0, "col_counts": 0}
+        for name in calls:
+            def spy(table, _name=name, _method=getattr(JointCountTable, name)):
+                calls[_name] += 1
+                return _method(table)
+            monkeypatch.setattr(JointCountTable, name, spy)
+        joint = JointCountTable.from_dense([[5, 2, 0], [1, 7, 3], [0, 2, 6]])
+        equality_test(alpha=0.5, mode="paired", joint=joint)
+        assert calls == {"row_counts": 1, "col_counts": 1}
+
     def test_paired_requires_joint(self):
         with pytest.raises(UsageError):
             equality_test([1, 2], [2, 1], mode="paired")
@@ -362,7 +373,8 @@ class TestEqualityTest:
             rejections += rep.p_value < 0.05
         assert 0.02 <= rejections / B <= 0.09
         table = sample_joint(joint, 20000, replicate_stream(909, 0))
-        mu_hat, gsq_hat = _shrunken_joint_null_params(table)
+        mu_hat, gsq_hat = _shrunken_joint_null_params(table, table.row_counts(),
+                                                      table.col_counts())
         assert mu_hat == pytest.approx(mu_pop, rel=0.10)
         assert gsq_hat == pytest.approx(gsq_pop, rel=0.15)
 

@@ -7,12 +7,14 @@ import pytest
 from scipy.special import ndtri
 
 from renydiv import (CountVector, DomainError, JointCountTable, JointDistribution, ProbVector,
-                     ShapeError, SimConfig, UsageError, ValidationError, chi_square_null_params,
-                     cli, divergence_ci, entropy_ci, filter_noise, hill_ci, ld_diagnostic,
+                     ShapeError, SimConfig, UsageError, ValidationError, bhattacharyya_v_variance,
+                     chi_square_null_params, cli, cross_power_sum, divergence_ci, entropy_ci,
+                     filter_noise, fit_powerlaw_ls, hill_ci, ks_distance_normal, ld_diagnostic,
                      mixture_distribution, noise_and_signal_w_variance, powerlaw_model,
-                     powerlaw_pmf, projection_v_moments, sample_joint, sample_multinomial,
-                     simulate_statistic, two_sample_chi_square, v_moments_independent)
-from renydiv.asymptotics import _p_value, _z_level
+                     powerlaw_pmf, powerlaw_qq, projection_v_moments, renyi_divergence,
+                     sample_joint, sample_multinomial, simulate_statistic,
+                     two_sample_chi_square, v_moments_independent)
+from renydiv.asymptotics import _z_level
 from renydiv.io import parse_count_table
 
 POWER_LAW = ("family = power_law\nbeta = 1.0\nm = 10\nn_override = 20\nB = 5\n"
@@ -81,7 +83,6 @@ _ZERO_MARGINAL = JointDistribution.diagonal_mix([0.5, 0.5, 0.0], 0.3)
      "expects a JointDistribution"),
     (lambda: chi_square_null_params(_ZERO_MARGINAL), DomainError,
      "strictly positive marginals"),
-    (lambda: _p_value(1.0, "lower"), UsageError, "unknown sidedness 'lower'"),
 ])
 def test_asymptotics_errors(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
@@ -92,12 +93,33 @@ def test_asymptotics_errors(call, error, text):
     (lambda: CountVector([[1, 2], [3, 4]]), "count vector must be 1-D"),
     (lambda: CountVector(np.array(["1", "two"])), "counts must be integers"),
     (lambda: CountVector([0, 0]), "total count n must be >= 1"),
+    # past the int64 maximum as float64, as a float, as object and as uint64
+    (lambda: CountVector([2**63, 1]),
+     "counts must be integers: 9.223372036854776e+18 exceeds the int64 maximum "
+     "9223372036854775807"),
+    (lambda: CountVector([2.0**63]),
+     "counts must be integers: 9.223372036854776e+18 exceeds the int64 maximum"),
+    (lambda: CountVector([2**64, 1]),
+     "counts must be integers: 18446744073709551616 exceeds the int64 maximum"),
+    (lambda: CountVector(np.array([2**63], dtype=np.uint64)),
+     "counts must be integers: 9223372036854775808 exceeds the int64 maximum"),
+    (lambda: JointCountTable([0], [1], np.array([2**63], dtype=np.uint64), 2),
+     "cell counts must be integers: 9223372036854775808 exceeds the int64 maximum"),
+    (lambda: JointCountTable([2**64], [0], [1], 2),
+     "cell indices must be integers: 18446744073709551616 exceeds the int64 maximum"),
+    (lambda: JointCountTable([0], np.array([2**63], dtype=np.uint64), [1], 2),
+     "cell indices must be integers: 9223372036854775808 exceeds the int64 maximum"),
+    # the largest int64 as a uint64 is accepted
+    (lambda: CountVector(np.array([2**63 - 1], dtype=np.uint64)), None),
     # the size cases keep the ids they had while m had no upper bound
     pytest.param(lambda: JointCountTable([], [], [], 0), "m = 0 must lie in [1, 2147483647]",
                  id="<lambda>-m = 0 must lie in [1, inf)"),
     (lambda: JointCountTable.from_dense([[1, 2, 3], [4, 5, 6]]), "must be square"),
 ])
 def test_counts_errors(call, text):
+    if text is None:
+        assert call().n == 2**63 - 1
+        return
     with pytest.raises((DomainError if " must lie in " in text else ValidationError),
                        match=re.escape(text)):
         call()
@@ -157,8 +179,23 @@ _STREAM = np.random.default_rng(0)
         statistic="thm2_divergence")), DomainError,
      "thm2_divergence at n = 2: a replicate's two samples share no category "
      "(empty shared support)"),
+    (lambda: ks_distance_normal([[0.1, 0.2], [0.3, 0.4]]), ValidationError,
+     "samples must be 1-D, got shape (2, 2)"),
+    (lambda: ks_distance_normal(0.5), ValidationError, "samples must be 1-D, got shape ()"),
 ])
 def test_montecarlo_errors(call, error, text):
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: fit_powerlaw_ls([[9, 4], [2, 1]]), ValidationError,
+     "counts must be 1-D, got shape (2, 2)"),
+    (lambda: powerlaw_qq([[9, 4], [2, 1]], powerlaw_model(1.0, 4)), ValidationError,
+     "counts must be 1-D, got shape (2, 2)"),
+    (lambda: powerlaw_qq([9, 4, 2, 1], 5), ShapeError, "powerlaw_qq expects a PowerLawModel"),
+])
+def test_powerlaw_errors(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
         call()
 
@@ -174,6 +211,17 @@ def test_montecarlo_errors(call, error, text):
     (lambda: v_moments_independent([0.5, 0.5], [0.2, 0.3, 0.5], 0.5), ShapeError,
      "category counts differ: 2 vs 3"),
     (lambda: ld_diagnostic([0.5, 0.5], [0.2, 0.3, 0.5], 100, 0.5), ShapeError,
+     "category counts differ: 2 vs 3"),
+    # the size mismatch is named before the zero mass
+    (lambda: ld_diagnostic([1.0, 0.0], [0.2, 0.3, 0.5], 100, 0.5), ShapeError,
+     "category counts differ: 2 vs 3"),
+    (lambda: ld_diagnostic([0.5, 0.5], [1.0, 0.0], 100, 0.5), DomainError,
+     "ld_diagnostic requires strictly positive masses"),
+    (lambda: cross_power_sum([0.5, 0.5], [0.2, 0.3, 0.5], 0.5), ShapeError,
+     "category counts differ: 2 vs 3"),
+    (lambda: renyi_divergence([0.5, 0.5], [0.2, 0.3, 0.5], 0.5), ShapeError,
+     "category counts differ: 2 vs 3"),
+    (lambda: bhattacharyya_v_variance([0.5, 0.5], [0.2, 0.3, 0.5]), ShapeError,
      "category counts differ: 2 vs 3"),
 ])
 def test_projections_errors(call, error, text):

@@ -84,7 +84,8 @@ def random_table(kind: str, m: int, rng: np.random.Generator) -> JointCountTable
 @given(st.sampled_from(TABLE_KINDS), st.integers(1, 300), st.integers(0, 2**32 - 1))
 def test_shrunken_matches_dense_reference(kind, m, seed):
     table = random_table(kind, m, np.random.default_rng(seed))
-    assert_matches(_shrunken_joint_null_params(table), *reference_shrunken_joint(table))
+    assert_matches(_shrunken_joint_null_params(table, table.row_counts(), table.col_counts()),
+                   *reference_shrunken_joint(table))
 
 
 def random_joint(kind: str, m: int, rng: np.random.Generator) -> JointDistribution:
