@@ -22,7 +22,7 @@ from .counts import CountVector, JointCountTable, as_count_vector
 from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
 from .errors import (REAL, DegenerateStatisticError, DomainError, ShapeError,
                      UndefinedStatisticError, UsageError, check_number)
-from .measures import (_count, _cross_power_sum, _distinct, _pearson_chi_square, _plugin,
+from .measures import (_count, _distinct, _pearson_chi_square, _plugin, _plugin_pair,
                        _power_sum, _two_sample_chi_square)
 from .projections import (LDReport, _degenerate, _ld_report, _v_moments_cells,
                           _v_moments_independent, _v_ratio_sum, _w_moments)
@@ -166,13 +166,12 @@ def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
     cv = as_count_vector(c)
     if cv.n < 2:
         raise DomainError("need n >= 2 observations")
-    phat, mult, m = _plugin(cv.counts, cv.n)
+    phat, mult, m, s_a = _plugin(cv.counts, cv.n, alpha)
     if m < 2:
         raise DegenerateStatisticError(
             "all mass in one category: entropy estimate is 0 and its CLT variance "
             "is undefined; nothing to test in the non-degenerate regime"
         )
-    s_a = _power_sum(phat, alpha, mult)
     w = _w_moments(s_a, _power_sum(phat, 2.0 * alpha - 1.0, mult), alpha)
     if _degenerate(w):
         raise DegenerateStatisticError(
@@ -245,12 +244,11 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
     alpha = check_alpha(alpha)
     z = _z_level(level)
     cvx, cvy, n_eff = _samples(cx, cy, joint, "divergence_ci")
-    gx, gy, mult = _distinct(cvx.counts, cvy.counts)
-    phat, qhat = gx / cvx.n, gy / cvy.n
+    phat, qhat, mult, s_hat = _plugin_pair(cvx.counts, cvy.counts, cvx.n, cvy.n, alpha)
     shared = (phat > 0) & (qhat > 0)
     if not shared.any():
         raise DomainError("no shared support between the two samples")
-    est = math.log(_cross_power_sum(phat, qhat, alpha, mult)) / (alpha - 1.0)
+    est = math.log(s_hat) / (alpha - 1.0)
     if joint is None:
         v = _v_moments_independent(phat, qhat, alpha, mult)
     else:
@@ -286,16 +284,14 @@ def lemma2i_standardize(x2: float, m: int) -> float:
 def _thm1_z(counts: np.ndarray, n: int, alpha: float, h: float, cv: float) -> float:
     """Theorem 1: sqrt(n) (1/a - 1) (H_a(phat) - h) / cv of n draws, normalized by the
     true entropy h = H_a(p) and cv = CV(W)."""
-    phat, mult, _ = _plugin(counts, n)
-    h_hat = math.log(_power_sum(phat, alpha, mult)) / (1.0 - alpha)
+    h_hat = math.log(_plugin(counts, n, alpha)[3]) / (1.0 - alpha)
     return math.sqrt(n) * (1.0 / alpha - 1.0) * (h_hat - h) / cv
 
 
 def _thm2_z(cx: np.ndarray, cy: np.ndarray, n: int, alpha: float, d: float, cv: float) -> float:
     """Theorem 2: sqrt(n) (a - 1) (D_a(phat, qhat) - d) / cv of two samples of n draws,
     normalized by the true divergence d = D_a(p, q) and cv = CV(V)."""
-    gx, gy, mult = _distinct(cx, cy)
-    s_hat = _cross_power_sum(gx / n, gy / n, alpha, mult)
+    s_hat = _plugin_pair(cx, cy, n, n, alpha)[3]
     if s_hat == 0.0:  # for alpha in (0, 1) each shared category adds at least 1/n
         raise DomainError(f"thm2_divergence at n = {n}: a replicate's two samples share "
                           f"no category (empty shared support)")
@@ -314,8 +310,7 @@ def _thm3_z(counts: np.ndarray, n: int, alpha: float) -> tuple[float, float, flo
         )
     center = math.log(m) + math.log1p(alpha * (alpha - 1.0) / 2.0 * m / n) / (1.0 - alpha)
     sd = alpha * math.sqrt(m / 2.0)
-    phat, mult, _ = _plugin(counts, n)
-    h_hat = math.log(_power_sum(phat, alpha, mult)) / (1.0 - alpha)
+    h_hat = math.log(_plugin(counts, n, alpha)[3]) / (1.0 - alpha)
     return n * (h_hat - center) / sd, center, sd
 
 
@@ -324,11 +319,9 @@ def _null_z(x: float, mu: float, gamma: float) -> float:
     return (x - mu) / (math.sqrt(2.0) * gamma)
 
 
-def _thm4_z(phat: np.ndarray, qhat: np.ndarray, n: float, alpha: float,
-            mu: float, gamma: float, mult=None) -> float:
-    """Theorem 4: n (a(a-1))^(-1) (S_a(phat, qhat) - 1) standardized by _null_z;
-    mult as for _cross_power_sum."""
-    s = _cross_power_sum(phat, qhat, alpha, mult)
+def _thm4_z(s: float, n: float, alpha: float, mu: float, gamma: float) -> float:
+    """Theorem 4: n (a(a-1))^(-1) (s - 1) standardized by _null_z, for the plug-in
+    s = S_a(phat, qhat) of _plugin_pair."""
     return _null_z(n / (alpha * (alpha - 1.0)) * (s - 1.0), mu, gamma)
 
 
@@ -405,8 +398,8 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
     if mode == "independent" and joint is not None:
         raise UsageError("independent mode ignores joint counts: use mode='paired'")
     cvx, cvy, n_eff = _samples(cx, cy, joint, "equality_test")
-    gx, gy, mult = _distinct(cvx.counts, cvy.counts)
-    m_union = _count((gx > 0) | (gy > 0), mult)
+    phat, qhat, mult, s_hat = _plugin_pair(cvx.counts, cvy.counts, cvx.n, cvy.n, alpha)
+    m_union = _count((phat > 0) | (qhat > 0), mult)
     if m_union < 2:
         raise DomainError("need at least 2 observed categories")
     if mode == "paired":
@@ -414,7 +407,7 @@ def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent
     else:
         mu = gamma_sq = float(m_union - 1)
     gamma = math.sqrt(gamma_sq)
-    z = _thm4_z(gx / cvx.n, gy / cvy.n, n_eff, alpha, mu, gamma, mult)
+    z = _thm4_z(s_hat, n_eff, alpha, mu, gamma)
     return TestReport(
         statistic=z, null_mean=mu, null_sd=math.sqrt(2.0) * gamma,
         p_value=float(ndtr(-z)), sidedness="upper",

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -15,7 +14,7 @@ from .io import NameList, parse_count_table, read_text, write_report, write_repo
 from .montecarlo import SimConfig, simulate_statistic
 from .pipeline import PipelineConfig, diversity_pipeline, filter_noise, homogeneity_test
 from .powerlaw import fit_powerlaw_ls
-from .projections import ADVISORY_MARGINAL, ADVISORY_PASS
+from .projections import ADVISORY_MARGINAL, ADVISORY_PASS, _quotient
 
 ENV_SEED = "RENYDIV_SEED"
 
@@ -250,9 +249,8 @@ def _warn_ld_failures(report, key: str = "") -> None:
     elif isinstance(report, EstimateWithCI) and report.ld is not None:
         for condition in [c for c, label in report.ld.advisories.items() if label == "fail"]:
             kind = condition.removesuffix("_clt")  # entropy or divergence
-            quotient = getattr(report.ld, f"{kind}_condition")
-            if not math.isfinite(quotient):  # the label then reads the degenerate-regime one
-                quotient = getattr(report.ld, f"degenerate_{kind}_condition")
+            quotient = _quotient(getattr(report.ld, f"{kind}_condition"),
+                                 getattr(report.ld, f"degenerate_{kind}_condition"))
             hint = "; near p = q use the equality test" if kind == "divergence" else ""
             print(f"warning: {key}: {condition} fail, quotient {quotient:.3g} >= "
                   f"{ADVISORY_MARGINAL} (pass below {ADVISORY_PASS}): the interval may not "

@@ -81,12 +81,22 @@ def _count(mask: np.ndarray, mult: np.ndarray | None) -> int:
     return int(np.count_nonzero(mask)) if mult is None else int(mult[mask].sum())
 
 
-def _plugin(counts: np.ndarray, n: int):
-    """(phat, mult, m_observed): the plug-in masses of the positive counts,
-    grouped by _distinct, and the number of categories they cover."""
+def _plugin(counts: np.ndarray, n: int, alpha: float):
+    """The one plug-in step of a count column, (phat, mult, m_observed, S_a(phat)): the
+    masses of the positive counts grouped by _distinct, the number of categories they
+    cover, and their power sum."""
     vals, mult = _distinct(counts)
     pos = vals > 0
-    return vals[pos] / n, _masked(mult, pos), _count(pos, mult)
+    phat, kept = vals[pos] / n, _masked(mult, pos)
+    return phat, kept, _count(pos, mult), _power_sum(phat, alpha, kept)
+
+
+def _plugin_pair(cx: np.ndarray, cy: np.ndarray, nx, ny, alpha: float):
+    """The one plug-in step of a count pair, (phat, qhat, mult, S_a(phat, qhat)): the
+    masses cx / nx and cy / ny grouped by _distinct, and their cross power sum."""
+    gx, gy, mult = _distinct(cx, cy)
+    phat, qhat = gx / nx, gy / ny
+    return phat, qhat, mult, _cross_power_sum(phat, qhat, alpha, mult)
 
 
 def _prob_pair(p, q) -> tuple[np.ndarray, np.ndarray]:

@@ -24,8 +24,8 @@ from .counts import INT64_MAX, CountVector, JointCountTable
 from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum, as_prob_vector
 from .errors import (INTEGER, M_MAX, REAL, DomainError, UsageError, ValidationError,
                      check_number)
-from .measures import (_cross_power_sum, _distinct, _pearson_chi_square, _plugin, _power_sum,
-                       _two_sample_chi_square, cross_power_sum, power_sum)
+from .measures import (_pearson_chi_square, _plugin, _plugin_pair, _two_sample_chi_square,
+                       cross_power_sum, power_sum)
 from .powerlaw import powerlaw_pmf
 from .projections import _degenerate, projection_w_moments, v_moments_independent
 
@@ -387,13 +387,8 @@ def _statistic(cfg: SimConfig, population):
     if statistic == "lemma2_two_sample":
         return (lambda draw: _null_z(_two_sample_chi_square(*draw, population.a), mu, gamma),
                 None, None)
-
-    def thm4(draw):
-        cx, cy, n = draw
-        gx, gy, mult = _distinct(cx, cy)
-        return _thm4_z(gx / n, gy / n, n, alpha, mu, gamma, mult)
-
-    return thm4, None, None
+    return (lambda draw: _thm4_z(_plugin_pair(*draw, draw[-1], alpha)[3], draw[-1], alpha, mu,
+                                 gamma), None, None)
 
 
 def _setup(cfg: SimConfig, experiment: str | None = None):
@@ -468,10 +463,7 @@ def bias_experiment(cfg: SimConfig) -> float:
 
     def ratio(draw):
         if cfg.statistic == "thm1_entropy":
-            phat, mult, _ = _plugin(*draw)
-            return _power_sum(phat, cfg.alpha, mult) / s_true
-        cx, cy, n = draw
-        gx, gy, mult = _distinct(cx, cy)
-        return _cross_power_sum(gx / n, gy / n, cfg.alpha, mult) / s_true
+            return _plugin(*draw, cfg.alpha)[3] / s_true
+        return _plugin_pair(*draw, draw[-1], cfg.alpha)[3] / s_true
 
     return float(_run_replicates(cfg, population, ratio).mean() - 1.0)

@@ -167,6 +167,7 @@ def diversity_pipeline(cx, cy, alpha: float = 0.5,
     """
     cfg = config or PipelineConfig()
     check_number("equality_level", cfg.equality_level, REAL, 0, 1, closed=False)
+    _z_level(cfg.ci_level)
     alpha = check_alpha(alpha)
     cvx = as_count_vector(cx)
     cvy = as_count_vector(cy)

@@ -202,10 +202,15 @@ class LDReport:
     advisories: dict = field(default_factory=dict)
 
 
+def _quotient(value: float, degenerate: float) -> float:
+    """The quotient an advisory label reads: the CLT quotient, or its degenerate-regime
+    replacement where the quotient is not finite."""
+    return value if math.isfinite(value) else degenerate
+
+
 def _advisory(value: float, degenerate: float) -> str:
-    """The label of a CLT quotient, or of its degenerate-regime replacement where the
-    quotient is not finite."""
-    value = value if math.isfinite(value) else degenerate
+    """The pass, marginal or fail label of the quotient that _quotient reads."""
+    value = _quotient(value, degenerate)
     if value < ADVISORY_PASS:
         return "pass"
     if value < ADVISORY_MARGINAL:

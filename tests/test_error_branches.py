@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from renydiv import (CountVector, DomainError, JointCountTable, JointDistribution, ProbVector,
-                     ShapeError, SimConfig, UsageError, ValidationError, bhattacharyya_v_variance,
-                     chi_square_null_params, cli, cross_power_sum, divergence_ci, entropy_ci,
+from renydiv import (CountVector, DomainError, JointCountTable, JointDistribution,
+                     PipelineConfig, ProbVector, ShapeError, SimConfig, UsageError,
+                     ValidationError, bhattacharyya_v_variance, chi_square_null_params, cli,
+                     cross_power_sum, divergence_ci, diversity_pipeline, entropy_ci,
                      filter_noise, fit_powerlaw_ls, hill_ci, ks_distance_normal, ld_diagnostic,
                      mixture_distribution, noise_and_signal_w_variance, powerlaw_model,
                      powerlaw_pmf, powerlaw_qq, projection_v_moments, renyi_divergence,
@@ -41,6 +42,12 @@ def _bad_env_seed(monkeypatch, tmp_path):
     return ["simulate", "--config", _write(tmp_path, "sim.cfg", POWER_LAW)]
 
 
+def _pipeline_bad_level(monkeypatch, tmp_path):
+    # the level is named before any work: the filter would leave no shared signal here
+    rows = "".join(f"c{i}\t5\t5\n" for i in range(50))
+    return ["pipeline", _write(tmp_path, "t.tsv", "id\tx\ty\n" + rows), "--level", "1.5"]
+
+
 def _command_bug(monkeypatch, tmp_path):
     def broken(args):
         raise RuntimeError("a bug")
@@ -52,6 +59,7 @@ def _command_bug(monkeypatch, tmp_path):
     (_different_categories, 2, "error: the two tables list different categories"),
     (_no_equals_sign, 2, "line 7: expected key = value"),
     (_bad_env_seed, 2, "error: invalid RENYDIV_SEED value '12abc'"),
+    (_pipeline_bad_level, 2, "error: level = 1.5 must lie in (0, 1)"),
     (_command_bug, 1, "internal error: RuntimeError: a bug"),
 ])
 def test_cli_errors(monkeypatch, tmp_path, capsys, argv, code, text):
@@ -249,6 +257,8 @@ def test_projections_errors(call, error, text):
      "level = 0.9999999999999999: the normal quantile at 0.5 + level / 2 rounds to 1"),
     (lambda: divergence_ci([3, 1, 2, 5], [1, 2, 3, 4], 0.5, 0.9999999999999999),
      "level = 0.9999999999999999: the normal quantile at 0.5 + level / 2 rounds to 1"),
+    (lambda: diversity_pipeline([5] * 50, [5] * 50, config=PipelineConfig(ci_level=1.5)),
+     "level = 1.5 must lie in (0, 1)"),
     (lambda: filter_noise([1, 2, 3], level=5e-324),
      "level = 5e-324: the normal quantile at 1 - level rounds to 1"),
     (lambda: filter_noise([1, 2, 3], level=2.0**-54),

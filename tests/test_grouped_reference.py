@@ -164,8 +164,8 @@ def mc_statistic(statistic, cx, cy, n, norm, alpha):
         return _thm1_z(cx, n, alpha, norm.value, norm.cv)
     if statistic == "thm2_divergence":
         return _thm2_z(cx, cy, n, alpha, norm.value, norm.cv)
-    gx, gy, mult = measures._distinct(cx, cy)  # the harness's thm4 kernel
-    return _thm4_z(gx / n, gy / n, n, alpha, norm.mu_n, norm.gamma_n, mult)
+    return _thm4_z(measures._plugin_pair(cx, cy, n, n, alpha)[3], n, alpha, norm.mu_n,
+                   norm.gamma_n)
 
 
 def _outcome(fn, *args):

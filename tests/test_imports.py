@@ -1,8 +1,10 @@
-"""Every name a src module imports at top level is read somewhere in that module.
+"""Every name a src module imports at top level is read somewhere in that module, and
+every private module-level name is read somewhere in src.
 
-ruff's unused-import rule, written with the standard library's ast module so it runs
-without a linter installed. The package __init__ re-exports its imports and is left
-out; `from __future__ import annotations` binds nothing that is read.
+The first is ruff's unused-import rule, written with the standard library's ast module
+so it runs without a linter installed. The package __init__ re-exports its imports and
+is left out; `from __future__ import annotations` binds nothing that is read. The second
+fails on a private helper, class or constant that only the tests still reach.
 """
 import ast
 from pathlib import Path
@@ -36,3 +38,40 @@ def test_no_unused_imports(path):
 def test_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport math\nfrom os import path, sep\nsep\n"
     assert unused_imports(source) == ["line 2: math", "line 3: path"]
+
+
+def unread_private_names(sources: dict) -> list[str]:
+    """The private module-level functions, classes and constants of sources (module name ->
+    source) that no source reads as a name or an attribute outside their own definition.
+    Names are matched across modules by spelling, as the imports between them carry it."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module} line {node.lineno}"
+            read |= {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                     or isinstance(sub, ast.Attribute)} - names
+    return [f"{where}: {name}" for name, where in defined.items() if name not in read]
+
+
+def test_no_unread_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_check_finds_an_unread_private_name():
+    # _unused is never read, _loop only by itself and _imported only by an import
+    a = ("_LIMIT = 3\n_unused = 1\ndef _loop(k):\n    return _loop(k - 1)\nclass _Row:\n"
+         "    pass\ndef _helper():\n    return _LIMIT\ndef _imported():\n    pass\n")
+    b = "from a import _helper, _imported\ndef run():\n    return _helper(), a._Row\n"
+    assert unread_private_names({"a.py": a, "b.py": b}) == [
+        "a.py line 2: _unused", "a.py line 3: _loop", "a.py line 9: _imported"]

@@ -1188,6 +1188,24 @@ def test_failing_ld_advisories_warn_on_stderr(tmp_path, capsys):
     assert "equality test" not in lines[0]
 
 
+def test_ld_warning_reads_the_degenerate_quotient_where_the_clt_one_is_infinite(tmp_path,
+                                                                               capsys):
+    # x is uniform, so CV(W) = 0 and entropy_condition is infinite: the entropy_clt label
+    # and its warning read degenerate_entropy_condition = m^2 / n = 2500 / 273 instead
+    cy = 1 + np.random.default_rng(0).multinomial(250, np.full(50, 1 / 50))
+    path = tmp_path / "table.tsv"
+    write_table(path, ["category", "x", "y"], [[f"c{i}", 5, cy[i]] for i in range(50)])
+    capsys.readouterr()
+    assert run_cli(["divergence", str(path)]) == 0
+    captured = capsys.readouterr()
+    ld = json.loads(captured.out)["D_alpha"]["ld"]
+    assert ld["entropy_condition"] == "Infinity" and ld["advisories"]["entropy_clt"] == "fail"
+    assert f"{ld['degenerate_entropy_condition']:.3g}" == "9.16"
+    assert captured.err.splitlines()[0] == (
+        "warning: D_alpha: entropy_clt fail, quotient 9.16 >= 0.5 (pass below 0.1): the "
+        "interval may not cover")
+
+
 @pytest.mark.parametrize("command", ["pipeline", "entropy", "divergence"])
 def test_passing_ld_advisories_leave_stderr_empty(tmp_path, capsys, command):
     rng = np.random.default_rng(5)

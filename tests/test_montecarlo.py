@@ -385,7 +385,7 @@ class TestBivariateJointSampler:
         cfg = SimConfig(m=50, n_override=1000, diag_weight=0.3, B=1, **self.CFG)
         norms = []
         monkeypatch.setattr(montecarlo, "_thm4_z",
-                            lambda *args: norms.append(args[4:6]) or 0.0)
+                            lambda *args: norms.append(args[3:5]) or 0.0)
         population, z, _, _ = montecarlo._setup(cfg)
         z(montecarlo._replicate_counts(cfg, population, cfg.n(), 0))  # the run's replicate 0
         (mu_n, gamma_n), = norms
