@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtr, ndtri
 from .counts import CountVector, JointCountTable, as_count_vector
 from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
 from .errors import (REAL, DegenerateStatisticError, DomainError, ShapeError,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtr, ndtri
 from .asymptotics import (_null_z, _thinned, _thm1_z, _thm2_z, _thm3_z, _thm4_z,
                           chi_square_null_params, divergence_ci, entropy_ci, lemma2i_standardize)
 from .counts import INT64_MAX, CountVector, JointCountTable

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
+from ._special import chdtrc
 from .asymptotics import (
     EstimateWithCI,
     TestReport,

@@ -74,14 +74,14 @@ def fit_powerlaw_ls(c) -> FitResult:
     k = counts.size
     if k < 3:
         raise DomainError("need at least 3 positive-count ranks to fit")
-    x = np.log(np.arange(1, k + 1, dtype=float))
-    y = np.log(counts)
-    xbar = x.mean()
-    ybar = y.mean()
-    sxx = float(((x - xbar) ** 2).sum())
-    slope = float(((x - xbar) * (y - ybar)).sum()) / sxx
-    resid = y - ybar - slope * (x - xbar)
-    sse = float((resid**2).sum())
+    dx = np.log(np.arange(1, k + 1, dtype=float))   # log ranks, centred below
+    dx -= dx.mean()
+    dy = np.log(counts)
+    dy -= dy.mean()
+    sxx = float(np.square(dx).sum())
+    slope = float((dx * dy).sum()) / sxx
+    dy -= slope * dx   # the residuals
+    sse = float(np.square(dy).sum())
     se = math.sqrt(sse / (k - 2) / sxx)
     return FitResult(beta_hat=-slope, std_error=se, residual_sse=sse)
 

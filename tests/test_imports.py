@@ -1,10 +1,11 @@
-"""Every name a src module imports at top level is read somewhere in that module, and
-every private module-level name is read somewhere in src.
+"""Every name a src module imports at top level is read somewhere in that module, every
+private module-level name is read somewhere in src, and only _special imports scipy.
 
 The first is ruff's unused-import rule, written with the standard library's ast module
 so it runs without a linter installed. The package __init__ re-exports its imports and
 is left out; `from __future__ import annotations` binds nothing that is read. The second
-fails on a private helper, class or constant that only the tests still reach.
+fails on a private helper, class or constant that only the tests still reach. The third
+keeps out of every other module the scipy package imports that _special avoids.
 """
 import ast
 from pathlib import Path
@@ -75,3 +76,32 @@ def test_check_finds_an_unread_private_name():
     b = "from a import _helper, _imported\ndef run():\n    return _helper(), a._Row\n"
     assert unread_private_names({"a.py": a, "b.py": b}) == [
         "a.py line 2: _unused", "a.py line 3: _loop", "a.py line 9: _imported"]
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The imports of scipy or of a scipy submodule in source, at top level or nested."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.partition(".")[0] == "scipy"]
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py"))
+                                  if path.name != "_special.py"], ids=lambda path: path.name)
+def test_only_special_imports_scipy(path):
+    # `import scipy.special` costs about 0.24 s of every cold start that _special saves
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_a_scipy_import():
+    source = ("import scipy\nimport os, scipy.stats as st\nfrom scipy.special import ndtr\n"
+              "from .scipy import x\nimport scipyx\ndef f():\n    from scipy import special\n")
+    assert scipy_imports(source) == [
+        "line 1: scipy", "line 2: scipy.stats", "line 3: scipy.special", "line 7: scipy"]

@@ -1111,15 +1111,101 @@ def test_table_commands_fuzz(tmp_path, command, data):
     assert time.perf_counter() - start < 2.0
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats alone costs more than half a second of every CLI cold start
+def run_child(code: str, *args, check=True) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports renydiv from this checkout."""
     src = str(Path(renydiv.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, renydiv.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=60, check=check)
+
+
+UFUNCS = ("ndtr", "ndtri", "chdtrc")
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone costs more than half a second of every CLI cold start, and the
+    # scipy.special package a quarter second, its array-API layer pulling in numpy.f2py and
+    # numpy.testing; the three ufuncs are bound at import, not on first use, so every
+    # command pays the same
+    code = ("import sys, renydiv.cli, renydiv._special as s\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'\n"
+            "             or m.startswith(('numpy.f2py', 'numpy.testing'))))\n"
+            f"print([n in vars(s) for n in {UFUNCS}])\n")
+    assert run_child(code).stdout.split("\n")[:2] == ["[]", "[True, True, True]"]
+
+
+# refuses scipy.special._ufuncs while scipy is a stand-in whose __init__ has not run, so
+# only the fast path fails and the public import still finds the module
+REFUSE_FAST_PATH = """
+class RefuseUfuncs:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not hasattr(sys.modules["scipy"], "__version__"):
+            refused.append(name)
+            raise ImportError("refused while scipy is a stand-in")
+
+sys.meta_path.insert(0, RefuseUfuncs())
+"""
+
+
+def test_every_ufunc_path_gives_the_same_objects_and_bytes(tmp_path):
+    # the fast path, the public path when scipy.special is imported first, and the fallback
+    # when the fast path fails; a later scipy.special and scipy.stats import works after each
+    path = tmp_path / "table.tsv"
+    write_table(path, ["id", "x"], [(f"c{i}", 3 + (i * 7) % 11) for i in range(40)])
+    code = ("import sys\nrefused = []\n{}\n"
+            "import renydiv._special as s\n"
+            "from renydiv.cli import run_cli\n"
+            "status = run_cli(['entropy', sys.argv[1]])\n"
+            "import scipy.special, scipy.stats\n"
+            f"print(status, [getattr(scipy.special, n) is getattr(s, n) for n in {UFUNCS}],\n"
+            "      hasattr(sys.modules['scipy'], '__version__'), scipy.special.gamma(5.0),\n"
+            "      scipy.stats.norm.cdf(0.0), len(refused), file=sys.stderr)\n")
+    fast, public, fallback = (run_child(code.format(prelude), path) for prelude in
+                              ("", "import scipy.special", REFUSE_FAST_PATH))
+    # the last stderr line; the lines above it are the LD advisories of the small table
+    for run, refused in ((fast, 0), (public, 0), (fallback, 1)):
+        assert run.stderr.splitlines()[-1] == f"0 [True, True, True] True 24.0 0.5 {refused}"
+    assert fast.stdout == public.stdout == fallback.stdout != ""
+
+
+def test_scipy_imports_in_other_threads_meet_no_stand_in():
+    # three threads start their scipy import once the stand-in scipy is in sys.modules: they
+    # wait for the import lock and then read the real packages, whichever form they use
+    code = ("import sys, threading\n"
+            "import numpy\n"
+            "sys.setswitchinterval(1e-5)\n"
+            "out = {}\n"
+            "def other(form):\n"
+            "    while 'scipy' not in sys.modules:\n"
+            "        pass\n"
+            "    raced = '__version__' not in vars(sys.modules.get('scipy', sys))\n"
+            "    try:\n"
+            "        if form == 'import':\n"
+            "            import scipy.special\n"
+            "            out[form] = raced, float(scipy.special.gamma(5.0))\n"
+            "        elif form == 'from':\n"
+            "            from scipy.special import gamma\n"
+            "            out[form] = raced, float(gamma(5.0))\n"
+            "        else:\n"
+            "            import scipy\n"
+            "            out[form] = raced, float(scipy.stats.norm.cdf(0.0))\n"
+            "    except Exception as exc:\n"
+            "        out[form] = raced, repr(exc)\n"
+            "threads = [threading.Thread(target=other, args=(form,))\n"
+            "           for form in ('import', 'from', 'attr')]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "import renydiv._special as s\n"
+            "for thread in threads:\n"
+            "    thread.join(30)\n"
+            "import scipy.special\n"
+            "print(sorted(out.items()),\n"
+            f"      [getattr(scipy.special, n) is getattr(s, n) for n in {UFUNCS}],\n"
+            "      [thread.is_alive() for thread in threads])\n")
+    assert run_child(code).stdout.strip() == (
+        "[('attr', (True, 0.5)), ('from', (True, 24.0)), ('import', (True, 24.0))] "
+        "[True, True, True] [False, False, False]")
 
 
 def test_out_of_memory_exits_2_naming_the_inputs(tmp_path, monkeypatch, capsys):
@@ -1148,11 +1234,7 @@ def test_pipeline_past_the_address_space_exits_2(tmp_path):
             "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
             "resource.setrlimit(resource.RLIMIT_AS, (held + 2**24, held + 2**24))\n"
             "print(run_cli(['pipeline', sys.argv[1], '--output', sys.argv[1] + '.json']))\n")
-    src = str(Path(renydiv.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
-                         text=True, timeout=60)
+    out = run_child(code, path, check=False)
     assert out.stdout.strip() == "2", out.stderr
     assert out.stderr == (f"error: pipeline ran out of memory on {path} "
                           f"({path.stat().st_size} bytes)\n")

@@ -105,6 +105,21 @@ class TestFit:
         # OLS slope SE on all 165 ranks is a few 1e-3; order-of-magnitude guard
         assert 5e-4 < np.mean(ses) < 0.2
 
+    @pytest.mark.parametrize("m", [3, 165, 100_000])
+    def test_same_bits_as_the_textbook_formula(self, m):
+        # the fit centres in place and forms the residual in place; the arithmetic is the
+        # textbook one's, term by term, so every bit of the result is the same
+        rng = np.random.default_rng(173)
+        c = np.sort(rng.multinomial(10 * m, powerlaw_pmf(0.9, m).probs) + 1)[::-1]
+        x, y = np.log(np.arange(1, m + 1, dtype=float)), np.log(c.astype(float))
+        xbar, ybar = x.mean(), y.mean()
+        sxx = float(((x - xbar) ** 2).sum())
+        slope = float(((x - xbar) * (y - ybar)).sum()) / sxx
+        sse = float(((y - ybar - slope * (x - xbar)) ** 2).sum())
+        fit = fit_powerlaw_ls(c)
+        assert (fit.beta_hat, fit.residual_sse, fit.std_error) == (
+            -slope, sse, math.sqrt(sse / (m - 2) / sxx))
+
     def test_too_few_ranks(self):
         with pytest.raises(DomainError):
             fit_powerlaw_ls([5, 3])
