@@ -88,24 +88,23 @@ def two_sample_chi_square(joint: JointCountTable, p) -> float:
     return _two_sample_chi_square(joint.row_counts(), joint.col_counts(), joint.n, pv.probs)
 
 
-def _null_params(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray, marg: np.ndarray) -> tuple[float, float]:
+def _null_params(a: np.ndarray, b: np.ndarray, diag: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray, vals: np.ndarray, marg: np.ndarray) -> tuple[float, float]:
     """mu_n and gamma_n^2 of an equal-marginal joint s_ij = a_i b_j + v_ij, in O(m + cells).
 
-    v is listed on its cells (rows, cols, vals) in row-major order, each cell at
-    most once and diagonal cells allowed; the marginal `marg` is given explicitly. With
-    x = a^2 / marg, y = b^2 / marg and z = a b / marg, the product part's
-    off-diagonal sum of (a_i b_j + a_j b_i)^2 / (4 marg_i marg_j) is
-    [sum x sum y + (sum z)^2 - 2 sum x y] / 2, which is (sum x)^2 - sum x^2
-    when b is a. The rest of gamma_n^2 sums over the off-diagonal cells
-    [(a_i b_j + a_j b_i) v_ij + (v_ij^2 + v_ij v_ji) / 2] / (marg_i marg_j),
-    where v_ji is the cell's transpose partner (0 when unlisted). Diagonal
-    cells enter only through s_ii, so no sum of diagonal terms is added and
-    then subtracted again.
+    v is given as its diagonal `diag` (an m-vector) and its off-diagonal cells
+    (rows, cols, vals) in row-major order, each at most once (_split_diagonal);
+    the marginal `marg` is given explicitly. With x = a^2 / marg, y = b^2 / marg
+    and z = a b / marg, the product part's off-diagonal sum of
+    (a_i b_j + a_j b_i)^2 / (4 marg_i marg_j) is [sum x sum y + (sum z)^2 - 2 sum x y] / 2,
+    which is (sum x)^2 - sum x^2 when b is a. The rest of gamma_n^2 sums over the
+    off-diagonal cells [(a_i b_j + a_j b_i) v_ij + (v_ij^2 + v_ij v_ji) / 2] / (marg_i marg_j),
+    where v_ji is the cell's transpose partner (0 when unlisted). Diagonal cells
+    enter only through s_ii, so no sum of diagonal terms is added and then
+    subtracted again. Each cell-sized array is updated in place and dropped once read.
     """
     m = marg.size
-    on_diag = rows == cols
-    s_ii = a * b + np.bincount(rows[on_diag], vals[on_diag], minlength=m)
+    s_ii = a * b + diag
     mu = _sum(1.0 - s_ii / marg)
     t1 = _sum(((marg - s_ii) / marg) ** 2)
     x = a * a / marg
@@ -114,22 +113,56 @@ def _null_params(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarra
     else:
         y, z = b * b / marg, a * b / marg
         product = 0.5 * (_sum(x) * _sum(y) + _sum(z) ** 2) - _sum(x * y)
-    off = ~on_diag
-    rows, cols, vals = rows[off], cols[off], vals[off]
     # partner[k]: the value of cell k's transpose, 0 when unlisted. The cells are in
     # row-major order, so a stable sort by column lists their transposed keys ascending
     # (a radix sort for m <= 65536), and one searchsorted of them finds each in the keys.
-    keys = rows * m + cols
+    kt = np.uint32 if m * m <= 2**32 else np.int64
+    keys = _cell_keys(rows, cols, m, kt)
     of = np.argsort(cols.astype(np.min_scalar_type(m - 1)), kind="stable")
-    needles = (cols * m + rows)[of]
-    at = np.minimum(np.searchsorted(keys, needles), keys.size - 1)
+    needles = _cell_keys(cols[of], rows[of], m, kt)
+    at = np.searchsorted(keys, needles)
+    np.minimum(at, keys.size - 1, out=at)
     hit = keys[at] == needles
+    del keys, needles
     partner = np.zeros(vals.size)
     partner[of[hit]] = vals[at[hit]]
-    mm = marg[rows] * marg[cols]
-    cells = _sum((a[rows] * b[cols] + a[cols] * b[rows]) * vals / mm)
-    pairs = _sum((vals * vals + vals * partner) / mm)
+    del of, at, hit
+    mm = marg[rows]
+    mm *= marg[cols]
+    terms = vals * vals  # (v_ij^2 + v_ij v_ji) / mm
+    partner *= vals
+    terms += partner
+    del partner
+    terms /= mm
+    pairs = _sum(terms)
+    np.multiply(a[rows], b[cols], out=terms)  # ((a_i b_j + a_j b_i) v_ij) / mm
+    ab = a[cols]
+    ab *= b[rows]
+    terms += ab
+    del ab
+    terms *= vals
+    terms /= mm
+    del mm
+    cells = _sum(terms)
     return mu, t1 + product + cells + 0.5 * pairs
+
+
+def _cell_keys(major: np.ndarray, minor: np.ndarray, m: int, kt) -> np.ndarray:
+    """major * m + minor as a new array of the key type kt, which holds m * m."""
+    keys = major.astype(kt)
+    keys *= m
+    np.add(keys, minor, out=keys, casting="unsafe")  # exact: every key is below m * m
+    return keys
+
+
+def _split_diagonal(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                    m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(diag, rows, cols, vals): the cells' diagonal as an m-vector, and their
+    off-diagonal cells as new arrays in the same order."""
+    on = rows == cols
+    diag = np.bincount(rows[on], vals[on], minlength=m)
+    off = np.logical_not(on, out=on)
+    return diag, rows[off], cols[off], vals[off]
 
 
 def chi_square_null_params(joint: JointDistribution) -> tuple[float, float]:
@@ -150,8 +183,8 @@ def chi_square_null_params(joint: JointDistribution) -> tuple[float, float]:
         )
     if np.any(p <= 0):
         raise DomainError("null parameters require strictly positive marginals")
-    return _null_params(joint.product_mass * joint.a, joint.b, joint.rows, joint.cols,
-                        joint.vals, p)
+    return _null_params(joint.product_mass * joint.a, joint.b,
+                        *_split_diagonal(joint.rows, joint.cols, joint.vals, p.size), p)
 
 
 def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
@@ -363,18 +396,31 @@ def _shrunken_joint_null_params(joint: JointCountTable, row, col) -> tuple[float
     n = joint.n
     r = 0.5 * (row / n + col / n)
     keep = r > 0
-    pos = np.cumsum(keep) - 1  # category -> index among the kept ones
+    pos = np.cumsum(keep, dtype=np.int32)  # category -> index among the kept ones (m < 2**31)
+    pos -= 1
     rm = r[keep]
     ii, jj = pos[joint.rows], pos[joint.cols]
+    del pos
     c = joint.counts
-    # cell minus product: (1 - w)(n_ij/n - r_i r_j) with w = 1/(1 + n_ij)
-    delta = c / (1.0 + c) * (c / n - rm[ii] * rm[jj])
+    # cell minus product: (1 - w)(n_ij/n - r_i r_j) with w = 1/(1 + n_ij), that is
+    # c / (1.0 + c) * (c / n - rm[ii] * rm[jj]), built in two buffers
+    delta = rm[ii]
+    gap = rm[jj]
+    delta *= gap
+    np.divide(c, n, out=gap)
+    gap -= delta
+    np.add(c, 1.0, out=delta)
+    np.divide(c, delta, out=delta)
+    delta *= gap
+    del gap
     total = _sum(rm) ** 2 + _sum(delta)
     b = rm / math.sqrt(total)
-    v = delta / total
+    v = delta
+    v /= total
     marg = b * _sum(b) + 0.5 * (np.bincount(ii, v, minlength=rm.size)
                                 + np.bincount(jj, v, minlength=rm.size))
-    return _null_params(b, b, ii, jj, v, marg)
+    diag, ii, jj, v = _split_diagonal(ii, jj, v, rm.size)
+    return _null_params(b, b, diag, ii, jj, v, marg)
 
 
 def equality_test(cx=None, cy=None, alpha: float = 0.5, mode: str = "independent",

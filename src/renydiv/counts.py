@@ -11,7 +11,11 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _nonnegative_int64(values, what: str) -> np.ndarray:
-    """values as a new int64 array, rejecting non-integer, negative or too large entries."""
+    """values as an int64 array, rejecting non-integer, negative or too large entries.
+
+    A read-only int64 array that owns its memory, such as a parsed count column,
+    is returned as it is; any other input is copied, so a caller's writable array
+    stays writable and later writes to it do not reach the result."""
     arr = np.asarray(values)
     if arr.dtype == np.uint64 or not np.issubdtype(arr.dtype, np.integer):
         try:
@@ -28,7 +32,7 @@ def _nonnegative_int64(values, what: str) -> np.ndarray:
                                   f"{INT64_MAX}")
         arr = as_int
     else:
-        arr = arr.astype(np.int64)
+        arr = arr.astype(np.int64, copy=arr.flags.writeable or not arr.flags.owndata)
     if np.any(arr < 0):
         raise ValidationError(f"{what} must be non-negative")
     return arr

@@ -18,7 +18,7 @@ class CountTableFile:
     """Parsed tab-separated count table: unique category ids, named count columns."""
 
     categories: np.ndarray  # object array of str, the name table a NameList indexes
-    samples: dict  # name -> np.ndarray of int64, insertion-ordered
+    samples: dict  # name -> np.ndarray of int64, insertion-ordered; read-only when parsed
 
     def count_vector(self, name: str) -> CountVector:
         if name not in self.samples:
@@ -86,6 +86,8 @@ def parse_count_table(path) -> CountTableFile:
     if isinstance(parsed, int):  # refused: the lines up to the failing chunk's end hold the error
         _raise_first_bad_line(path, body[:parsed].split("\n"), len(header))
     categories, columns = parsed
+    for column in columns:  # read-only, so count_vector shares each column
+        column.setflags(write=False)
     return CountTableFile(categories=categories, samples=dict(zip(names, columns)))
 
 

@@ -48,9 +48,13 @@ def powerlaw_model(beta: float, m: int) -> PowerLawModel:
 
 
 def _positive_sorted_counts(c) -> np.ndarray:
-    """The positive counts of c in descending order; a negative or non-finite count is a
-    DomainError that names the first one."""
-    arr = np.asarray(c.counts if isinstance(c, CountVector) else c, dtype=float)
+    """The positive counts of c as floats in descending order, a reversed view of a new
+    array; a negative or non-finite count is a DomainError that names the first one."""
+    if isinstance(c, CountVector):  # checked int64: sorted before the cast, which keeps order
+        arr = c.counts[c.counts > 0]
+        arr.sort()
+        return arr.astype(float)[::-1]
+    arr = np.asarray(c, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"counts must be 1-D, got shape {arr.shape}")
     bad = np.flatnonzero(~((arr >= 0) & (arr < math.inf)))
@@ -58,7 +62,8 @@ def _positive_sorted_counts(c) -> np.ndarray:
         raise DomainError(f"count {float(arr[bad[0]])!r} at index {bad[0]} must be finite "
                           f"and >= 0")
     arr = arr[arr > 0]
-    return np.sort(arr)[::-1]
+    arr.sort()
+    return arr[::-1]
 
 
 def fit_powerlaw_ls(c) -> FitResult:
@@ -74,14 +79,19 @@ def fit_powerlaw_ls(c) -> FitResult:
     k = counts.size
     if k < 3:
         raise DomainError("need at least 3 positive-count ranks to fit")
-    dx = np.log(np.arange(1, k + 1, dtype=float))   # log ranks, centred below
-    dx -= dx.mean()
+    # numpy's log of the reversed view: an in-place log takes the contiguous loop,
+    # whose last bit differs on some counts
     dy = np.log(counts)
+    del counts
     dy -= dy.mean()
-    sxx = float(np.square(dx).sum())
-    slope = float((dx * dy).sum()) / sxx
-    dy -= slope * dx   # the residuals
-    sse = float(np.square(dy).sum())
+    dx = np.arange(1, k + 1, dtype=float)   # log ranks, centred
+    np.log(dx, out=dx)
+    dx -= dx.mean()
+    scratch = np.square(dx)
+    sxx = float(scratch.sum())
+    slope = float(np.multiply(dx, dy, out=scratch).sum()) / sxx
+    dy -= np.multiply(dx, slope, out=scratch)   # the residuals
+    sse = float(np.square(dy, out=scratch).sum())
     se = math.sqrt(sse / (k - 2) / sxx)
     return FitResult(beta_hat=-slope, std_error=se, residual_sse=sse)
 

@@ -86,6 +86,28 @@ class TestCountVector:
         with pytest.raises(ValidationError, match="cell indices must be integers"):
             JointCountTable([0.0, value], [0, 1], [1, 2], 2)
 
+    def test_a_callers_writable_array_is_copied_and_stays_writable(self):
+        arr = np.array([3, 0, 2], dtype=np.int64)
+        cv = CountVector(arr)
+        assert not np.shares_memory(arr, cv.counts)
+        assert arr.flags.writeable and not cv.counts.flags.writeable
+        arr[0] = 7
+        assert cv.counts.tolist() == [3, 0, 2] and cv.n == 5
+
+    def test_a_read_only_view_of_a_writable_array_is_copied(self):
+        base = np.array([3, 0, 2], dtype=np.int64)
+        view = base[:]
+        view.setflags(write=False)
+        cv = CountVector(view)
+        assert not np.shares_memory(base, cv.counts)
+        base[0] = 7
+        assert cv.counts.tolist() == [3, 0, 2]
+
+    def test_a_read_only_int64_array_that_owns_its_memory_is_shared(self):
+        arr = np.array([3, 0, 2], dtype=np.int64)
+        arr.setflags(write=False)
+        assert CountVector(arr).counts is arr
+
 
 TOP = 2**63 - 1
 

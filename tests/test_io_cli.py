@@ -30,6 +30,8 @@ from renydiv.io import (
     write_report_tsv,
 )
 
+from traced import traced_peak
+
 
 def write_table(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
@@ -61,15 +63,6 @@ def write_mixture_table(path, m: int) -> None:
             fh.write(f"g{i:06d}\t{int(cols[0][i])}\t{int(cols[1][i])}\n")
 
 
-def traced_peak(fn):
-    """fn() and the peak of the memory traced while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture
 def two_col(tmp_path):
     path = tmp_path / "counts.tsv"
@@ -95,6 +88,22 @@ class TestParse:
         assert table.sample_names == ["s1"]
         cv = table.count_vector("s1")
         assert cv.n == 10 and cv.m == 3
+
+    def test_count_vector_shares_the_parsed_column(self, tmp_path):
+        path = tmp_path / "pair.tsv"
+        write_table(path, ["category", "x", "y"], [["a", 5, 0], ["b", 3, 1]])
+        table = parse_count_table(path)
+        for name in ("x", "y"):
+            column = table.samples[name]
+            assert not column.flags.writeable
+            assert np.shares_memory(column, table.count_vector(name).counts)
+
+    def test_all_zero_column_text_unchanged(self, tmp_path):
+        path = tmp_path / "zero.tsv"
+        write_table(path, ["category", "x", "y"], [["a", 5, 0], ["b", 3, 0]])
+        with pytest.raises(ValidationError) as info:
+            parse_count_table(path).count_vector("y")
+        assert str(info.value) == "sample column 'y': total count n must be >= 1"
 
     def test_six_sample_schema(self, tmp_path):
         path = tmp_path / "six.tsv"
