@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import ndtr, ndtri
-from .counts import CountVector, JointCountTable, as_count_vector
+from .counts import CountVector, JointCountTable, _cell_keys, as_count_vector
 from .distributions import JointDistribution, _sum, as_prob_vector, check_alpha
 from .errors import (REAL, DegenerateStatisticError, DomainError, ShapeError,
                      UndefinedStatisticError, UsageError, check_number)
@@ -116,10 +116,9 @@ def _null_params(a: np.ndarray, b: np.ndarray, diag: np.ndarray, rows: np.ndarra
     # partner[k]: the value of cell k's transpose, 0 when unlisted. The cells are in
     # row-major order, so a stable sort by column lists their transposed keys ascending
     # (a radix sort for m <= 65536), and one searchsorted of them finds each in the keys.
-    kt = np.uint32 if m * m <= 2**32 else np.int64
-    keys = _cell_keys(rows, cols, m, kt)
+    keys = _cell_keys(rows, cols, m)
     of = np.argsort(cols.astype(np.min_scalar_type(m - 1)), kind="stable")
-    needles = _cell_keys(cols[of], rows[of], m, kt)
+    needles = _cell_keys(cols[of], rows[of], m)
     at = np.searchsorted(keys, needles)
     np.minimum(at, keys.size - 1, out=at)
     hit = keys[at] == needles
@@ -145,14 +144,6 @@ def _null_params(a: np.ndarray, b: np.ndarray, diag: np.ndarray, rows: np.ndarra
     del mm
     cells = _sum(terms)
     return mu, t1 + product + cells + 0.5 * pairs
-
-
-def _cell_keys(major: np.ndarray, minor: np.ndarray, m: int, kt) -> np.ndarray:
-    """major * m + minor as a new array of the key type kt, which holds m * m."""
-    keys = major.astype(kt)
-    keys *= m
-    np.add(keys, minor, out=keys, casting="unsafe")  # exact: every key is below m * m
-    return keys
 
 
 def _split_diagonal(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

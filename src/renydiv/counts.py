@@ -17,6 +17,8 @@ def _nonnegative_int64(values, what: str) -> np.ndarray:
     is returned as it is; any other input is copied, so a caller's writable array
     stays writable and later writes to it do not reach the result."""
     arr = np.asarray(values)
+    if arr.dtype.kind == "c":  # no complex dtype holds counts, 3+0j included
+        raise ValidationError(f"{what} must be integers")
     if arr.dtype == np.uint64 or not np.issubdtype(arr.dtype, np.integer):
         try:
             with np.errstate(invalid="ignore"):  # nan, inf and 1e30 fail the equality below
@@ -63,6 +65,15 @@ def _checked_total(counts: np.ndarray) -> int:
     return total
 
 
+def _cell_keys(major: np.ndarray, minor: np.ndarray, m: int) -> np.ndarray:
+    """The m x m cell keys major * m + minor as a new array, the package's one key: uint32
+    while every key fits 4 bytes (half the bytes to sort or search), int64 otherwise."""
+    keys = major.astype(np.uint32 if m * m <= 2**32 else np.int64)
+    keys *= m
+    np.add(keys, minor, out=keys, casting="unsafe")  # exact: every key is below m * m
+    return keys
+
+
 def _coo_cells(rows, cols, values: np.ndarray, m: int):
     """(rows, cols, values) of COO cells on an m x m grid as new arrays in row-major
     order: int64 indices in 0..m-1, cells whose value is 0 dropped, a cell listed
@@ -76,7 +87,7 @@ def _coo_cells(rows, cols, values: np.ndarray, m: int):
         raise ValidationError(f"cell index outside 0..{m - 1}")
     keep = values > 0
     rows, cols, values = rows[keep], cols[keep], values[keep]
-    flat = rows * m + cols
+    flat = _cell_keys(rows, cols, m)
     if not np.all(flat[1:] > flat[:-1]):
         order = np.argsort(flat)
         flat = flat[order]
@@ -147,7 +158,10 @@ class JointCountTable:
         return out
 
     def marginal_count_vectors(self):
-        return CountVector(self.row_counts()), CountVector(self.col_counts())
+        row, col = self.row_counts(), self.col_counts()
+        row.setflags(write=False)  # read-only owners, which each CountVector shares, not copies
+        col.setflags(write=False)
+        return CountVector(row), CountVector(col)
 
     @classmethod
     def from_dense(cls, matrix) -> "JointCountTable":

@@ -65,6 +65,35 @@ def _sum(values, mult=None) -> float:
     return math.fsum(parts + x.tolist())
 
 
+def _real(values, what: str) -> np.ndarray:
+    """values as a float array, the caller's own if it is one. A complex, str or bytes
+    dtype, or an object array that does not cast to float, is a ValidationError naming
+    what: a cast would drop an imaginary part, or parse a string, without an error."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biufO":
+        try:
+            return np.asarray(arr, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{what} must be real numbers, got dtype {arr.dtype}")
+
+
+def _masses(values, what: str) -> np.ndarray:
+    """_real(values, what), refusing a non-finite entry, then a negative one."""
+    arr = _real(values, what)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} has non-finite entries")
+    if np.any(arr < 0):
+        raise ValidationError(f"{what} has negative entries")
+    return arr
+
+
+def _check_unit_sum(total: float, what: str, error=ValidationError) -> None:
+    """Refuse a total of masses farther than PROB_SUM_TOL from 1, as "{what} sum to ..."."""
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise error(f"{what} sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+
+
 def check_alpha(alpha: float) -> float:
     """Validate the entropy/divergence exponent, restricted to 0 < alpha < 1."""
     return float(check_number("alpha", alpha, REAL, 0, 1, closed=False))
@@ -81,18 +110,11 @@ class ProbVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
+        arr = np.asarray(self.probs)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("probability vector must be 1-D and non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("probability vector has non-finite entries")
-        if np.any(arr < 0):
-            raise ValidationError("probability vector has negative entries")
-        total = _sum(arr)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}"
-            )
+        arr = _masses(arr, "probability vector")
+        _check_unit_sum(_sum(arr), "probabilities")
         _freeze(self, probs=arr.copy())
 
     @property
@@ -109,7 +131,7 @@ def as_prob_vector(p) -> ProbVector:
     """Coerce an array-like or ProbVector into a validated ProbVector."""
     if isinstance(p, ProbVector):
         return p
-    return ProbVector(np.asarray(p, dtype=float))
+    return ProbVector(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,17 +163,9 @@ class JointDistribution:
         if b.size != m:
             raise ShapeError(f"factor sizes differ: {m} vs {b.size}")
         lam = float(check_number("product_mass", self.product_mass, REAL, 0, 1))
-        vals = np.asarray(self.vals, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("joint distribution has non-finite entries")
-        if np.any(vals < 0):
-            raise ValidationError("joint distribution has negative entries")
-        rows, cols, vals = _coo_cells(self.rows, self.cols, vals, m)
-        total = _sum(np.append(vals, lam))
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"joint probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}"
-            )
+        rows, cols, vals = _coo_cells(self.rows, self.cols,
+                                      _masses(self.vals, "joint distribution"), m)
+        _check_unit_sum(_sum(np.append(vals, lam)), "joint probabilities")
         row = lam * a * _sum(b) + np.bincount(rows, vals, minlength=m)
         col = lam * b * _sum(a) + np.bincount(cols, vals, minlength=m)
         _freeze(self, product_mass=lam, a=a, b=b, rows=rows, cols=cols, vals=vals, row=row,
@@ -181,7 +195,7 @@ class JointDistribution:
     def from_dense(cls, matrix) -> "JointDistribution":
         """The joint whose cells are the nonzero entries of a square matrix; its
         product part has mass 0 (a and b are then uniform and weigh nothing)."""
-        mat = np.asarray(matrix, dtype=float)
+        mat = np.asarray(matrix)  # cast by the constructor's intake, which sees its dtype
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValidationError("joint distribution must be a square m x m matrix")
         rows, cols = np.nonzero(mat)

@@ -7,7 +7,7 @@ import sys
 INTEGER = (numbers.Integral, "an integer")
 REAL = (numbers.Real, "a finite real number")
 # the most a size argument (a category count m, or a run's B) may be: one float64 array
-# of that many is already 16 GB, and an m x m cell key rows * m + cols stays below 2**62
+# of that many is already 16 GB, and an m x m cell key of counts._cell_keys stays below 2**62
 M_MAX = 2**31 - 1
 
 

@@ -20,8 +20,9 @@ import numpy as np
 from ._special import ndtr, ndtri
 from .asymptotics import (_null_z, _thinned, _thm1_z, _thm2_z, _thm3_z, _thm4_z,
                           chi_square_null_params, divergence_ci, entropy_ci, lemma2i_standardize)
-from .counts import INT64_MAX, CountVector, JointCountTable
-from .distributions import PROB_SUM_TOL, JointDistribution, ProbVector, _sum, as_prob_vector
+from .counts import INT64_MAX, CountVector, JointCountTable, _cell_keys
+from .distributions import (JointDistribution, ProbVector, _check_unit_sum, _real, _sum,
+                            as_prob_vector)
 from .errors import (INTEGER, M_MAX, REAL, DomainError, UsageError, ValidationError,
                      check_number)
 from .measures import (_pearson_chi_square, _plugin, _plugin_pair, _two_sample_chi_square,
@@ -255,29 +256,28 @@ def sample_joint(joint: JointDistribution, n: int, stream: np.random.Generator) 
     their rows are one multinomial(N, a) draw and their columns N independent
     inverse-CDF draws from b (Devroye 1986, ch. III), each found by the indexed
     search of _inverse_cdf in O(1) expected steps. The other n - N are one
-    multinomial draw over the cells. One np.unique of the cell keys, 4-byte ones
-    while m * m <= 2**32, gives the table, its cells in row-major order.
+    multinomial draw over the cells. One np.unique of their counts._cell_keys gives
+    the table, its cells in row-major order.
     """
     check_number("n", n, INTEGER, 1, INT64_MAX)
     m, lam, vals = joint.m, joint.product_mass, joint.vals
     cell_mass = _sum(vals)
     n_product = int(stream.binomial(n, lam / (lam + cell_mass)))
-    key = np.uint32 if m * m <= 2**32 else np.int64  # half the bytes for np.unique to sort
-    keys = np.repeat(np.arange(0, m * m, m, dtype=key), stream.multinomial(n_product, joint.a))
     cdf = np.cumsum(joint.b)
     cdf /= cdf[-1]  # so every uniform draw in [0, 1) falls below the last step
-    keys += _inverse_cdf(cdf, stream.random(n_product)).astype(key, copy=False)
+    # int32 rows, 4 bytes a draw: a probability vector of M_MAX floats is already 16 GB
+    rows = np.repeat(np.arange(m, dtype=np.int32), stream.multinomial(n_product, joint.a))
+    keys = _cell_keys(rows, _inverse_cdf(cdf, stream.random(n_product)), m)
     if vals.size:
         per_cell = stream.multinomial(n - n_product, vals / cell_mass)
-        cells = (joint.rows * m + joint.cols).astype(key, copy=False)
-        keys = np.concatenate([keys, np.repeat(cells, per_cell)])
+        keys = np.concatenate([keys, np.repeat(_cell_keys(joint.rows, joint.cols, m), per_cell)])
     keys, counts = np.unique(keys, return_counts=True)
     return JointCountTable(keys // m, keys % m, counts, m)
 
 
 def ks_distance_normal(samples) -> float:
     """sup-norm distance between the empirical CDF and the standard normal CDF."""
-    x = np.asarray(samples, dtype=float)
+    x = _real(samples, "samples")
     if x.ndim != 1:
         raise ValidationError(f"samples must be 1-D, got shape {x.shape}")
     b = x.size
@@ -311,9 +311,7 @@ def mixture_distribution(signal_beta: float, signal_m: int, signal_fraction: flo
         raise UsageError("need matching, non-empty noise block sizes and fractions")
     _check_field("signal_m", signal_m)
     _check_field("signal_fraction", signal_fraction)
-    total = _sum(fracs) + signal_fraction
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise DomainError(f"mixture masses sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+    _check_unit_sum(_sum(fracs) + signal_fraction, "mixture masses", DomainError)
     parts = [np.full(s, f / s) for s, f in zip(sizes, fracs)]
     parts.append(signal_fraction * powerlaw_pmf(signal_beta, signal_m).probs)
     return ProbVector(np.concatenate(parts))
@@ -428,11 +426,13 @@ def simulate_statistic(cfg: SimConfig) -> SimRun:
     """Draw B replicates of the selected normalized statistic.
 
     Replicate r uses the child stream (master_seed, r); the result is
-    bit-identical across worker counts. Degenerate statistic/family pairings
-    raise before any sampling; thm3 with n <= m raises the undefined-statistic
-    error the theorem's centering forces.
+    bit-identical across worker counts. Degenerate statistic/family pairings, and
+    then B < 2, which leaves no KS distance, raise before any sampling; thm3 with
+    n <= m raises the undefined-statistic error the theorem's centering forces.
     """
     population, z, _, _ = _setup(cfg)
+    if cfg.B < 2:
+        raise DomainError(f"config key B = {cfg.B!r}: simulate needs B >= 2 for its KS distance")
     samples = _run_replicates(cfg, population, z)
     ks = ks_distance_normal(samples)
     sorted_samples = np.sort(samples)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import CountVector
-from .distributions import ProbVector, _sum
+from .distributions import ProbVector, _real, _sum
 from .errors import INTEGER, M_MAX, REAL, DomainError, ShapeError, ValidationError, check_number
 
 
@@ -54,7 +54,7 @@ def _positive_sorted_counts(c) -> np.ndarray:
         arr = c.counts[c.counts > 0]
         arr.sort()
         return arr.astype(float)[::-1]
-    arr = np.asarray(c, dtype=float)
+    arr = _real(c, "counts")
     if arr.ndim != 1:
         raise ValidationError(f"counts must be 1-D, got shape {arr.shape}")
     bad = np.flatnonzero(~((arr >= 0) & (arr < math.inf)))

@@ -169,3 +169,43 @@ def test_arrays_are_read_only_and_owned(name):
             arr += 1
     for key, arr in held.items():
         assert np.array_equal(arr, before[key]), key
+
+
+# the cells of a table on an m x m grid, and what the constructor keeps of their values;
+# a JointDistribution puts all its mass in the cells, 2**-1 .. 2**-7 and 2**-7 again
+_TABLES = {
+    "JointCountTable": (JointCountTable, "counts", np.arange(1, 9)),
+    "JointDistribution": (lambda rows, cols, vals, m: JointDistribution(
+        ProbVector.uniform(m), ProbVector.uniform(m), 0.0, rows, cols, vals),
+        "vals", 2.0 ** -np.array([1, 2, 3, 4, 5, 6, 7, 7])),
+}
+
+
+def _edge_cells(m):
+    """Eight cells given out of row-major order, the last cell (m - 1, m - 1) among them;
+    at m = 65,537 a 4-byte key of that cell would wrap onto the key of (1, m - 2)."""
+    return np.array([(m - 1, 0), (0, m - 1), (m - 1, m - 1), (1, m - 2), (0, 0),
+                     (m // 2, m // 2), (m - 2, 1), (m - 1, m - 2)]).T
+
+
+# 65,536 is the last m whose last key m * m - 1 = 2**32 - 1 fits uint32; 65,537 takes int64
+@pytest.mark.parametrize("m", [65_536, 65_537])
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_cells_reordered_at_the_key_width_switch(name, m):
+    make, field, vals = _TABLES[name]
+    rows, cols = _edge_cells(m)
+    table = make(rows, cols, vals, m)
+    order = np.argsort(rows.astype(np.int64) * m + cols)  # the int64 reference
+    assert np.array_equal(table.rows, rows[order])
+    assert np.array_equal(table.cols, cols[order])
+    assert np.array_equal(getattr(table, field), vals[order])
+
+
+@pytest.mark.parametrize("m", [65_536, 65_537])
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_duplicate_last_cell_refused_at_the_key_width_switch(name, m):
+    make, _, vals = _TABLES[name]
+    rows, cols = _edge_cells(m)
+    rows, cols = np.append(rows, m - 1), np.append(cols, m - 1)  # key m * m - 1 twice
+    with pytest.raises(ValidationError, match="duplicate cells in the joint table"):
+        make(rows, cols, np.append(vals, vals[-1]), m)

@@ -11,8 +11,9 @@ from renydiv import (CountVector, DomainError, JointCountTable, JointDistributio
                      ValidationError, bhattacharyya_v_variance, chi_square_null_params, cli,
                      cross_power_sum, divergence_ci, diversity_pipeline, entropy_ci,
                      filter_noise, fit_powerlaw_ls, hill_ci, ks_distance_normal, ld_diagnostic,
-                     mixture_distribution, noise_and_signal_w_variance, powerlaw_model,
-                     powerlaw_pmf, powerlaw_qq, projection_v_moments, renyi_divergence,
+                     mixture_distribution, noise_and_signal_w_variance, power_sum,
+                     powerlaw_model, powerlaw_pmf, powerlaw_qq, projection_v_moments,
+                     renyi_divergence,
                      sample_joint, sample_multinomial, simulate_statistic,
                      two_sample_chi_square, v_moments_independent)
 from renydiv.asymptotics import _z_level
@@ -48,6 +49,13 @@ def _pipeline_bad_level(monkeypatch, tmp_path):
     return ["pipeline", _write(tmp_path, "t.tsv", "id\tx\ty\n" + rows), "--level", "1.5"]
 
 
+def _one_replicate(monkeypatch, tmp_path):
+    # refused before its replicate is drawn, by the key, not by the KS distance's "need at
+    # least 2 samples"
+    config = POWER_LAW.replace("B = 5", "B = 1")
+    return ["simulate", "--config", _write(tmp_path, "sim.cfg", config)]
+
+
 def _command_bug(monkeypatch, tmp_path):
     def broken(args):
         raise RuntimeError("a bug")
@@ -60,6 +68,7 @@ def _command_bug(monkeypatch, tmp_path):
     (_no_equals_sign, 2, "line 7: expected key = value"),
     (_bad_env_seed, 2, "error: invalid RENYDIV_SEED value '12abc'"),
     (_pipeline_bad_level, 2, "error: level = 1.5 must lie in (0, 1)"),
+    (_one_replicate, 2, "error: config key B = 1: simulate needs B >= 2 for its KS distance"),
     (_command_bug, 1, "internal error: RuntimeError: a bug"),
 ])
 def test_cli_errors(monkeypatch, tmp_path, capsys, argv, code, text):
@@ -123,6 +132,9 @@ def test_asymptotics_errors(call, error, text):
     pytest.param(lambda: JointCountTable([], [], [], 0), "m = 0 must lie in [1, 2147483647]",
                  id="<lambda>-m = 0 must lie in [1, inf)"),
     (lambda: JointCountTable.from_dense([[1, 2, 3], [4, 5, 6]]), "must be square"),
+    # any complex dtype, not only one with an imaginary part
+    pytest.param(lambda: CountVector(np.array([3 + 0j, 1])), "counts must be integers",
+                 id="complex-3+0j"),
 ])
 def test_counts_errors(call, text):
     if text is None:
@@ -140,6 +152,25 @@ def test_counts_errors(call, text):
                  id="<lambda>-DomainError-m = 0 must lie in [1, inf)"),
     (lambda: JointDistribution.diagonal_mix([0.5, 0.5], 1.5), DomainError,
      "diag_weight = 1.5 must lie in [0, 1]"),
+    # complex, str and uncastable object masses are refused, not cast: a cast drops the
+    # imaginary part behind a ComplexWarning
+    pytest.param(lambda: ProbVector(np.array([0.5 + 1j, 0.5])), ValidationError,
+                 "probability vector must be real numbers, got dtype complex128",
+                 id="complex-ProbVector"),
+    pytest.param(lambda: power_sum(np.array([0.5 + 7j, 0.5]), 0.5), ValidationError,
+                 "probability vector must be real numbers, got dtype complex128",
+                 id="complex-power_sum"),
+    pytest.param(lambda: ProbVector(np.array([0.5 + 1j, 0.5], dtype=object)), ValidationError,
+                 "probability vector must be real numbers, got dtype object",
+                 id="object-complex-ProbVector"),
+    pytest.param(lambda: ProbVector(np.array(["0.5", "0.5"])), ValidationError,
+                 "probability vector must be real numbers, got dtype <U3", id="str-ProbVector"),
+    pytest.param(lambda: JointDistribution([.5, .5], [.5, .5], .5, [0], [0], [0.5 + 2j]),
+                 ValidationError, "joint distribution must be real numbers, got dtype complex128",
+                 id="complex-JointDistribution-cells"),
+    pytest.param(lambda: JointDistribution.from_dense(np.array([[0.5 + 1j, 0], [0, 0.5]])),
+                 ValidationError, "joint distribution must be real numbers, got dtype complex128",
+                 id="complex-from_dense"),
 ])
 def test_distributions_errors(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
@@ -190,6 +221,12 @@ _STREAM = np.random.default_rng(0)
     (lambda: ks_distance_normal([[0.1, 0.2], [0.3, 0.4]]), ValidationError,
      "samples must be 1-D, got shape (2, 2)"),
     (lambda: ks_distance_normal(0.5), ValidationError, "samples must be 1-D, got shape ()"),
+    pytest.param(lambda: ks_distance_normal(np.array([0.5 + 1j, 0.1, -0.3])), ValidationError,
+                 "samples must be real numbers, got dtype complex128",
+                 id="complex-ks_distance_normal"),
+    pytest.param(lambda: simulate_statistic(_power_law(n_override=20, B=1)), DomainError,
+                 "config key B = 1: simulate needs B >= 2 for its KS distance",
+                 id="simulate-B-1"),
 ])
 def test_montecarlo_errors(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
@@ -202,6 +239,10 @@ def test_montecarlo_errors(call, error, text):
     (lambda: powerlaw_qq([[9, 4], [2, 1]], powerlaw_model(1.0, 4)), ValidationError,
      "counts must be 1-D, got shape (2, 2)"),
     (lambda: powerlaw_qq([9, 4, 2, 1], 5), ShapeError, "powerlaw_qq expects a PowerLawModel"),
+    pytest.param(lambda: fit_powerlaw_ls(np.array([3 + 1j, 2, 1])), ValidationError,
+                 "counts must be real numbers, got dtype complex128", id="complex-fit"),
+    pytest.param(lambda: fit_powerlaw_ls(["a", "b", "c"]), ValidationError,
+                 "counts must be real numbers, got dtype <U1", id="str-fit"),
 ])
 def test_powerlaw_errors(call, error, text):
     with pytest.raises(error, match=re.escape(text)):

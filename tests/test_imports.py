@@ -1,11 +1,14 @@
 """Every name a src module imports at top level is read somewhere in that module, every
-private module-level name is read somewhere in src, and only _special imports scipy.
+private module-level name is read somewhere in src, only _special imports scipy, and
+only its owner reads the name of a decision that one module makes.
 
 The first is ruff's unused-import rule, written with the standard library's ast module
 so it runs without a linter installed. The package __init__ re-exports its imports and
 is left out; `from __future__ import annotations` binds nothing that is read. The second
 fails on a private helper, class or constant that only the tests still reach. The third
-keeps out of every other module the scipy package imports that _special avoids.
+keeps out of every other module the scipy package imports that _special avoids. The
+fourth keeps the cell key's width with counts._cell_keys and the tolerance of a sum of
+masses with distributions.
 """
 import ast
 from pathlib import Path
@@ -105,3 +108,35 @@ def test_check_finds_a_scipy_import():
               "from .scipy import x\nimport scipyx\ndef f():\n    from scipy import special\n")
     assert scipy_imports(source) == [
         "line 1: scipy", "line 2: scipy.stats", "line 3: scipy.special", "line 7: scipy"]
+
+
+# a name and the one src module that may read it: np.uint32 picks the m x m cell key's
+# width, and PROB_SUM_TOL the distance from 1 that a sum of masses may take
+OWNERS = {"uint32": "counts.py", "PROB_SUM_TOL": "distributions.py"}
+
+
+def reads_of(source: str, name: str) -> list[int]:
+    """The lines of source that read name: as a name, an attribute or an imported name."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, (ast.Import, ast.ImportFrom))
+                and any(alias.name == name for alias in node.names)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", sorted(OWNERS))
+def test_only_the_owner_reads_a_decision(name):
+    readers = {path.name: lines for path in sorted(SRC.glob("*.py"))
+               if (lines := reads_of(path.read_text(encoding="utf-8"), name))}
+    assert list(readers) == [OWNERS[name]], readers
+
+
+def test_check_finds_the_reads_of_a_name():
+    source = ("PROB_SUM_TOL = 1e-12\nimport numpy as np\nkey = np.uint32\n"
+              "from .distributions import PROB_SUM_TOL\nif abs(t) > PROB_SUM_TOL:\n    pass\n"
+              "uint32_keys = 'np.uint32'\n")
+    assert reads_of(source, "uint32") == [3]
+    assert reads_of(source, "PROB_SUM_TOL") == [4, 5]

@@ -1,4 +1,5 @@
-"""Traced-memory bounds of the kernels that build their cell- and rank-sized arrays in place.
+"""Traced-memory bounds of the kernels that build their cell- and rank-sized arrays in place,
+and of the marginals a joint table shares with its count vectors.
 
 The paired null parameters hold a few bytes per cell beyond the table, and the
 power-law fit about three float arrays of the positive ranks; the code before
@@ -29,3 +30,17 @@ def test_fit_powerlaw_ls_holds_three_rank_arrays(kind):
     fit, peak = traced_peak(lambda: fit_powerlaw_ls(arg))
     assert np.isfinite(fit.beta_hat)
     assert peak <= 3 * 8 * k + k, peak
+
+
+def test_marginal_count_vectors_share_their_fresh_arrays():
+    # two m-sized int64 marginals and no copy of either (the copies peaked at 25 bytes
+    # per category); row_counts() and col_counts() still hand out writable arrays
+    m = 200_000
+    rng = np.random.default_rng(3)
+    flat = np.unique(rng.integers(0, m * m, 20_000))
+    table = JointCountTable(flat // m, flat % m, rng.integers(1, 50, flat.size), m)
+    (row, col), peak = traced_peak(table.marginal_count_vectors)
+    assert np.array_equal(row.counts, table.row_counts())
+    assert np.array_equal(col.counts, table.col_counts())
+    assert peak <= 2 * 8 * m + 2 * m, peak
+    assert table.row_counts().flags.writeable and table.col_counts().flags.writeable

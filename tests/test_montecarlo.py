@@ -317,7 +317,7 @@ class TestSimulateStatistic:
         # Binomial(1, 1e-9) is empty on every redraw; the harness no longer
         # clamps the sample size up to 1
         cfg = SimConfig(family="uniform", m=2, statistic="lemma2_pearson", n_override=1,
-                        thinning_tau=1e-9, B=1)
+                        thinning_tau=1e-9, B=2)
         with pytest.raises(DomainError, match="tau"):
             simulate_statistic(cfg)
 
@@ -444,6 +444,13 @@ class TestExperiments:
                         m=20, epsilon=1.0, B=10, master_seed=0)
         with pytest.raises(UsageError):
             coverage_experiment(cfg, 0.95)
+
+    def test_one_replicate_is_an_experiment(self):
+        # only simulate needs B >= 2, for its KS distance; a mean of one replicate is defined
+        cfg = SimConfig(family="power_law", beta=1.0, m=50, n_override=2000,
+                        statistic="thm1_entropy", alpha=0.5, B=1, master_seed=11)
+        assert coverage_experiment(cfg, 0.95) in (0.0, 1.0)
+        assert math.isfinite(bias_experiment(cfg))
 
     def test_bias_direction_and_size(self):
         cfg = SimConfig(family="power_law", beta=1.0, m=100, n_override=10**5,
