@@ -67,10 +67,13 @@ def _sum(values, mult=None) -> float:
 
 def _real(values, what: str) -> np.ndarray:
     """values as a float array, the caller's own if it is one. A complex, str or bytes
-    dtype, or an object array that does not cast to float, is a ValidationError naming
-    what: a cast would drop an imaginary part, or parse a string, without an error."""
+    dtype, or an object array with a complex entry or that does not cast to float, is a
+    ValidationError naming what: a cast would drop an imaginary part, or parse a string."""
     arr = np.asarray(values)
-    if arr.dtype.kind in "biufO":
+    # a numpy complex entry casts through its __float__, with only a ComplexWarning
+    complex_entry = arr.dtype.kind == "O" and any(
+        isinstance(v, (complex, np.complexfloating)) for v in arr.flat)
+    if arr.dtype.kind in "biufO" and not complex_entry:
         try:
             return np.asarray(arr, dtype=float)
         except (TypeError, ValueError):

@@ -94,19 +94,18 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
 
     The strata are the distinct positive counts and their multiplicities,
     so each candidate's statistic comes in O(1) from exact integer sums of c
-    and c^2. Only the noise needs category order: one stable sort of the
-    counts capped at the first signal value, a small unsigned key, puts the
-    noise in ascending order, ties by category index, and every component is
-    a slice of it.
+    and c^2. Only the noise needs category order: one stable sort of a small
+    unsigned key, each count capped at the first signal value less 1 (a zero
+    wraps past them all), lists the noise first, ascending, ties by category
+    index; only that prefix is kept, and every component is a slice of it.
     """
     zcrit = _z_level(level, two_sided=False)
     check_number("max_K", max_K, INTEGER, 1, math.inf)
     cv = as_count_vector(c)
     counts = cv.counts
     n = cv.n
-    zeros = cv.m - cv.m_observed
     distinct, mult = np.unique(counts, return_counts=True)
-    skip = int(zeros > 0)  # zero counts form no stratum
+    skip = int(distinct[0] == 0)  # zero counts form no stratum
     # values: the distinct positive counts; size[j]: categories below the j-th of them
     values = distinct[skip:].tolist()
     size = [0, *np.cumsum(mult[skip:]).tolist()]
@@ -131,12 +130,14 @@ def filter_noise(c, level: float = 0.01, max_K: int = 2) -> MixtureDecomposition
 
     stop = blocks[-1][1] if blocks else 0  # strata below stop are noise
     cutoff = values[stop - 1] if stop else 0
-    # every signal count keyed as the first value above the cutoff: the stable sort
-    # (radix for a key of up to 16 bits) puts zeros first, then stratum j of the
-    # noise at order[size[j]:size[j + 1]], ties by category index
+    # every signal count keyed as the first value above the cutoff, less 1 so that a zero
+    # wraps past every count: the stable sort (radix for a key of up to 16 bits) puts
+    # stratum j of the noise at order[size[j]:size[j + 1]], ties by category index
     top = values[stop] if stop < len(values) else cutoff
     key = np.minimum(counts, top).astype(np.min_scalar_type(top))
-    order = np.argsort(key, kind="stable")[zeros:zeros + size[stop]]
+    key -= 1
+    order = np.argsort(key, kind="stable")
+    order.resize(size[stop], refcheck=False)  # fresh, unviewed; a tracer's locals fail refcheck
     components = []
     for lo, hi, total in blocks:
         mean_count = total / (size[hi] - size[lo])
@@ -181,8 +182,10 @@ def diversity_pipeline(cx, cy, alpha: float = 0.5,
     keep = (cvx.counts > shared_cutoff) & (cvy.counts > shared_cutoff)
     if not keep.any():
         raise NoSignalError("no category exceeds the shared noise cutoff in both samples")
-    sx = CountVector(cvx.counts[keep])
-    sy = CountVector(cvy.counts[keep])
+    sx, sy = cvx.counts[keep], cvy.counts[keep]
+    sx.setflags(write=False)  # read-only owners, which each CountVector shares, not copies
+    sy.setflags(write=False)
+    sx, sy = CountVector(sx), CountVector(sy)
 
     eq = equality_test(sx, sy, alpha=alpha, mode="independent")
     rejected = eq.p_value < cfg.equality_level

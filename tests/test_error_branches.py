@@ -145,6 +145,9 @@ def test_counts_errors(call, text):
         call()
 
 
+_NP_COMPLEX = np.complex128(0.5 + 1j)
+
+
 @pytest.mark.parametrize("call, error, text", [
     (lambda: ProbVector([[0.5, 0.5]]), ValidationError, "must be 1-D and non-empty"),
     (lambda: ProbVector([0.5, np.nan]), ValidationError, "non-finite entries"),
@@ -163,6 +166,14 @@ def test_counts_errors(call, text):
     pytest.param(lambda: ProbVector(np.array([0.5 + 1j, 0.5], dtype=object)), ValidationError,
                  "probability vector must be real numbers, got dtype object",
                  id="object-complex-ProbVector"),
+    # a numpy complex scalar casts to float through its __float__, with only a warning
+    pytest.param(lambda: ProbVector(np.array([_NP_COMPLEX, 0.5], dtype=object)),
+                 ValidationError, "probability vector must be real numbers, got dtype object",
+                 id="object-numpy-complex-ProbVector"),
+    pytest.param(lambda: JointDistribution([.5, .5], [.5, .5], .5, [0], [0],
+                                           np.array([np.complex64(0.5)], dtype=object)),
+                 ValidationError, "joint distribution must be real numbers, got dtype object",
+                 id="object-numpy-complex-JointDistribution-cells"),
     pytest.param(lambda: ProbVector(np.array(["0.5", "0.5"])), ValidationError,
                  "probability vector must be real numbers, got dtype <U3", id="str-ProbVector"),
     pytest.param(lambda: JointDistribution([.5, .5], [.5, .5], .5, [0], [0], [0.5 + 2j]),
@@ -224,6 +235,9 @@ _STREAM = np.random.default_rng(0)
     pytest.param(lambda: ks_distance_normal(np.array([0.5 + 1j, 0.1, -0.3])), ValidationError,
                  "samples must be real numbers, got dtype complex128",
                  id="complex-ks_distance_normal"),
+    pytest.param(lambda: ks_distance_normal(np.array([_NP_COMPLEX, 0.1, -0.3], dtype=object)),
+                 ValidationError, "samples must be real numbers, got dtype object",
+                 id="object-numpy-complex-ks_distance_normal"),
     pytest.param(lambda: simulate_statistic(_power_law(n_override=20, B=1)), DomainError,
                  "config key B = 1: simulate needs B >= 2 for its KS distance",
                  id="simulate-B-1"),
@@ -241,6 +255,9 @@ def test_montecarlo_errors(call, error, text):
     (lambda: powerlaw_qq([9, 4, 2, 1], 5), ShapeError, "powerlaw_qq expects a PowerLawModel"),
     pytest.param(lambda: fit_powerlaw_ls(np.array([3 + 1j, 2, 1])), ValidationError,
                  "counts must be real numbers, got dtype complex128", id="complex-fit"),
+    pytest.param(lambda: fit_powerlaw_ls(np.array([np.complex128(3 + 1j), 2, 1], dtype=object)),
+                 ValidationError, "counts must be real numbers, got dtype object",
+                 id="object-numpy-complex-fit"),
     pytest.param(lambda: fit_powerlaw_ls(["a", "b", "c"]), ValidationError,
                  "counts must be real numbers, got dtype <U1", id="str-fit"),
 ])

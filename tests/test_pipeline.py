@@ -1,5 +1,6 @@
 """Noise filtering, the two-sample pipeline, and the multi-pair homogeneity test."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +113,29 @@ class TestFilterNoise:
             dec = filter_noise(CountVector(c))
             hits += dec.cutoff_k_m == int(c[:NOISE_CATS].max())
         assert hits >= 9
+
+    def test_same_under_a_tracer_that_reads_frame_locals(self):
+        # a debugger's view of the locals holds extra references to filter_noise's
+        # arrays; the in-place cut of its fresh argsort must not check for them
+        c = np.random.default_rng(216).multinomial(N_TABLE, table1_style_mixture().probs)
+
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            traced = filter_noise(c)
+        finally:
+            sys.settrace(previous)
+        plain = filter_noise(c)
+        assert traced.noise_components
+        assert [(x.categories.tolist(), x.level) for x in traced.noise_components] == \
+            [(x.categories.tolist(), x.level) for x in plain.noise_components]
+        assert np.array_equal(traced.signal_categories, plain.signal_categories)
+        assert (traced.cutoff_k_m, traced.noise_fraction) == (plain.cutoff_k_m,
+                                                              plain.noise_fraction)
 
 
 class TestDiversityPipeline:
