@@ -25,7 +25,7 @@ from .errors import (REAL, DegenerateStatisticError, DomainError, ShapeError,
 from .measures import (_count, _distinct, _pearson_chi_square, _plugin, _plugin_pair,
                        _power_sum, _two_sample_chi_square)
 from .projections import (LDReport, _degenerate, _ld_report, _v_moments_cells,
-                          _v_moments_independent, _v_ratio_sum, _w_moments)
+                          _v_moments_independent, _w_moments)
 
 MARGINAL_EQUALITY_TOL = 1e-9
 # draws of a thinned sample before an all-empty result raises
@@ -204,7 +204,7 @@ def entropy_ci(c, alpha: float, level: float = 0.95) -> EstimateWithCI:
         )
     est = math.log(s_a) / (1.0 - alpha)
     se = w.cv * alpha / ((1.0 - alpha) * math.sqrt(cv.n))
-    ld = _ld_report(m, cv.n, float(phat.min()), w, _power_sum(phat, alpha - 1.0, mult))
+    ld = _ld_report(cv.n, alpha, phat, mult, w=w)
     return EstimateWithCI(
         estimate=est, level=level, lower=est - z * se, upper=est + z * se,
         std_error=se, n=cv.n, m=m, method="thm1", ld=ld,
@@ -284,15 +284,8 @@ def divergence_ci(cx, cy, alpha: float, level: float = 0.95,
             "degenerate; use equality_test instead"
         )
     se = v.cv / ((1.0 - alpha) * math.sqrt(n_eff))
-    ld = None
     # the LD conditions need strictly positive masses on the whole universe
-    if shared.all():
-        w = _w_moments(_power_sum(phat, alpha, mult),
-                       _power_sum(phat, 2.0 * alpha - 1.0, mult), alpha)
-        ld = _ld_report(
-            cvx.m, int(round(n_eff)), min(float(phat.min()), float(qhat.min())), w,
-            _power_sum(phat, alpha - 1.0, mult), v, _v_ratio_sum(phat, qhat, alpha, mult),
-        )
+    ld = _ld_report(round(n_eff), alpha, phat, mult, qhat, v=v) if shared.all() else None
     return EstimateWithCI(
         estimate=est, level=level, lower=est - z * se,
         upper=est + z * se, std_error=se,

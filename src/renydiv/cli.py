@@ -14,7 +14,7 @@ from .io import NameList, parse_count_table, read_text, write_report, write_repo
 from .montecarlo import SimConfig, simulate_statistic
 from .pipeline import PipelineConfig, diversity_pipeline, filter_noise, homogeneity_test
 from .powerlaw import fit_powerlaw_ls
-from .projections import ADVISORY_MARGINAL, ADVISORY_PASS, _quotient
+from .projections import ADVISORY_MARGINAL, ADVISORY_PASS, _ld_failures
 
 ENV_SEED = "RENYDIV_SEED"
 
@@ -247,11 +247,8 @@ def _warn_ld_failures(report, key: str = "") -> None:
         for name, value in report.items():
             _warn_ld_failures(value, f"{key}.{name}" if key else str(name))
     elif isinstance(report, EstimateWithCI) and report.ld is not None:
-        for condition in [c for c, label in report.ld.advisories.items() if label == "fail"]:
-            kind = condition.removesuffix("_clt")  # entropy or divergence
-            quotient = _quotient(getattr(report.ld, f"{kind}_condition"),
-                                 getattr(report.ld, f"degenerate_{kind}_condition"))
-            hint = "; near p = q use the equality test" if kind == "divergence" else ""
+        for condition, quotient in _ld_failures(report.ld):
+            hint = "; near p = q use the equality test" if condition == "divergence_clt" else ""
             print(f"warning: {key}: {condition} fail, quotient {quotient:.3g} >= "
                   f"{ADVISORY_MARGINAL} (pass below {ADVISORY_PASS}): the interval may not "
                   f"cover{hint}", file=sys.stderr)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .counts import INT64_MAX
 from .distributions import _sum, as_prob_vector, check_alpha
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 # fewer categories than this are summed one term each: at m = 1000 the sort that
 # groups them costs more than the grouped sums save
@@ -167,6 +167,8 @@ def renyi_divergence(p, q, alpha: float) -> CrossPowerSum:
     """
     alpha = check_alpha(alpha)
     s = cross_power_sum(p, q, alpha)
+    if s == 0.0:
+        raise DomainError("no shared support between p and q: S_a(p, q) = 0 and D_a is infinite")
     value = math.log(s) / (alpha - 1.0)
     return CrossPowerSum(value, p_mass_on_null_support=s.p_mass_on_null_support)
 

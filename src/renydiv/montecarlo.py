@@ -381,6 +381,9 @@ def _statistic(cfg: SimConfig, population):
         return (lambda draw: lemma2i_standardize(_pearson_chi_square(*draw, population.probs),
                                                  cfg.m), None, None)
     mu, gamma_sq = chi_square_null_params(population)
+    if gamma_sq == 0.0:
+        raise UsageError(f"{statistic} is degenerate at config key diag_weight = "
+                         f"{cfg.diag_weight!r}: the two samples are identical (gamma_n = 0)")
     gamma = math.sqrt(gamma_sq)
     if statistic == "lemma2_two_sample":
         return (lambda draw: _null_z(_two_sample_chi_square(*draw, population.a), mu, gamma),

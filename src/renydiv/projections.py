@@ -61,19 +61,12 @@ def _w_moments(s_a: float, s_2a_minus_1: float, alpha: float) -> ProjectionMomen
     return _moments(alpha * s_a, alpha * alpha * s_2a_minus_1)
 
 
-def _v_part(w: np.ndarray, ratio: np.ndarray, coef: float, mult=None) -> tuple[float, float]:
-    """E X and E X^2 for X = coef * ratio taking its values with weights w, each
-    term taken mult times."""
-    vals = coef * ratio
-    return _sum(w * vals, mult), _sum(w * vals**2, mult)
-
-
 def _v_product_parts(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray,
                      alpha: float, mult=None) -> tuple[float, float, float, float]:
     """E A, E A^2 over weights a and E B, E B^2 over weights b, for
     A_i = a (q_i/p_i)^(1-a) and B_j = (1-a) (p_j/q_j)^a; p and q are positive."""
-    return (*_v_part(a, (q / p) ** (1.0 - alpha), alpha, mult),
-            *_v_part(b, (p / q) ** alpha, 1.0 - alpha, mult))
+    va, vb = alpha * (q / p) ** (1.0 - alpha), (1.0 - alpha) * (p / q) ** alpha
+    return _sum(a * va, mult), _sum(a * va**2, mult), _sum(b * vb, mult), _sum(b * vb**2, mult)
 
 
 def _v_moments_independent(p: np.ndarray, q: np.ndarray, alpha: float,
@@ -84,6 +77,8 @@ def _v_moments_independent(p: np.ndarray, q: np.ndarray, alpha: float,
     contributes nothing.
     """
     shared = (p > 0) & (q > 0)
+    if not shared.any():
+        raise DomainError("no shared support between p and q: V is undefined")
     ps, qs = p[shared], q[shared]
     ea, ea2, eb, eb2 = _v_product_parts(ps, qs, ps, qs, alpha, _masked(mult, shared))
     # E V^2 = E A^2 + 2 E A E B + E B^2 since A and B are independent
@@ -233,32 +228,30 @@ def ld_diagnostic(p, q, n: int, alpha: float) -> LDReport:
     alpha = check_alpha(alpha)
     check_number("n", n, INTEGER, 1, INT64_MAX)
     p, q = (as_prob_vector(p).probs, None) if q is None else _prob_pair(p, q)
-    p_star = float(p.min()) if q is None else min(float(p.min()), float(q.min()))
-    if p_star <= 0:
+    if p.min() <= 0 or q is not None and q.min() <= 0:
         raise DomainError("ld_diagnostic requires strictly positive masses")
-    w = _w_moments(_power_sum(p, alpha), _power_sum(p, 2.0 * alpha - 1.0), alpha)
-    sum_p_am1 = _power_sum(p, alpha - 1.0)
-    if q is None:
-        return _ld_report(p.size, n, p_star, w, sum_p_am1)
-    v = _v_moments_independent(p, q, alpha)
-    return _ld_report(p.size, n, p_star, w, sum_p_am1, v, _v_ratio_sum(p, q, alpha))
+    return _ld_report(n, alpha, p, q=q)
 
 
-def _ld_report(m: int, n: int, p_star: float, w: ProjectionMoments, sum_p_am1: float,
-               v: ProjectionMoments | None = None, ratio_sum: float | None = None) -> LDReport:
-    """The LD quotients from sums already computed; v and ratio_sum only with a q.
-
-    w holds the W moments of p and sum_p_am1 = S_{a-1}(p); v holds the
-    independent-marginal V moments and ratio_sum = sum (q/p)^(1-a) + (p/q)^a.
-    p_star is the smallest mass over p (and q).
-    """
-    entropy_condition = _condition(sum_p_am1, w, n)
+def _ld_report(n: int, alpha: float, p: np.ndarray, mult=None, q: np.ndarray | None = None,
+               w: ProjectionMoments | None = None, v: ProjectionMoments | None = None) -> LDReport:
+    """The one derivation of the LD quotients, at strictly positive masses p (and q), each
+    term taken mult times. The W moments w of p, and the V moments v (of independent
+    marginals), are computed here unless the caller passes them."""
+    m = p.size if mult is None else int(mult.sum())
+    p_star = float(p.min()) if q is None else min(float(p.min()), float(q.min()))
+    if w is None:
+        w = _w_moments(_power_sum(p, alpha, mult), _power_sum(p, 2.0 * alpha - 1.0, mult), alpha)
+    entropy_condition = _condition(_power_sum(p, alpha - 1.0, mult), w, n)
     degenerate_entropy_condition = m * m / n
     advisories = {"entropy_clt": _advisory(entropy_condition, degenerate_entropy_condition)}
     divergence_condition = degenerate_divergence_condition = None
-    if v is not None:
-        divergence_condition = _condition(ratio_sum, v, n)
-        degenerate_divergence_condition = max(1.0 / (n * m * p_star * p_star), m / (n * p_star))
+    if q is not None:
+        v = _v_moments_independent(p, q, alpha, mult) if v is None else v
+        divergence_condition = _condition(_v_ratio_sum(p, q, alpha, mult), v, n)
+        nm_p2 = n * m * p_star * p_star  # underflows to 0 for p_star below about 1.5e-162
+        degenerate_divergence_condition = max(1.0 / nm_p2 if nm_p2 else math.inf,
+                                              m / (n * p_star))
         advisories["divergence_clt"] = _advisory(divergence_condition,
                                                  degenerate_divergence_condition)
     return LDReport(
@@ -271,3 +264,11 @@ def _ld_report(m: int, n: int, p_star: float, w: ProjectionMoments, sum_p_am1: f
         degenerate_divergence_condition=degenerate_divergence_condition,
         advisories=advisories,
     )
+
+
+def _ld_failures(ld: LDReport) -> list[tuple[str, float]]:
+    """(condition, quotient) for each advisory of ld that reads "fail", with the quotient
+    its label read."""
+    pairs = {"entropy_clt": (ld.entropy_condition, ld.degenerate_entropy_condition),
+             "divergence_clt": (ld.divergence_condition, ld.degenerate_divergence_condition)}
+    return [(c, _quotient(*pairs[c])) for c, label in ld.advisories.items() if label == "fail"]

@@ -56,6 +56,13 @@ def _one_replicate(monkeypatch, tmp_path):
     return ["simulate", "--config", _write(tmp_path, "sim.cfg", config)]
 
 
+def _diagonal_joint(monkeypatch, tmp_path):
+    # all the mass on the diagonal: gamma_n^2 = 0, refused before any draw
+    config = ("family = bivariate_joint\nbeta = 1.0\ndiag_weight = 1\nm = 10\n"
+              "n_override = 20\nB = 5\nstatistic = thm4_degenerate_divergence\n")
+    return ["simulate", "--config", _write(tmp_path, "sim.cfg", config)]
+
+
 def _command_bug(monkeypatch, tmp_path):
     def broken(args):
         raise RuntimeError("a bug")
@@ -70,6 +77,8 @@ def _command_bug(monkeypatch, tmp_path):
     (_pipeline_bad_level, 2, "error: level = 1.5 must lie in (0, 1)"),
     (_one_replicate, 2, "error: config key B = 1: simulate needs B >= 2 for its KS distance"),
     (_command_bug, 1, "internal error: RuntimeError: a bug"),
+    (_diagonal_joint, 2, "error: thm4_degenerate_divergence is degenerate at config key "
+     "diag_weight = 1: the two samples are identical (gamma_n = 0)"),
 ])
 def test_cli_errors(monkeypatch, tmp_path, capsys, argv, code, text):
     assert cli.run_cli(argv(monkeypatch, tmp_path)) == code
@@ -241,6 +250,11 @@ _STREAM = np.random.default_rng(0)
     pytest.param(lambda: simulate_statistic(_power_law(n_override=20, B=1)), DomainError,
                  "config key B = 1: simulate needs B >= 2 for its KS distance",
                  id="simulate-B-1"),
+    pytest.param(lambda: simulate_statistic(SimConfig(
+        family="bivariate_joint", beta=1.0, diag_weight=1.0, m=10, n_override=20, B=5,
+        statistic="lemma2_two_sample")), UsageError,
+        "lemma2_two_sample is degenerate at config key diag_weight = 1.0: the two samples are "
+        "identical (gamma_n = 0)", id="simulate-diag_weight-1"),
 ])
 def test_montecarlo_errors(call, error, text):
     with pytest.raises(error, match=re.escape(text)):
@@ -289,6 +303,10 @@ def test_powerlaw_errors(call, error, text):
      "category counts differ: 2 vs 3"),
     (lambda: bhattacharyya_v_variance([0.5, 0.5], [0.2, 0.3, 0.5]), ShapeError,
      "category counts differ: 2 vs 3"),
+    (lambda: renyi_divergence([0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], 0.5), DomainError,
+     "no shared support between p and q: S_a(p, q) = 0 and D_a is infinite"),
+    (lambda: v_moments_independent([0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], 0.5), DomainError,
+     "no shared support between p and q: V is undefined"),
 ])
 def test_projections_errors(call, error, text):
     with pytest.raises(error, match=re.escape(text)):

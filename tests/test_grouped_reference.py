@@ -57,10 +57,6 @@ def ref_v_moments_independent(p, q, alpha):
     return _moments(ea + eb, ea2 + 2.0 * ea * eb + eb2)
 
 
-def ref_v_ratio_sum(p, q, alpha):
-    return _fsum((q / p) ** (1.0 - alpha)) + _fsum((p / q) ** alpha)
-
-
 def ref_entropy_ci(c, alpha, level=0.95):
     cv = CountVector(c)
     if cv.n < 2:
@@ -75,7 +71,7 @@ def ref_entropy_ci(c, alpha, level=0.95):
     est = math.log(s_a) / (1.0 - alpha)
     se = w.cv * alpha / ((1.0 - alpha) * math.sqrt(cv.n))
     z = normal_quantile(0.5 + level / 2.0)
-    ld = _ld_report(phat.size, cv.n, float(phat.min()), w, ref_power_sum(phat, alpha - 1.0))
+    ld = _ld_report(cv.n, alpha, phat, w=w)
     return EstimateWithCI(est, level, est - z * se, est + z * se, se, cv.n, phat.size,
                           "thm1", ld)
 
@@ -95,9 +91,7 @@ def ref_divergence_ci(cx, cy, alpha, level=0.95):
     z = normal_quantile(0.5 + level / 2.0)
     ld = None
     if shared.all():
-        w = _w_moments(ref_power_sum(phat, alpha), ref_power_sum(phat, 2.0 * alpha - 1.0), alpha)
-        ld = _ld_report(phat.size, int(round(n_eff)), min(float(phat.min()), float(qhat.min())),
-                        w, ref_power_sum(phat, alpha - 1.0), v, ref_v_ratio_sum(phat, qhat, alpha))
+        ld = _ld_report(int(round(n_eff)), alpha, phat, q=qhat, v=v)
     return EstimateWithCI(est, level, est - z * se, est + z * se, se, int(round(n_eff)),
                           int(((phat > 0) | (qhat > 0)).sum()), "thm2", ld)
 

@@ -7,8 +7,8 @@ so it runs without a linter installed. The package __init__ re-exports its impor
 is left out; `from __future__ import annotations` binds nothing that is read. The second
 fails on a private helper, class or constant that only the tests still reach. The third
 keeps out of every other module the scipy package imports that _special avoids. The
-fourth keeps the cell key's width with counts._cell_keys and the tolerance of a sum of
-masses with distributions.
+fourth keeps the cell key's width with counts._cell_keys, the tolerance of a sum of
+masses with distributions, and the LD report's quotients with projections.
 """
 import ast
 from pathlib import Path
@@ -111,8 +111,10 @@ def test_check_finds_a_scipy_import():
 
 
 # a name and the one src module that may read it: np.uint32 picks the m x m cell key's
-# width, and PROB_SUM_TOL the distance from 1 that a sum of masses may take
-OWNERS = {"uint32": "counts.py", "PROB_SUM_TOL": "distributions.py"}
+# width, PROB_SUM_TOL the distance from 1 that a sum of masses may take, and _quotient and
+# _v_ratio_sum which quotient an LD advisory reads and what it divides
+OWNERS = {"uint32": "counts.py", "PROB_SUM_TOL": "distributions.py",
+          "_quotient": "projections.py", "_v_ratio_sum": "projections.py"}
 
 
 def reads_of(source: str, name: str) -> list[int]:

@@ -10,6 +10,8 @@ from renydiv import (
     ProbVector,
     bhattacharyya_v_variance,
     cross_power_sum,
+    divergence_ci,
+    entropy_ci,
     ld_diagnostic,
     noise_and_signal_w_variance,
     power_sum,
@@ -18,6 +20,7 @@ from renydiv import (
     projection_w_moments,
     v_moments_independent,
 )
+from renydiv.measures import _GROUP_MIN
 
 
 def enumerate_w(p, alpha):
@@ -211,6 +214,23 @@ class TestLDDiagnostic:
         assert math.isinf(rep.divergence_condition)
         # advisory falls back to the degenerate-regime (Theorem 4) condition
         assert rep.advisories["divergence_clt"] == "pass"
+
+    def test_underflowing_mass_gives_an_infinite_quotient(self):
+        # n m p_star^2 underflows to 0 below p_star ~ 1.5e-162; its reciprocal reads inf
+        rep = ld_diagnostic([1e-170, 1 - 1e-170], [0.5, 0.5], 10, 0.5)
+        assert rep.degenerate_divergence_condition == math.inf
+        assert rep.advisories["divergence_clt"] == "fail"
+
+    @pytest.mark.parametrize("m", [200, 2 * _GROUP_MIN])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_the_intervals_report_ld_diagnostic_at_their_plug_in_masses(self, m, alpha):
+        # every category observed, below and above the size where the counts are grouped
+        rng = np.random.default_rng(m)
+        cx, cy = rng.integers(1, 9, m), rng.integers(1, 12, m)
+        nx, ny = int(cx.sum()), int(cy.sum())
+        assert entropy_ci(cx, alpha).ld == ld_diagnostic(cx / nx, None, nx, alpha)
+        n_eff = round(2.0 * nx * ny / (nx + ny))
+        assert divergence_ci(cx, cy, alpha).ld == ld_diagnostic(cx / nx, cy / ny, n_eff, alpha)
 
     def test_zero_mass_rejected(self):
         with pytest.raises(DomainError):
